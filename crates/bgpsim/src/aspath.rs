@@ -7,7 +7,7 @@
 //! propagation", §3.1 fn. 1), and rejects paths with loops.
 
 use crate::types::Asn;
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -37,23 +37,14 @@ impl Default for AsPath {
 }
 
 impl Serialize for AsPath {
-    fn to_content(&self) -> Content {
-        Content::Seq(self.0.iter().map(|a| a.to_content()).collect())
+    fn serialize(&self, s: &mut serde::Serializer) {
+        self.0.serialize(s);
     }
 }
 
 impl<'de> Deserialize<'de> for AsPath {
-    fn from_content(content: &Content) -> Result<Self, serde::content::ContentError> {
-        let items = match content {
-            Content::Seq(items) => items,
-            other => {
-                return Err(serde::content::ContentError(format!(
-                    "expected sequence for AsPath, got {other:?}"
-                )))
-            }
-        };
-        let asns: Result<Vec<Asn>, _> = items.iter().map(Asn::from_content).collect();
-        Ok(AsPath::new(asns?))
+    fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
+        Vec::deserialize(d).map(AsPath::new)
     }
 }
 

@@ -152,14 +152,14 @@ pub struct Policy {
 /// the on-disk shape identical to the pre-Arc representation.
 mod arc_rules {
     use super::PolicyRule;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
     use std::sync::Arc;
 
-    pub fn serialize<S: Serializer>(rules: &Arc<Vec<PolicyRule>>, s: S) -> Result<S::Ok, S::Error> {
-        rules.as_slice().serialize(s)
+    pub fn serialize(rules: &Arc<Vec<PolicyRule>>, s: &mut Serializer) {
+        rules.as_slice().serialize(s);
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Arc<Vec<PolicyRule>>, D::Error> {
+    pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<Vec<PolicyRule>>, Error> {
         Vec::deserialize(d).map(Arc::new)
     }
 }

@@ -554,21 +554,16 @@ impl AsRoutingModel {
 /// keys.
 mod prefix_map_entries {
     use quasar_bgpsim::types::{Asn, Prefix};
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
+    use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
     use std::collections::BTreeMap;
 
     use std::sync::Arc;
 
-    pub fn serialize<S: Serializer>(
-        map: &Arc<BTreeMap<Prefix, Asn>>,
-        s: S,
-    ) -> Result<S::Ok, S::Error> {
-        map.iter().collect::<Vec<_>>().serialize(s)
+    pub fn serialize(map: &Arc<BTreeMap<Prefix, Asn>>, s: &mut Serializer) {
+        map.iter().collect::<Vec<_>>().serialize(s);
     }
 
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> Result<Arc<BTreeMap<Prefix, Asn>>, D::Error> {
+    pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<BTreeMap<Prefix, Asn>>, Error> {
         Ok(Arc::new(
             Vec::<(Prefix, Asn)>::deserialize(d)?.into_iter().collect(),
         ))

@@ -305,16 +305,16 @@ pub fn save_artifact(
 }
 
 /// Reads and verifies a framed artifact of `kind`, returning the payload
-/// and whether the file was a legacy (headerless) artifact. Legacy files
-/// — anything not starting with the magic — are returned as-is with no
-/// integrity check, which is exactly the guarantee they were written
-/// under.
-pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, bool), PersistError> {
+/// and the length of the header it followed — 0 for a legacy (headerless)
+/// artifact. Legacy files — anything not starting with the magic — are
+/// returned as-is with no integrity check, which is exactly the guarantee
+/// they were written under.
+pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usize), PersistError> {
     let path = path.as_ref();
-    let bytes = fs::read(path).map_err(|e| PersistError::io(path, "read", e))?;
+    let mut bytes = fs::read(path).map_err(|e| PersistError::io(path, "read", e))?;
     let magic_prefix = format!("{MAGIC} ");
     if !bytes.starts_with(magic_prefix.as_bytes()) {
-        return Ok((bytes, true));
+        return Ok((bytes, 0));
     }
     let bad = |offset: usize, detail: String| PersistError::BadHeader {
         path: path.to_path_buf(),
@@ -376,7 +376,8 @@ pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, boo
             actual: actual_sum,
         });
     }
-    Ok((payload.to_vec(), false))
+    bytes.drain(..=newline);
+    Ok((bytes, newline + 1))
 }
 
 /// Serializes `model` and writes it as a framed `model` artifact.
@@ -396,15 +397,7 @@ pub fn save_model(path: impl AsRef<Path>, model: &AsRoutingModel) -> Result<(), 
 /// panic.
 pub fn load_model(path: impl AsRef<Path>) -> Result<AsRoutingModel, PersistError> {
     let path = path.as_ref();
-    let (payload, legacy) = load_artifact(path, KIND_MODEL)?;
-    let offset = if legacy {
-        0
-    } else {
-        // Payload starts right after the header line.
-        fs::metadata(path)
-            .map(|m| (m.len() as usize).saturating_sub(payload.len()))
-            .unwrap_or(0)
-    };
+    let (payload, offset) = load_artifact(path, KIND_MODEL)?;
     let json = std::str::from_utf8(&payload).map_err(|e| PersistError::Json {
         path: path.to_path_buf(),
         offset: offset + e.valid_up_to(),
@@ -472,15 +465,15 @@ pub fn load_latest_checkpoint_payload(dir: &Path) -> Result<(u64, Vec<u8>), Pers
     let mut last_err: Option<PersistError> = None;
     for (round, path) in candidates {
         match load_artifact(&path, KIND_CHECKPOINT) {
-            Ok((payload, false)) => return Ok((round, payload)),
             // A headerless file under a checkpoint name is not trusted.
-            Ok((_, true)) => {
+            Ok((_, 0)) => {
                 last_err = Some(PersistError::BadHeader {
                     path,
                     offset: 0,
                     detail: "checkpoint has no artifact header".into(),
                 });
             }
+            Ok((payload, _)) => return Ok((round, payload)),
             Err(e) => last_err = Some(e),
         }
     }
@@ -505,15 +498,15 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("a.bin");
         save_artifact(&path, "model", b"{\"x\":1}").unwrap();
-        let (payload, legacy) = load_artifact(&path, "model").unwrap();
+        let (payload, header_len) = load_artifact(&path, "model").unwrap();
         assert_eq!(payload, b"{\"x\":1}");
-        assert!(!legacy);
+        assert_eq!(header_len, fs::read(&path).unwrap().len() - payload.len());
 
         let bare = dir.join("bare.json");
         fs::write(&bare, b"{\"x\":2}").unwrap();
-        let (payload, legacy) = load_artifact(&bare, "model").unwrap();
+        let (payload, header_len) = load_artifact(&bare, "model").unwrap();
         assert_eq!(payload, b"{\"x\":2}");
-        assert!(legacy);
+        assert_eq!(header_len, 0, "a legacy file has no header");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -26,8 +26,8 @@ use quasar_core::metrics::{MatchLevel, MismatchReason};
 use quasar_core::model::AsRoutingModel;
 use quasar_core::predict::predict_route;
 use quasar_core::whatif::{Change, Impact, RoutingDiff};
-use serde::content::{field, ContentError};
-use serde::{Content, Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
+use std::borrow::Cow;
 
 use crate::metrics::{MetricsSnapshot, RequestKind, StreamStatusReport};
 
@@ -577,169 +577,179 @@ pub fn stats_reply(model: &AsRoutingModel) -> StatsReply {
 // Manual serde: `"type"`- / `"action"`-tagged objects
 // ---------------------------------------------------------------------------
 
-fn key(name: &str) -> Content {
-    Content::Str(name.to_string())
-}
+/// The entries of one JSON object, each with a cursor on its value — a
+/// shallow index that lets a tag field appear anywhere in the object.
+/// Values are syntax-checked but not decoded until asked for.
+struct Fields<'de>(Vec<(Cow<'de, str>, Deserializer<'de>)>);
 
-fn tagged(tag_field: &str, tag: &str, fields: Vec<(Content, Content)>) -> Content {
-    let mut entries = vec![(key(tag_field), Content::Str(tag.to_string()))];
-    entries.extend(fields);
-    Content::Map(entries)
-}
-
-fn req_field<T: for<'de> Deserialize<'de>>(c: &Content, name: &str) -> Result<T, ContentError> {
-    match field(c, name)? {
-        Some(v) => T::from_content(v),
-        None => Err(ContentError::msg(format!("missing field `{name}`"))),
+impl<'de> Fields<'de> {
+    fn read(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let mut entries = Vec::new();
+        d.begin_map()?;
+        while let Some(key) = d.next_key()? {
+            entries.push((key, d.clone()));
+            d.skip_value()?;
+        }
+        Ok(Fields(entries))
     }
-}
 
-fn opt_field<T: for<'de> Deserialize<'de>>(
-    c: &Content,
-    name: &str,
-) -> Result<Option<T>, ContentError> {
-    match field(c, name)? {
-        None | Some(Content::Null) => Ok(None),
-        Some(v) => Ok(Some(T::from_content(v)?)),
+    /// Cursor on the value of the first entry named `name`.
+    fn get(&self, name: &str) -> Option<Deserializer<'de>> {
+        self.0
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v.clone())
     }
-}
 
-fn tag_of<'a>(c: &'a Content, tag_field: &str) -> Result<&'a str, ContentError> {
-    match field(c, tag_field)? {
-        Some(Content::Str(s)) => Ok(s.as_str()),
-        Some(other) => Err(ContentError::msg(format!(
-            "`{tag_field}` must be a string, got {other:?}"
-        ))),
-        None => Err(ContentError::msg(format!("missing `{tag_field}` field"))),
+    fn req<T: Deserialize<'de>>(&self, name: &str) -> Result<T, Error> {
+        match self.get(name) {
+            Some(mut v) => T::deserialize(&mut v),
+            None => Err(Error::msg(format!("missing field `{name}`"))),
+        }
+    }
+
+    fn opt<T: Deserialize<'de>>(&self, name: &str) -> Result<Option<T>, Error> {
+        match self.get(name) {
+            Some(mut v) => Option::deserialize(&mut v),
+            None => Ok(None),
+        }
+    }
+
+    fn tag(&self, tag_field: &str) -> Result<Cow<'de, str>, Error> {
+        let Some(mut v) = self.get(tag_field) else {
+            return Err(Error::msg(format!("missing `{tag_field}` field")));
+        };
+        if v.peek() != Some(b'"') {
+            return Err(Error::msg(format!("`{tag_field}` must be a string")));
+        }
+        v.string()
     }
 }
 
 impl Serialize for ChangeSpec {
-    fn to_content(&self) -> Content {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_map();
         match self {
-            ChangeSpec::Depeer { a, b } => tagged(
-                "action",
-                "depeer",
-                vec![(key("a"), a.to_content()), (key("b"), b.to_content())],
-            ),
-            ChangeSpec::AddPeering { a, b } => tagged(
-                "action",
-                "add_peering",
-                vec![(key("a"), a.to_content()), (key("b"), b.to_content())],
-            ),
+            ChangeSpec::Depeer { a, b } => {
+                s.field("action", "depeer");
+                s.field("a", a);
+                s.field("b", b);
+            }
+            ChangeSpec::AddPeering { a, b } => {
+                s.field("action", "add_peering");
+                s.field("a", a);
+                s.field("b", b);
+            }
             ChangeSpec::FilterPrefix {
                 asn,
                 neighbor,
                 prefix,
-            } => tagged(
-                "action",
-                "filter_prefix",
-                vec![
-                    (key("asn"), asn.to_content()),
-                    (key("neighbor"), neighbor.to_content()),
-                    (key("prefix"), prefix.to_content()),
-                ],
-            ),
+            } => {
+                s.field("action", "filter_prefix");
+                s.field("asn", asn);
+                s.field("neighbor", neighbor);
+                s.field("prefix", prefix);
+            }
         }
+        s.end_map();
     }
 }
 
 impl<'de> Deserialize<'de> for ChangeSpec {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        match tag_of(c, "action")? {
+    fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let f = Fields::read(d)?;
+        match &*f.tag("action")? {
             "depeer" => Ok(ChangeSpec::Depeer {
-                a: req_field(c, "a")?,
-                b: req_field(c, "b")?,
+                a: f.req("a")?,
+                b: f.req("b")?,
             }),
             "add_peering" => Ok(ChangeSpec::AddPeering {
-                a: req_field(c, "a")?,
-                b: req_field(c, "b")?,
+                a: f.req("a")?,
+                b: f.req("b")?,
             }),
             "filter_prefix" => Ok(ChangeSpec::FilterPrefix {
-                asn: req_field(c, "asn")?,
-                neighbor: req_field(c, "neighbor")?,
-                prefix: req_field(c, "prefix")?,
+                asn: f.req("asn")?,
+                neighbor: f.req("neighbor")?,
+                prefix: f.req("prefix")?,
             }),
-            other => Err(ContentError::msg(format!("unknown action `{other}`"))),
+            other => Err(Error::msg(format!("unknown action `{other}`"))),
         }
     }
 }
 
 impl Serialize for Request {
-    fn to_content(&self) -> Content {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_map();
         match self {
             Request::Predict {
                 prefix,
                 observer,
                 observed_path,
             } => {
-                let mut fields = vec![
-                    (key("prefix"), prefix.to_content()),
-                    (key("observer"), observer.to_content()),
-                ];
+                s.field("type", "predict");
+                s.field("prefix", prefix);
+                s.field("observer", observer);
                 if let Some(p) = observed_path {
-                    fields.push((key("observed_path"), p.to_content()));
+                    s.field("observed_path", p);
                 }
-                tagged("type", "predict", fields)
             }
             Request::Diff { changes, prefixes } => {
-                let mut fields = vec![(key("changes"), changes.to_content())];
+                s.field("type", "diff");
+                s.field("changes", changes);
                 if let Some(p) = prefixes {
-                    fields.push((key("prefixes"), p.to_content()));
+                    s.field("prefixes", p);
                 }
-                tagged("type", "diff", fields)
             }
-            Request::Explain { prefix, observer } => tagged(
-                "type",
-                "explain",
-                vec![
-                    (key("prefix"), prefix.to_content()),
-                    (key("observer"), observer.to_content()),
-                ],
-            ),
-            Request::Stats => tagged("type", "stats", vec![]),
-            Request::Metrics => tagged("type", "metrics", vec![]),
+            Request::Explain { prefix, observer } => {
+                s.field("type", "explain");
+                s.field("prefix", prefix);
+                s.field("observer", observer);
+            }
+            Request::Stats => s.field("type", "stats"),
+            Request::Metrics => s.field("type", "metrics"),
             Request::Reload { path } => {
-                tagged("type", "reload", vec![(key("path"), path.to_content())])
+                s.field("type", "reload");
+                s.field("path", path);
             }
-            Request::StreamReport { report } => tagged(
-                "type",
-                "stream_report",
-                vec![(key("report"), report.to_content())],
-            ),
-            Request::Health => tagged("type", "health", vec![]),
-            Request::Shutdown => tagged("type", "shutdown", vec![]),
+            Request::StreamReport { report } => {
+                s.field("type", "stream_report");
+                s.field("report", report);
+            }
+            Request::Health => s.field("type", "health"),
+            Request::Shutdown => s.field("type", "shutdown"),
         }
+        s.end_map();
     }
 }
 
 impl<'de> Deserialize<'de> for Request {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        match tag_of(c, "type")? {
+    fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let f = Fields::read(d)?;
+        match &*f.tag("type")? {
             "predict" => Ok(Request::Predict {
-                prefix: req_field(c, "prefix")?,
-                observer: req_field(c, "observer")?,
-                observed_path: opt_field(c, "observed_path")?,
+                prefix: f.req("prefix")?,
+                observer: f.req("observer")?,
+                observed_path: f.opt("observed_path")?,
             }),
             "diff" => Ok(Request::Diff {
-                changes: req_field(c, "changes")?,
-                prefixes: opt_field(c, "prefixes")?,
+                changes: f.req("changes")?,
+                prefixes: f.opt("prefixes")?,
             }),
             "explain" => Ok(Request::Explain {
-                prefix: req_field(c, "prefix")?,
-                observer: req_field(c, "observer")?,
+                prefix: f.req("prefix")?,
+                observer: f.req("observer")?,
             }),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "reload" => Ok(Request::Reload {
-                path: req_field(c, "path")?,
+                path: f.req("path")?,
             }),
             "stream_report" => Ok(Request::StreamReport {
-                report: req_field(c, "report")?,
+                report: f.req("report")?,
             }),
             "health" => Ok(Request::Health),
             "shutdown" => Ok(Request::Shutdown),
-            other => Err(ContentError::msg(format!("unknown request type `{other}`"))),
+            other => Err(Error::msg(format!("unknown request type `{other}`"))),
         }
     }
 }
@@ -765,53 +775,53 @@ impl Response {
 }
 
 impl Serialize for Response {
-    fn to_content(&self) -> Content {
-        let inner = match self {
-            Response::Predict(r) => r.to_content(),
-            Response::Diff(r) => r.to_content(),
-            Response::Explain(r) => r.to_content(),
-            Response::Stats(r) => r.to_content(),
-            Response::Metrics(r) => r.to_content(),
-            Response::Reload(r) => r.to_content(),
-            Response::StreamReport(r) => r.to_content(),
-            Response::Health(r) => r.to_content(),
-            Response::Shutdown(r) => r.to_content(),
-            Response::Overloaded(r) => r.to_content(),
-            Response::Degraded(r) => r.to_content(),
-            Response::DeadlineExceeded(r) => r.to_content(),
-            Response::Error(r) => r.to_content(),
-        };
-        let fields = match inner {
-            Content::Map(entries) => entries,
-            other => vec![(key("value"), other)],
-        };
-        tagged("type", self.tag(), fields)
+    /// Every payload is a struct written as a map; the tag goes in front
+    /// of its fields.
+    fn serialize(&self, s: &mut Serializer) {
+        s.tag_next_map("type", self.tag());
+        match self {
+            Response::Predict(r) => r.serialize(s),
+            Response::Diff(r) => r.serialize(s),
+            Response::Explain(r) => r.serialize(s),
+            Response::Stats(r) => r.serialize(s),
+            Response::Metrics(r) => r.serialize(s),
+            Response::Reload(r) => r.serialize(s),
+            Response::StreamReport(r) => r.serialize(s),
+            Response::Health(r) => r.serialize(s),
+            Response::Shutdown(r) => r.serialize(s),
+            Response::Overloaded(r) => r.serialize(s),
+            Response::Degraded(r) => r.serialize(s),
+            Response::DeadlineExceeded(r) => r.serialize(s),
+            Response::Error(r) => r.serialize(s),
+        }
     }
 }
 
 impl<'de> Deserialize<'de> for Response {
-    fn from_content(c: &Content) -> Result<Self, ContentError> {
-        match tag_of(c, "type")? {
-            "predict" => Ok(Response::Predict(PredictReply::from_content(c)?)),
-            "diff" => Ok(Response::Diff(DiffReply::from_content(c)?)),
-            "explain" => Ok(Response::Explain(ExplainReply::from_content(c)?)),
-            "stats" => Ok(Response::Stats(StatsReply::from_content(c)?)),
-            "metrics" => Ok(Response::Metrics(Box::new(MetricsSnapshot::from_content(
-                c,
+    /// Finds the tag, then reads the whole object again as the payload
+    /// struct, which skips the tag as an unknown field.
+    fn deserialize(d: &mut Deserializer<'de>) -> Result<Self, Error> {
+        let mut p = d.clone();
+        let p = &mut p;
+        match &*Fields::read(d)?.tag("type")? {
+            "predict" => Ok(Response::Predict(PredictReply::deserialize(p)?)),
+            "diff" => Ok(Response::Diff(DiffReply::deserialize(p)?)),
+            "explain" => Ok(Response::Explain(ExplainReply::deserialize(p)?)),
+            "stats" => Ok(Response::Stats(StatsReply::deserialize(p)?)),
+            "metrics" => Ok(Response::Metrics(Box::new(MetricsSnapshot::deserialize(
+                p,
             )?))),
-            "reload" => Ok(Response::Reload(ReloadReply::from_content(c)?)),
-            "stream_report" => Ok(Response::StreamReport(StreamReportReply::from_content(c)?)),
-            "health" => Ok(Response::Health(HealthReply::from_content(c)?)),
-            "shutdown" => Ok(Response::Shutdown(ShutdownReply::from_content(c)?)),
-            "overloaded" => Ok(Response::Overloaded(OverloadedReply::from_content(c)?)),
-            "degraded" => Ok(Response::Degraded(DegradedReply::from_content(c)?)),
+            "reload" => Ok(Response::Reload(ReloadReply::deserialize(p)?)),
+            "stream_report" => Ok(Response::StreamReport(StreamReportReply::deserialize(p)?)),
+            "health" => Ok(Response::Health(HealthReply::deserialize(p)?)),
+            "shutdown" => Ok(Response::Shutdown(ShutdownReply::deserialize(p)?)),
+            "overloaded" => Ok(Response::Overloaded(OverloadedReply::deserialize(p)?)),
+            "degraded" => Ok(Response::Degraded(DegradedReply::deserialize(p)?)),
             "deadline_exceeded" => Ok(Response::DeadlineExceeded(
-                DeadlineExceededReply::from_content(c)?,
+                DeadlineExceededReply::deserialize(p)?,
             )),
-            "error" => Ok(Response::Error(ErrorReply::from_content(c)?)),
-            other => Err(ContentError::msg(format!(
-                "unknown response type `{other}`"
-            ))),
+            "error" => Ok(Response::Error(ErrorReply::deserialize(p)?)),
+            other => Err(Error::msg(format!("unknown response type `{other}`"))),
         }
     }
 }

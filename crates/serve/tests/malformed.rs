@@ -196,3 +196,38 @@ fn pipelined_and_empty_lines_are_handled_in_order() {
     }
     shutdown(addr, handle);
 }
+
+#[test]
+fn deeply_nested_request_lines_get_an_error_not_a_stack_overflow() {
+    let (addr, _state, handle) = start_server();
+
+    // ~10-100 KB lines, far under MAX_REQUEST_LINE: recursing once per
+    // bracket would overflow a worker's stack and abort the process.
+    let deep_field = format!(
+        r#"{{"type":"predict","prefix":"10.0.0.0/24","observer":1,"junk":{}"#,
+        "[".repeat(100_000)
+    );
+    let deep_objects = r#"{"type":"#.repeat(10_000);
+    let deep_changes = format!(r#"{{"type":"diff","changes":{}}}"#, "[".repeat(10_000));
+    for (bad, nested) in [
+        ("[".repeat(10_000), false),
+        (deep_field, true),
+        (deep_objects, true),
+        (deep_changes, true),
+    ] {
+        let reply = ask(addr, &bad).expect("server answers deeply nested lines");
+        assert!(
+            reply.contains(r#""type":"error""#),
+            "deep nesting must be an error reply, got: {reply}"
+        );
+        if nested {
+            assert!(
+                reply.contains("nesting deeper than"),
+                "the reply must name the nesting limit, got: {reply}"
+            );
+        }
+    }
+
+    assert_pool_healthy(addr);
+    shutdown(addr, handle);
+}

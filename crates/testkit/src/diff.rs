@@ -15,16 +15,15 @@
 //!   ([`states_differential`] — a plain [`ServerState`] and a
 //!   [`ShardedState`] compare directly).
 //!
-//! Everything reduces to [`first_divergence`] over the vendored serde
-//! [`Content`] tree, which `serde_json::parse` produces for any JSON
-//! document.
+//! Everything reduces to [`first_divergence`] over two
+//! [`serde_json::Value`] documents.
 
 use quasar_core::model::AsRoutingModel;
 use quasar_core::observed::Dataset;
 use quasar_core::refine::{refine, RefineConfig};
 use quasar_serve::server::{serve, ServeConfig, ServeHandler, ServerState};
 use quasar_serve::shard::ShardedState;
-use serde::Content;
+use serde_json::Value;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,17 +54,15 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Compact single-line rendering of a content subtree for messages.
-fn brief(c: &Content) -> String {
-    let full = match c {
-        Content::Null => "null".to_string(),
-        Content::Bool(b) => b.to_string(),
-        Content::U64(n) => n.to_string(),
-        Content::I64(n) => n.to_string(),
-        Content::F64(x) => format!("{x:?}"),
-        Content::Str(s) => format!("{s:?}"),
-        Content::Seq(items) => format!("<array of {}>", items.len()),
-        Content::Map(entries) => format!("<object with {} fields>", entries.len()),
+/// Compact single-line rendering of a value for messages.
+fn brief(v: &Value) -> String {
+    let full = match v {
+        Value::Null => "null".to_string(),
+        Value::Bool(b) => b.to_string(),
+        Value::Number(n) => n.to_string(),
+        Value::String(s) => format!("{s:?}"),
+        Value::Array(items) => format!("<array of {}>", items.len()),
+        Value::Object(entries) => format!("<object with {} fields>", entries.len()),
     };
     if full.len() > 120 {
         format!("{}…", &full[..120])
@@ -74,21 +71,14 @@ fn brief(c: &Content) -> String {
     }
 }
 
-fn key_name(k: &Content) -> String {
-    match k {
-        Content::Str(s) => s.clone(),
-        other => brief(other),
-    }
-}
-
-/// Walks two content trees in lockstep and returns the first place they
+/// Walks two documents in lockstep and returns the first place they
 /// differ, or `None` if they are identical. Object fields are compared
 /// in serialization order (the vendored serde emits deterministic,
 /// sorted output, so order differences are real differences).
-pub fn first_divergence(context: &str, left: &Content, right: &Content) -> Option<Divergence> {
-    fn walk(path: &mut String, l: &Content, r: &Content) -> Option<(String, String, String)> {
+pub fn first_divergence(context: &str, left: &Value, right: &Value) -> Option<Divergence> {
+    fn walk(path: &mut String, l: &Value, r: &Value) -> Option<(String, String, String)> {
         match (l, r) {
-            (Content::Seq(ls), Content::Seq(rs)) => {
+            (Value::Array(ls), Value::Array(rs)) => {
                 for (i, (le, re)) in ls.iter().zip(rs.iter()).enumerate() {
                     let len = path.len();
                     path.push_str(&format!("[{i}]"));
@@ -106,14 +96,14 @@ pub fn first_divergence(context: &str, left: &Content, right: &Content) -> Optio
                 }
                 None
             }
-            (Content::Map(lm), Content::Map(rm)) => {
+            (Value::Object(lm), Value::Object(rm)) => {
                 for (i, ((lk, lv), (rk, rv))) in lm.iter().zip(rm.iter()).enumerate() {
                     if lk != rk {
-                        return Some((format!("{path}.<key #{i}>"), key_name(lk), key_name(rk)));
+                        return Some((format!("{path}.<key #{i}>"), lk.clone(), rk.clone()));
                     }
                     let len = path.len();
                     path.push('.');
-                    path.push_str(&key_name(lk));
+                    path.push_str(lk);
                     if let Some(d) = walk(path, lv, rv) {
                         return Some(d);
                     }
@@ -148,7 +138,10 @@ pub fn diff_json(context: &str, left: &str, right: &str) -> Option<Divergence> {
     if left == right {
         return None;
     }
-    match (serde_json::parse(left), serde_json::parse(right)) {
+    match (
+        serde_json::from_str::<Value>(left),
+        serde_json::from_str::<Value>(right),
+    ) {
         (Ok(l), Ok(r)) => first_divergence(context, &l, &r).or_else(|| {
             // Semantically equal but textually different: a formatting
             // bug worth reporting at the root.
