@@ -46,7 +46,8 @@ use quasar_core::persist::{self, load_model};
 use quasar_core::refine::{refine, RefineConfig};
 use quasar_mrt::prelude::*;
 use quasar_netgen::prelude::*;
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_stream::ingest::{UpdateWindow, Windower};
 use quasar_stream::pipeline::{Pipeline, StreamConfig};
 use serde::Serialize;
@@ -238,9 +239,10 @@ fn bench_scale(scale: Scale, seed: u64, window_secs: u32, seed_model_json: &str)
         seed_model_json.as_bytes(),
     )
     .expect("persist seed model");
-    let state = Arc::new(ServerState::new(
+    let state = Arc::new(ShardedState::new(
         load_model(&seed_artifact).expect("seed model"),
         ServeConfig::default(),
+        1,
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
@@ -399,9 +401,10 @@ fn recovery_drill(seed: u64, seed_model_json: &str) -> RecoveryDrill {
     )
     .expect("persist seed model");
     let boot = || {
-        Arc::new(ServerState::new(
+        Arc::new(ShardedState::new(
             load_model(&seed_artifact).expect("seed model"),
             ServeConfig::default(),
+            1,
         ))
     };
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");

@@ -145,9 +145,11 @@ impl RuleId {
 /// What tree a source file belongs to — rules scope themselves by kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// `crates/*/src` and the root `src/`, minus `src/bin` trees.
+    /// `crates/*/src` and the root `src/`, minus `src/bin` trees and
+    /// binary-only packages.
     Library,
-    /// `src/bin` trees (CLI frontends, bench binaries).
+    /// `src/bin` trees (CLI frontends, bench binaries) and every module
+    /// of a package with `src/main.rs` but no `src/lib.rs`.
     Binary,
     /// `tests/` trees.
     Test,
@@ -281,7 +283,10 @@ fn escape_json(s: &str) -> String {
 
 /// Classifies a workspace-relative path, or `None` when the file is out
 /// of scope (vendored code, build artifacts, analyzer fixtures).
-pub fn classify(rel_path: &str) -> Option<FileKind> {
+/// `is_file` answers whether a workspace-relative path exists: a module
+/// of a binary-only package (`src/main.rs` and no `src/lib.rs`) is
+/// binary code, not library code.
+pub fn classify(rel_path: &str, is_file: impl Fn(&str) -> bool) -> Option<FileKind> {
     let p = format!("/{}", rel_path.replace('\\', "/"));
     if !p.ends_with(".rs") {
         return None;
@@ -300,8 +305,15 @@ pub fn classify(rel_path: &str) -> Option<FileKind> {
     if p.contains("/benches/") {
         return Some(FileKind::Bench);
     }
-    if p.contains("/src/") {
-        return Some(FileKind::Library);
+    if let Some(src) = p.find("/src/") {
+        let package = &p[1..src + 1];
+        let binary_only =
+            is_file(&format!("{package}src/main.rs")) && !is_file(&format!("{package}src/lib.rs"));
+        return Some(if binary_only {
+            FileKind::Binary
+        } else {
+            FileKind::Library
+        });
     }
     None
 }
@@ -335,7 +347,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> io::Result<()> {
                 .unwrap_or(&path)
                 .to_string_lossy()
                 .replace('\\', "/");
-            if let Some(kind) = classify(&rel) {
+            if let Some(kind) = classify(&rel, |p| root.join(p).is_file()) {
                 let text = std::fs::read_to_string(&path)?;
                 out.push(SourceFile {
                     path: rel,
@@ -391,8 +403,22 @@ pub fn analyze_workspace(root: &Path) -> io::Result<SastReport> {
 mod tests {
     use super::*;
 
+    /// A workspace holding library packages (`src/lib.rs`, one also with
+    /// `src/main.rs`) and a binary-only package `tool`.
+    fn layout(p: &str) -> bool {
+        [
+            "src/lib.rs",
+            "crates/serve/src/lib.rs",
+            "crates/mixed/src/lib.rs",
+            "crates/mixed/src/main.rs",
+            "tool/src/main.rs",
+        ]
+        .contains(&p)
+    }
+
     #[test]
     fn classification_scopes_trees() {
+        let classify = |p| classify(p, layout);
         assert_eq!(
             classify("crates/serve/src/shard.rs"),
             Some(FileKind::Library)
@@ -411,6 +437,35 @@ mod tests {
         assert_eq!(classify("vendor/serde/src/lib.rs"), None);
         assert_eq!(classify("crates/sast/tests/fixtures/bad.rs"), None);
         assert_eq!(classify("README.md"), None);
+    }
+
+    #[test]
+    fn modules_of_a_binary_only_package_are_binary_code() {
+        let classify = |p| classify(p, layout);
+        assert_eq!(classify("tool/src/main.rs"), Some(FileKind::Binary));
+        assert_eq!(classify("tool/src/trace.rs"), Some(FileKind::Binary));
+        assert_eq!(classify("tool/src/a/b.rs"), Some(FileKind::Binary));
+        // A package with a library target keeps its modules in scope.
+        assert_eq!(classify("crates/mixed/src/x.rs"), Some(FileKind::Library));
+        assert_eq!(classify("src/model.rs"), Some(FileKind::Library));
+    }
+
+    #[test]
+    fn unsafe_fires_in_library_modules_only() {
+        let unsafe_module = |path: &str| SourceFile {
+            path: path.to_string(),
+            kind: classify(path, layout).expect("in scope"),
+            text: "pub fn f(p: *const u8) -> u8 { unsafe { *p } }\n".to_string(),
+        };
+        let fired = |path: &str| {
+            analyze(&[unsafe_module(path)])
+                .diagnostics
+                .iter()
+                .any(|d| d.rule == RuleId::UnsafeCode)
+        };
+        assert!(fired("crates/serve/src/alloc.rs"));
+        assert!(fired("crates/mixed/src/alloc.rs"));
+        assert!(!fired("tool/src/alloc.rs"));
     }
 
     #[test]

@@ -26,14 +26,15 @@
 //! * [`session`] — copy-on-write what-if sessions with overlay caches;
 //! * [`metrics`] — request counters, latency histograms, cache hit/miss
 //!   tallies;
-//! * [`server`] — the TCP listener, crossbeam worker pool, and request
-//!   dispatch ([`server::ServerState`] is usable without sockets, which
-//!   is how the property tests drive it);
-//! * [`shard`] — the prefix-sharded dispatcher: N shards, each with a
-//!   private epoch and caches over a contiguous slice of the prefix
-//!   space, with a coordinated all-or-nothing epoch swap. Byte-identical
-//!   to the single-epoch server by construction (and by the testkit's
-//!   sharding differential suite).
+//! * [`server`] — the TCP listener, crossbeam worker pool, and the
+//!   per-epoch request functions;
+//! * [`shard`] — the serve state, [`shard::ShardedState`]: N shards
+//!   (one by default), each with a private epoch and caches over a
+//!   contiguous slice of the prefix space, with a coordinated
+//!   all-or-nothing epoch swap. It is usable without sockets, which is
+//!   how the property tests and the one-shot CLI drive it; replies are
+//!   byte-identical at every shard count by construction (and by the
+//!   testkit's sharding differential suite).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +61,7 @@ pub mod prelude {
         ExplainReply, ImpactEntry, PredictReply, Request, Response, RouterBest, ShutdownReply,
         StatsReply, StreamReportReply,
     };
-    pub use crate::server::{serve, ServeConfig, ServeHandler, ServerState};
+    pub use crate::server::{serve, ServeConfig};
     pub use crate::session::{scenario_key, Session, SessionStore};
     pub use crate::shard::{ShardMap, ShardedState};
 }

@@ -459,14 +459,13 @@ pub struct MetricsSnapshot {
     #[serde(default)]
     pub stream: Option<StreamStatusReport>,
     /// Swap generation of the serving epoch (0 at process start, +1 per
-    /// successful reload). On a sharded server this is the fleet-wide
-    /// generation — one value across all shards, by construction of the
-    /// coordinated swap.
+    /// successful reload): the fleet-wide generation — one value across
+    /// all shards, by construction of the coordinated swap.
     #[serde(default)]
     pub generation: u64,
-    /// Per-shard counters on a sharded server; `None` on the
-    /// single-epoch server (and on snapshots from servers predating
-    /// sharding).
+    /// Per-shard counters, one entry per shard (a single entry on a
+    /// 1-shard server). `None` only on snapshots from servers predating
+    /// sharding.
     #[serde(default)]
     pub shards: Option<Vec<ShardSnapshot>>,
     /// Shards quarantined since startup (panic threshold trips).

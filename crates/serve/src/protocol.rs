@@ -361,7 +361,9 @@ pub struct HealthReply {
     pub rebuilds: u64,
     /// Shard rebuilds that failed, leaving the shard quarantined.
     pub rebuild_failures: u64,
-    /// Per-shard self-healing state; `None` on a single-epoch server.
+    /// Per-shard self-healing state, one entry per shard (a single entry
+    /// on a 1-shard server). `None` only in replies from servers
+    /// predating sharding.
     #[serde(default)]
     pub shards: Option<Vec<ShardHealth>>,
     /// Stream heartbeat; `None` until a pipeline reports in.

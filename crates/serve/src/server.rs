@@ -1,12 +1,12 @@
-//! The TCP server: shared state, request dispatch, worker pool, and
-//! graceful shutdown.
+//! The TCP front end and the per-epoch request functions.
 //!
 //! The model lives in a [`ModelEpoch`] — model + caches + session store,
-//! immutable once published — behind an `RwLock<Arc<...>>`: every request
+//! immutable once published — behind an `RwLock<Arc<...>>` per shard of a
+//! [`ShardedState`] (a plain server is a 1-shard fleet): every request
 //! clones the `Arc` once and runs entirely against that epoch, and a
-//! `reload` request publishes a fresh epoch atomically (in-flight
+//! `reload` request publishes fresh epochs atomically (in-flight
 //! requests finish on the epoch they started with; a failed validation
-//! keeps the old epoch serving). The accept loop runs non-blocking and
+//! keeps the old epochs serving). The accept loop runs non-blocking and
 //! hands connections to workers through a bounded `Mutex<VecDeque>` +
 //! `Condvar` queue; beyond [`ServeConfig::max_pending`] pending
 //! connections the acceptor *sheds*: the peer gets one `overloaded` JSON
@@ -15,24 +15,19 @@
 //! taking connections and every worker finishes its in-flight request,
 //! closes its stream, and exits — no thread or port is leaked.
 //!
-//! The accept loop, worker pool, and connection handler are generic over
-//! [`ServeHandler`]: the single-epoch [`ServerState`] here and the
-//! prefix-sharded [`crate::shard::ShardedState`] plug into the same
-//! front end, so everything from load shedding to panic containment is
-//! written (and tested) once. Request-level dispatch against one epoch
-//! lives in free functions (`predict_on`, `explain_on`, `diff_on`)
-//! shared by both servers — the sharding differential suite exists to
-//! prove the dispatcher composition of those functions is byte-identical
-//! to the single-epoch composition.
+//! Request-level work against one pinned epoch lives in free functions
+//! (`predict_on`, `explain_on`, `diff_on`); the shard dispatcher routes
+//! to them and merges their replies, and the sharding differential suite
+//! proves N shards answer byte-identically to one.
 
 use crate::cache::SteadyStateCache;
-use crate::metrics::{RequestKind, ServeMetrics, StreamStatusReport};
+use crate::metrics::{RequestKind, StreamStatusReport};
 use crate::protocol::{
-    diff_reply, explain_reply, predict_reply, stats_reply, ChangeSpec, DeadlineExceededReply,
-    HealthReply, OverloadedReply, ReloadReply, Request, Response, ShutdownReply, StreamHealth,
-    StreamReportReply,
+    diff_reply, explain_reply, predict_reply, ChangeSpec, DeadlineExceededReply, OverloadedReply,
+    Response, StreamHealth,
 };
 use crate::session::SessionStore;
+use crate::shard::ShardedState;
 use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::error::SimError;
 use quasar_bgpsim::types::{Asn, Prefix};
@@ -42,7 +37,6 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -86,8 +80,6 @@ pub struct ServeConfig {
     /// Panics on one shard (since its last reinstate) before the shard is
     /// quarantined and rebuilt in the background. `0` disables quarantine:
     /// every panic is answered per-request and the shard keeps serving.
-    /// Only the sharded server reads this; the single-epoch server has no
-    /// slice to fence off.
     pub quarantine_threshold: u64,
 }
 
@@ -111,19 +103,18 @@ impl Default for ServeConfig {
 /// epoch, so a cache entry can never outlive the model it was computed
 /// from; requests in flight keep the `Arc` of the epoch they started on.
 ///
-/// The model itself sits behind its own `Arc` so a sharded server can
-/// share one loaded model across N epochs whose *caches* stay private
-/// per shard.
+/// The model itself sits behind its own `Arc` so a fleet can share one
+/// loaded model across N epochs whose *caches* stay private per shard.
 pub struct ModelEpoch {
-    /// The served model (shared between shards on a sharded server; each
-    /// shard wraps it in its own epoch with private caches).
+    /// The served model (shared between shards; each shard wraps it in
+    /// its own epoch with private caches).
     pub model: Arc<AsRoutingModel>,
     /// Per-prefix steady-state cache for `model`.
     pub base_cache: SteadyStateCache,
     /// What-if session store (overlays on `model`).
     pub sessions: SessionStore,
     /// Swap generation: `0` for the process-start epoch, incremented by
-    /// one on every successful reload. On a sharded server every shard
+    /// one on every successful reload. Every shard of a fleet
     /// publishes the same generation outside a swap — a torn generation
     /// is exactly the state the coordinated two-phase swap exists to
     /// make unobservable.
@@ -131,11 +122,6 @@ pub struct ModelEpoch {
 }
 
 impl ModelEpoch {
-    /// Wraps a model with fresh (cold) caches at generation 0.
-    pub fn new(model: AsRoutingModel, max_sessions: usize) -> Self {
-        Self::shared(Arc::new(model), max_sessions, 0)
-    }
-
     /// Wraps an already-shared model with fresh private caches at an
     /// explicit swap generation.
     pub fn shared(model: Arc<AsRoutingModel>, max_sessions: usize, generation: u64) -> Self {
@@ -145,264 +131,6 @@ impl ModelEpoch {
             sessions: SessionStore::with_capacity(max_sessions),
             generation,
         }
-    }
-}
-
-/// What the TCP front end ([`serve`]) needs from a request handler: the
-/// single-epoch [`ServerState`] and the prefix-sharded
-/// [`crate::shard::ShardedState`] both implement it, so one accept loop,
-/// worker pool, and connection handler serve either.
-pub trait ServeHandler: Send + Sync {
-    /// Parses one request line, dispatches it, records metrics, and
-    /// returns the reply.
-    fn handle_line(&self, line: &str) -> Response;
-    /// The server configuration.
-    fn config(&self) -> &ServeConfig;
-    /// The front-end metrics (connections, sheds, caught panics).
-    fn metrics(&self) -> &ServeMetrics;
-    /// True once a `shutdown` request has been accepted.
-    fn shutting_down(&self) -> bool;
-    /// Flips the shutdown flag (idempotent).
-    fn request_shutdown(&self);
-}
-
-/// Everything the workers share: the current model epoch, the metrics,
-/// and the shutdown flag.
-pub struct ServerState {
-    config: ServeConfig,
-    epoch: parking_lot::RwLock<Arc<ModelEpoch>>,
-    metrics: ServeMetrics,
-    /// Latest status pushed by a `stream_report` request (plus when it
-    /// arrived, so `health` can report its age); served back under
-    /// `metrics` and `health`. A plain mutex — touched once per window,
-    /// never on the query hot path.
-    stream_report: parking_lot::Mutex<Option<(StreamStatusReport, Instant)>>,
-    shutdown: AtomicBool,
-}
-
-impl ServerState {
-    /// Wraps a trained model in fresh server state.
-    pub fn new(model: AsRoutingModel, config: ServeConfig) -> Self {
-        ServerState {
-            config,
-            epoch: parking_lot::RwLock::new(Arc::new(ModelEpoch::new(model, config.max_sessions))),
-            metrics: ServeMetrics::new(),
-            stream_report: parking_lot::Mutex::new(None),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    /// The current model epoch. Requests clone the `Arc` once and use it
-    /// throughout, so a concurrent `reload` never changes an answer
-    /// mid-request.
-    pub fn epoch(&self) -> Arc<ModelEpoch> {
-        Arc::clone(&self.epoch.read())
-    }
-
-    /// The server configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The server metrics.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
-    /// True once a `shutdown` request has been accepted.
-    pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Flips the shutdown flag (idempotent).
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Simulates every model prefix into the base cache so the first
-    /// real query after the listener opens is a cache hit. Returns the
-    /// number of prefixes warmed.
-    pub fn prewarm(&self) -> usize {
-        let epoch = self.epoch();
-        prewarm_epoch(&epoch, |_| true)
-    }
-
-    /// Parses one request line, dispatches it, and records latency
-    /// metrics. Malformed lines and failed requests are tallied under the
-    /// `error` kind; deadline-exceeded replies are tallied under the
-    /// request's own kind plus the dedicated `deadline_exceeded` counter.
-    pub fn handle_line(&self, line: &str) -> Response {
-        let start = Instant::now();
-        // Failpoint: injects a dispatch-level fault (error reply, stall,
-        // or panic — the panic is caught by the worker's unwind guard).
-        // An injected delay lands before the deadline check, so it also
-        // drives `deadline_exceeded` tests.
-        #[cfg(feature = "testkit")]
-        if quasar_bgpsim::fail::inject("serve.handle_line") {
-            let resp = Response::error("injected fault (failpoint serve.handle_line)");
-            self.metrics
-                .record(RequestKind::Error, start.elapsed().as_micros() as u64);
-            return resp;
-        }
-        let deadline = (self.config.deadline_ms > 0).then(|| Deadline {
-            start,
-            limit: Duration::from_millis(self.config.deadline_ms),
-        });
-        let (kind, response) = match serde_json::from_str::<Request>(line.trim()) {
-            Ok(req) => {
-                let resp = self.dispatch_bounded(&req, deadline.as_ref());
-                let kind = if matches!(resp, Response::Error(_)) {
-                    RequestKind::Error
-                } else {
-                    req.kind()
-                };
-                if matches!(resp, Response::DeadlineExceeded(_)) {
-                    self.metrics.deadline_exceeded();
-                }
-                (kind, resp)
-            }
-            Err(e) => (
-                RequestKind::Error,
-                Response::error(format!("bad request: {e}")),
-            ),
-        };
-        self.metrics
-            .record(kind, start.elapsed().as_micros() as u64);
-        response
-    }
-
-    /// Dispatches one parsed request with no compute deadline.
-    pub fn dispatch(&self, req: &Request) -> Response {
-        self.dispatch_bounded(req, None)
-    }
-
-    /// Dispatches one parsed request, cutting the computation short with
-    /// a `deadline_exceeded` reply if it outlives `deadline`. The epoch
-    /// is pinned once here: the whole request runs against one model even
-    /// if a `reload` lands concurrently.
-    fn dispatch_bounded(&self, req: &Request, deadline: Option<&Deadline>) -> Response {
-        let epoch = self.epoch();
-        if let Some(resp) = deadline.and_then(Deadline::exceeded) {
-            return resp;
-        }
-        match req {
-            Request::Predict {
-                prefix,
-                observer,
-                observed_path,
-            } => predict_on(
-                &epoch,
-                prefix,
-                *observer,
-                observed_path.as_deref(),
-                deadline,
-            ),
-            Request::Diff { changes, prefixes } => {
-                let changes = match parse_changes(changes) {
-                    Ok(c) => c,
-                    Err(e) => return e,
-                };
-                let targets = match resolve_targets(&epoch, prefixes.as_deref()) {
-                    Ok(t) => t,
-                    Err(e) => return e,
-                };
-                diff_on(&epoch, &changes, &targets, deadline)
-            }
-            Request::Explain { prefix, observer } => {
-                explain_on(&epoch, prefix, *observer, deadline)
-            }
-            Request::Stats => Response::Stats(stats_reply(&epoch.model)),
-            Request::Metrics => {
-                let mut snap = self.metrics.snapshot(
-                    epoch.base_cache.snapshot(),
-                    epoch.sessions.overlay_snapshot(),
-                    epoch.sessions.len(),
-                    self.stream_report.lock().as_ref().map(|(r, _)| r.clone()),
-                );
-                snap.generation = epoch.generation;
-                Response::Metrics(Box::new(snap))
-            }
-            Request::Health => {
-                // A single-epoch server has no shard to degrade: if it
-                // answers at all, it is healthy.
-                Response::Health(HealthReply {
-                    status: "healthy".to_string(),
-                    generation: epoch.generation,
-                    panics_caught: self.metrics.panics_caught(),
-                    quarantines: 0,
-                    rebuilds: 0,
-                    rebuild_failures: 0,
-                    shards: None,
-                    stream: stream_health(&self.stream_report),
-                })
-            }
-            Request::Reload { path } => self.do_reload(path),
-            Request::StreamReport { report } => {
-                let windows = report.windows;
-                *self.stream_report.lock() = Some((report.clone(), Instant::now()));
-                Response::StreamReport(StreamReportReply {
-                    accepted: true,
-                    windows,
-                })
-            }
-            Request::Shutdown => {
-                self.request_shutdown();
-                Response::Shutdown(ShutdownReply { draining: true })
-            }
-        }
-    }
-
-    /// Loads and validates the model at `path` on a separate thread, then
-    /// atomically swaps it in as a fresh epoch. Any failure — unreadable
-    /// file, corrupt artifact, a model that cannot simulate its first
-    /// prefix, even a panic during validation — leaves the current epoch
-    /// serving untouched and comes back as an `error` reply.
-    fn do_reload(&self, path: &str) -> Response {
-        match validate_off_thread(path) {
-            Ok(model) => {
-                let stats = model.stats();
-                let prefixes = model.prefixes().len();
-                let generation = {
-                    let mut guard = self.epoch.write();
-                    let generation = guard.generation + 1;
-                    *guard = Arc::new(ModelEpoch::shared(
-                        Arc::new(model),
-                        self.config.max_sessions,
-                        generation,
-                    ));
-                    generation
-                };
-                self.metrics.reload_ok();
-                Response::Reload(ReloadReply {
-                    swapped: true,
-                    prefixes,
-                    quasi_routers: stats.quasi_routers,
-                    generation,
-                })
-            }
-            Err(msg) => {
-                self.metrics.reload_failed();
-                Response::error(format!("reload rejected; keeping current model: {msg}"))
-            }
-        }
-    }
-}
-
-impl ServeHandler for ServerState {
-    fn handle_line(&self, line: &str) -> Response {
-        ServerState::handle_line(self, line)
-    }
-    fn config(&self) -> &ServeConfig {
-        ServerState::config(self)
-    }
-    fn metrics(&self) -> &ServeMetrics {
-        ServerState::metrics(self)
-    }
-    fn shutting_down(&self) -> bool {
-        ServerState::shutting_down(self)
-    }
-    fn request_shutdown(&self) {
-        ServerState::request_shutdown(self)
     }
 }
 
@@ -572,8 +300,7 @@ pub(crate) fn prewarm_epoch(epoch: &ModelEpoch, owns: impl Fn(Prefix) -> bool) -
 
 /// Loads and validates a candidate model: artifact decode, static audit
 /// at `--deny error` severity, and a semantic probe simulating the first
-/// prefix. This is the shared phase-0 of both the single-epoch reload
-/// and the sharded two-phase swap.
+/// prefix. This is phase 0 of the fleet's two-phase swap.
 pub(crate) fn validate_candidate(path: &str) -> Result<AsRoutingModel, String> {
     #[cfg(feature = "testkit")]
     if quasar_bgpsim::fail::inject("serve.reload") {
@@ -639,7 +366,7 @@ impl Deadline {
 /// Serves requests on `listener` until a `shutdown` request arrives,
 /// then drains in-flight work and returns. The listener is bound by the
 /// caller so an ephemeral port can be printed before serving starts.
-pub fn serve<H: ServeHandler>(state: Arc<H>, listener: TcpListener) -> io::Result<()> {
+pub fn serve(state: Arc<ShardedState>, listener: TcpListener) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let queue: Mutex<VecDeque<TcpStream>> = Mutex::new(VecDeque::new());
     let available = Condvar::new();
@@ -647,7 +374,7 @@ pub fn serve<H: ServeHandler>(state: Arc<H>, listener: TcpListener) -> io::Resul
 
     crossbeam::thread::scope(|scope| {
         for _ in 0..state.config().workers.max(1) {
-            scope.spawn(|_| worker_loop(&*state, &queue, &available));
+            scope.spawn(|_| worker_loop(&state, &queue, &available));
         }
 
         // Accept loop: non-blocking so the shutdown flag is observed
@@ -737,8 +464,7 @@ fn shed_connection(mut stream: TcpStream, pending: usize, workers: usize) {
 }
 
 /// Maps the last pushed stream status (if any) into the `health` reply's
-/// stream section, stamping how stale the report is. Shared by the
-/// single-epoch and sharded servers.
+/// stream section, stamping how stale the report is.
 pub(crate) fn stream_health(
     report: &parking_lot::Mutex<Option<(StreamStatusReport, Instant)>>,
 ) -> Option<StreamHealth> {
@@ -754,11 +480,7 @@ pub(crate) fn stream_health(
 }
 
 /// One worker: pull connections off the queue until shutdown, then exit.
-fn worker_loop<H: ServeHandler>(
-    state: &H,
-    queue: &Mutex<VecDeque<TcpStream>>,
-    available: &Condvar,
-) {
+fn worker_loop(state: &ShardedState, queue: &Mutex<VecDeque<TcpStream>>, available: &Condvar) {
     let mut guard = lock_recovering(queue);
     loop {
         if let Some(stream) = guard.pop_front() {
@@ -793,13 +515,17 @@ fn worker_loop<H: ServeHandler>(
 /// Reads newline-delimited requests off one connection and answers each
 /// with one JSON line, until the client closes (EOF) or the server
 /// drains for shutdown.
-fn handle_connection<H: ServeHandler>(state: &H, mut stream: TcpStream) -> io::Result<()> {
+fn handle_connection(state: &ShardedState, mut stream: TcpStream) -> io::Result<()> {
     stream.set_read_timeout(Some(READ_TIMEOUT))?;
     // Replies are single small writes in a request/response lockstep;
     // leaving Nagle on would stall each one behind the peer's delayed
     // ACK (~40ms — dwarfing a cache hit).
     stream.set_nodelay(true)?;
     let mut pending: Vec<u8> = Vec::new();
+    // Bytes at the front of `pending` already searched for a newline: each
+    // read scans only what it added, so a long newline-free line costs
+    // linear, not quadratic, work before it hits `MAX_REQUEST_LINE`.
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     loop {
         match stream.read(&mut chunk) {
@@ -815,9 +541,14 @@ fn handle_connection<H: ServeHandler>(state: &H, mut stream: TcpStream) -> io::R
                     ));
                 }
                 pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+                // Answered lines are dropped from `pending` in one drain
+                // after the loop, not one shift per line.
+                let mut start = 0;
+                while let Some(pos) = pending[scanned..].iter().position(|&b| b == b'\n') {
+                    let end = scanned + pos;
+                    scanned = end + 1;
+                    let line = String::from_utf8_lossy(&pending[start..end]);
+                    start = scanned;
                     if line.trim().is_empty() {
                         continue;
                     }
@@ -838,6 +569,8 @@ fn handle_connection<H: ServeHandler>(state: &H, mut stream: TcpStream) -> io::R
                     stream.write_all(out.as_bytes())?;
                     stream.flush()?;
                 }
+                pending.drain(..start);
+                scanned = pending.len();
                 if pending.len() > MAX_REQUEST_LINE {
                     // One bounded error reply, then close: the peer is
                     // either malicious or broken, and buffering more of
@@ -872,8 +605,6 @@ fn handle_connection<H: ServeHandler>(state: &H, mut stream: TcpStream) -> io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ChangeSpec;
-    use quasar_bgpsim::aspath::AsPath;
     use quasar_topology::graph::AsGraph;
     use std::collections::BTreeMap;
     use std::io::BufRead;
@@ -889,184 +620,6 @@ mod tests {
         origins.insert(Prefix::for_origin(Asn(3)), Asn(3));
         origins.insert(Prefix::for_origin(Asn(2)), Asn(2));
         AsRoutingModel::initial(&graph, &origins)
-    }
-
-    fn state() -> ServerState {
-        ServerState::new(model(), ServeConfig::default())
-    }
-
-    #[test]
-    fn predict_warms_the_base_cache() {
-        let s = state();
-        let p = Prefix::for_origin(Asn(3)).to_string();
-        let line = format!(r#"{{"type":"predict","prefix":"{p}","observer":1}}"#);
-        let first = s.handle_line(&line);
-        assert!(matches!(first, Response::Predict(_)), "{first:?}");
-        assert_eq!(s.epoch().base_cache.misses(), 1);
-        let second = s.handle_line(&line);
-        assert_eq!(first, second);
-        assert_eq!(s.epoch().base_cache.hits(), 1);
-        assert_eq!(s.metrics().count(RequestKind::Predict), 2);
-    }
-
-    #[test]
-    fn prewarm_fills_the_base_cache_before_any_request() {
-        let s = state();
-        assert_eq!(s.prewarm(), 2);
-        assert_eq!(s.epoch().base_cache.misses(), 2);
-        let p = Prefix::for_origin(Asn(3)).to_string();
-        let line = format!(r#"{{"type":"predict","prefix":"{p}","observer":1}}"#);
-        assert!(matches!(s.handle_line(&line), Response::Predict(_)));
-        // The prewarmed entry serves the first query as a hit.
-        assert_eq!(s.epoch().base_cache.hits(), 1);
-        assert_eq!(s.epoch().base_cache.misses(), 2);
-    }
-
-    #[test]
-    fn unknown_prefix_and_as_are_errors() {
-        let s = state();
-        let bad_prefix =
-            s.handle_line(r#"{"type":"predict","prefix":"192.0.2.0/24","observer":1}"#);
-        assert!(matches!(bad_prefix, Response::Error(_)), "{bad_prefix:?}");
-        let p = Prefix::for_origin(Asn(3)).to_string();
-        let bad_as = s.handle_line(&format!(
-            r#"{{"type":"predict","prefix":"{p}","observer":99}}"#
-        ));
-        assert!(matches!(bad_as, Response::Error(_)), "{bad_as:?}");
-        let garbage = s.handle_line("not json at all");
-        assert!(matches!(garbage, Response::Error(_)), "{garbage:?}");
-        assert_eq!(s.metrics().count(RequestKind::Error), 3);
-        assert_eq!(s.metrics().count(RequestKind::Predict), 0);
-    }
-
-    #[test]
-    fn diff_runs_in_an_overlay_session() {
-        let s = state();
-        let req = Request::Diff {
-            changes: vec![ChangeSpec::Depeer { a: 2, b: 3 }],
-            prefixes: None,
-        };
-        let line = serde_json::to_string(&req).unwrap();
-        let resp = s.handle_line(&line);
-        let Response::Diff(diff) = resp else {
-            panic!("expected diff reply, got {resp:?}");
-        };
-        assert!(diff.pairs > 0);
-        assert_eq!(s.epoch().sessions.len(), 1);
-        // Same scenario again: session (and its overlay cache) is reused.
-        let again = s.handle_line(&line);
-        let Response::Diff(diff2) = again else {
-            panic!("expected diff reply");
-        };
-        assert_eq!(diff, diff2);
-        assert_eq!(s.epoch().sessions.len(), 1);
-        assert!(s.epoch().sessions.overlay_snapshot().hits > 0);
-        // The base cache never saw the scenario model.
-        let p = Prefix::for_origin(Asn(3)).to_string();
-        let predict = s.handle_line(&format!(
-            r#"{{"type":"predict","prefix":"{p}","observer":1}}"#
-        ));
-        let fresh = ServerState::new(model(), ServeConfig::default());
-        let expected = fresh.handle_line(&format!(
-            r#"{{"type":"predict","prefix":"{p}","observer":1}}"#
-        ));
-        assert_eq!(predict, expected);
-    }
-
-    #[test]
-    fn diff_matches_scenario_api() {
-        let s = state();
-        let changes = vec![Change::Depeer(Asn(2), Asn(3))];
-        let epoch = s.epoch();
-        let scenario =
-            quasar_core::whatif::Scenario::new(&epoch.model).apply(Change::Depeer(Asn(2), Asn(3)));
-        let expected = scenario.diff().unwrap();
-        let resp = s.dispatch(&Request::Diff {
-            changes: vec![ChangeSpec::Depeer { a: 2, b: 3 }],
-            prefixes: None,
-        });
-        let Response::Diff(diff) = resp else {
-            panic!("expected diff reply");
-        };
-        assert_eq!(
-            diff,
-            diff_reply(crate::session::scenario_key(&changes), 1, &expected)
-        );
-    }
-
-    #[test]
-    fn stats_metrics_and_shutdown_dispatch() {
-        let s = state();
-        let Response::Stats(stats) = s.handle_line(r#"{"type":"stats"}"#) else {
-            panic!("expected stats reply");
-        };
-        assert_eq!(stats.ases, 5);
-        assert_eq!(stats.prefixes, 2);
-        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
-            panic!("expected metrics reply");
-        };
-        assert_eq!(m.for_kind("stats").unwrap().count, 1);
-        assert_eq!(m.generation, 0);
-        assert!(m.shards.is_none());
-        assert!(!s.shutting_down());
-        let Response::Shutdown(sd) = s.handle_line(r#"{"type":"shutdown"}"#) else {
-            panic!("expected shutdown reply");
-        };
-        assert!(sd.draining);
-        assert!(s.shutting_down());
-    }
-
-    #[test]
-    fn stream_report_is_stored_and_served_back() {
-        let s = state();
-        // No report yet: metrics carries no stream status.
-        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
-            panic!("expected metrics reply");
-        };
-        assert!(m.stream.is_none());
-        let report = StreamStatusReport {
-            windows: 5,
-            updates_total: 200,
-            dirty_prefixes_total: 31,
-            swaps: 4,
-            swaps_rejected: 1,
-            incremental_windows: 4,
-            full_retrain_windows: 1,
-            source_done: false,
-            serve_outages: 0,
-            catch_up_swaps: 0,
-            ingest_retries: 0,
-            last_window: None,
-        };
-        let req = serde_json::to_string(&Request::StreamReport {
-            report: report.clone(),
-        })
-        .unwrap();
-        let Response::StreamReport(reply) = s.handle_line(&req) else {
-            panic!("expected stream_report reply");
-        };
-        assert!(reply.accepted);
-        assert_eq!(reply.windows, 5);
-        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
-            panic!("expected metrics reply");
-        };
-        assert_eq!(m.stream, Some(report));
-        assert_eq!(m.for_kind("stream_report").unwrap().count, 1);
-        // A newer report replaces the old one wholesale.
-        let newer = StreamStatusReport {
-            windows: 6,
-            source_done: true,
-            ..m.stream.unwrap()
-        };
-        let req = serde_json::to_string(&Request::StreamReport {
-            report: newer.clone(),
-        })
-        .unwrap();
-        assert!(matches!(s.handle_line(&req), Response::StreamReport(_)));
-        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
-            panic!("expected metrics reply");
-        };
-        assert_eq!(m.stream, Some(newer));
     }
 
     #[test]
@@ -1086,49 +639,19 @@ mod tests {
         assert_eq!(shed_retry_after_ms(64, 0), shed_retry_after_ms(64, 1));
     }
 
-    #[test]
-    fn health_reports_a_single_epoch_server_as_healthy() {
-        let s = state();
-        let Response::Health(h) = s.handle_line(r#"{"type":"health"}"#) else {
-            panic!("expected health reply");
-        };
-        assert_eq!(h.status, "healthy");
-        assert_eq!(h.generation, 0);
-        assert_eq!(h.panics_caught, 0);
-        assert!(h.shards.is_none(), "single-epoch server has no shards");
-        assert!(h.stream.is_none(), "no stream report pushed yet");
-        // Push a stream report: health now carries its counters and age.
-        let report = StreamStatusReport {
-            windows: 3,
-            swaps: 2,
-            serve_outages: 1,
-            catch_up_swaps: 1,
-            ..Default::default()
-        };
-        let req = serde_json::to_string(&Request::StreamReport { report }).unwrap();
-        assert!(matches!(s.handle_line(&req), Response::StreamReport(_)));
-        let Response::Health(h) = s.handle_line(r#"{"type":"health"}"#) else {
-            panic!("expected health reply");
-        };
-        let stream = h.stream.expect("stream section after a report");
-        assert_eq!(stream.windows, 3);
-        assert_eq!(stream.serve_outages, 1);
-        assert_eq!(stream.catch_up_swaps, 1);
-        assert!(stream.report_age_ms < 60_000);
-    }
-
     /// Full TCP round trip: spawn the server on an ephemeral port, talk
     /// to it from several client threads, then shut it down and verify
     /// the serve loop returns (no leaked thread, port released).
     #[test]
     fn tcp_round_trip_with_graceful_shutdown() {
-        let state = Arc::new(ServerState::new(
+        let state = Arc::new(ShardedState::new(
             model(),
             ServeConfig {
                 workers: 2,
                 max_sessions: 4,
                 ..ServeConfig::default()
             },
+            1,
         ));
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();

@@ -1,17 +1,17 @@
-//! Prefix-sharded serving: N shards, each owning a contiguous run of
-//! the model's *sorted prefix list* with a *private* [`ModelEpoch`]
-//! (its own steady-state cache and session store), behind a front
-//! dispatcher that routes single-prefix requests to the owner and fans
-//! multi-prefix requests out, merging replies in ascending prefix
-//! order.
+//! The serve state: N shards, each owning a contiguous run of the
+//! model's *sorted prefix list* with a *private* [`ModelEpoch`] (its own
+//! steady-state cache and session store), behind a front dispatcher that
+//! routes single-prefix requests to the owner and fans multi-prefix
+//! requests out, merging replies in ascending prefix order. A plain
+//! server is the 1-shard fleet.
 //!
 //! Why sharding helps: per-prefix simulation is independent and
-//! deterministic (DESIGN.md §7), so the only cross-request coupling in
-//! the single-epoch server is *infrastructure* — one epoch `RwLock` and
-//! one cache map shared by every worker. Giving each shard its own epoch
-//! and caches removes that coupling entirely: two requests for prefixes
-//! in different shards touch disjoint locks end to end, so the query
-//! path has zero cross-shard synchronization.
+//! deterministic (DESIGN.md §7), so the only cross-request coupling on
+//! one shard is *infrastructure* — one epoch `RwLock` and one cache map
+//! shared by every worker. Giving each shard its own epoch and caches
+//! removes that coupling entirely: two requests for prefixes in
+//! different shards touch disjoint locks end to end, so the query path
+//! has zero cross-shard synchronization.
 //!
 //! The [`ShardMap`] partitions by *rank*, not by raw address: shard k
 //! owns the k-th of N nearly-equal runs of the sorted prefix list, so
@@ -25,10 +25,10 @@
 //! Determinism of the merge: [`ShardMap::shard_of`] is monotone in the
 //! [`Prefix`] ordering (shard k's run sorts entirely below shard
 //! k+1's), so concatenating per-shard results in ascending shard order
-//! reproduces exactly the globally sorted prefix order the single-epoch
-//! server iterates in — merged replies are byte-identical by
-//! construction, which the testkit's sharding differential suite
-//! enforces against a real single-epoch server.
+//! reproduces exactly the globally sorted prefix order one shard
+//! iterates in — merged replies are byte-identical by construction,
+//! which the testkit's sharding differential suite enforces against a
+//! 1-shard fleet.
 //!
 //! Reload is a two-phase coordinated swap (DESIGN.md §14): the candidate
 //! artifact is validated once off-thread, then every shard builds and
@@ -60,7 +60,7 @@ use crate::protocol::{
 };
 use crate::server::{
     diff_on, explain_on, parse_changes, predict_on, prewarm_epoch, resolve_targets, stream_health,
-    validate_off_thread, Deadline, ModelEpoch, ServeConfig, ServeHandler,
+    validate_off_thread, Deadline, ModelEpoch, ServeConfig,
 };
 use crate::session::scenario_key;
 use quasar_bgpsim::types::Prefix;
@@ -277,9 +277,9 @@ impl Fleet {
     }
 }
 
-/// A prefix-sharded server: the drop-in sharded counterpart of
-/// [`crate::server::ServerState`], speaking the identical protocol with
-/// byte-identical replies.
+/// Everything the workers of [`crate::server::serve`] share: the shard
+/// fleet, the metrics, the last stream report, and the shutdown flag.
+/// Replies are byte-identical at every shard count.
 pub struct ShardedState {
     config: ServeConfig,
     fleet: Arc<Fleet>,
@@ -418,12 +418,15 @@ impl ShardedState {
     }
 
     /// Parses one request line, dispatches it, and records latency
-    /// metrics — the sharded twin of `ServerState::handle_line`, with
-    /// identical tallying semantics.
+    /// metrics. Malformed lines and failed requests are tallied under the
+    /// `error` kind; deadline-exceeded replies are tallied under the
+    /// request's own kind plus the dedicated `deadline_exceeded` counter.
     pub fn handle_line(&self, line: &str) -> Response {
         let start = Instant::now();
-        // Failpoint: same dispatch-level fault as the single-epoch
-        // server, so front-end chaos suites run unchanged against either.
+        // Failpoint: injects a dispatch-level fault (error reply, stall,
+        // or panic — the panic is caught by the worker's unwind guard).
+        // An injected delay lands before the deadline check, so it also
+        // drives `deadline_exceeded` tests.
         #[cfg(feature = "testkit")]
         if quasar_bgpsim::fail::inject("serve.handle_line") {
             let resp = Response::error("injected fault (failpoint serve.handle_line)");
@@ -505,7 +508,7 @@ impl ShardedState {
     /// Routes a single-prefix request to the shard owning it. A prefix
     /// that does not parse cannot be routed; it gets exactly the parse
     /// error the epoch-level lookup would have produced, keeping error
-    /// replies byte-identical with the single-epoch server.
+    /// replies byte-identical at every shard count.
     fn on_owner<F>(&self, prefix: &str, f: F) -> Response
     where
         F: FnOnce(&ModelEpoch) -> Response,
@@ -577,8 +580,8 @@ impl ShardedState {
     }
 
     /// A `diff` fanned out over the shards owning its targets, merged in
-    /// ascending shard order. Validation order matches the single-epoch
-    /// server exactly: change specs first (first error wins), then
+    /// ascending shard order. Validation order is the same at every shard
+    /// count: change specs first (first error wins), then
     /// explicit prefixes in the order given — so every error reply is
     /// byte-identical. Because shard slices are contiguous and ascending,
     /// the first failing prefix overall lives in the first failing shard,
@@ -604,8 +607,7 @@ impl ShardedState {
             per_shard[map.shard_of(p)].push(p);
         }
         // An explicitly empty target list still creates the scenario
-        // session (on shard 0) and answers its header, exactly like the
-        // single-epoch server.
+        // session (on shard 0) and answers its header.
         if per_shard.iter().all(|t| t.is_empty()) {
             let changes = &changes;
             return self.run_on_shard(0, || diff_on(&epochs[0], changes, &[], deadline));
@@ -833,24 +835,6 @@ impl ShardedState {
     }
 }
 
-impl ServeHandler for ShardedState {
-    fn handle_line(&self, line: &str) -> Response {
-        ShardedState::handle_line(self, line)
-    }
-    fn config(&self) -> &ServeConfig {
-        ShardedState::config(self)
-    }
-    fn metrics(&self) -> &ServeMetrics {
-        ShardedState::metrics(self)
-    }
-    fn shutting_down(&self) -> bool {
-        ShardedState::shutting_down(self)
-    }
-    fn request_shutdown(&self) {
-        ShardedState::request_shutdown(self)
-    }
-}
-
 /// Merges two per-shard diff replies covering disjoint target ranges,
 /// left range strictly below the right. Scalar tallies add; the impact
 /// lists concatenate, staying in global prefix order because every
@@ -876,10 +860,10 @@ fn add_cache(acc: &mut CacheSnapshot, s: CacheSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ChangeSpec;
-    use crate::server::ServerState;
+    use crate::protocol::{explain_reply, predict_reply, ChangeSpec};
     use quasar_bgpsim::aspath::AsPath;
     use quasar_bgpsim::types::Asn;
+    use quasar_core::whatif::{Change, Scenario};
     use quasar_topology::graph::AsGraph;
     use std::collections::BTreeMap;
 
@@ -894,6 +878,10 @@ mod tests {
         origins.insert(Prefix::for_origin(Asn(3)), Asn(3));
         origins.insert(Prefix::for_origin(Asn(2)), Asn(2));
         AsRoutingModel::initial(&graph, &origins)
+    }
+
+    fn one_shard() -> ShardedState {
+        ShardedState::new(model(), ServeConfig::default(), 1)
     }
 
     fn requests() -> Vec<String> {
@@ -982,9 +970,9 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replies_match_single_epoch_byte_for_byte() {
-        for shards in [1usize, 2, 4, 8] {
-            let plain = ServerState::new(model(), ServeConfig::default());
+    fn sharded_replies_match_one_shard_byte_for_byte() {
+        for shards in [2usize, 4, 8] {
+            let plain = one_shard();
             let sharded = ShardedState::new(model(), ServeConfig::default(), shards);
             for req in requests() {
                 let expected = serde_json::to_string(&plain.handle_line(&req)).unwrap();
@@ -1051,19 +1039,223 @@ mod tests {
 
     #[test]
     fn prewarm_fills_every_owning_shard() {
-        let s = ShardedState::new(model(), ServeConfig::default(), 4);
-        assert_eq!(s.prewarm(), 2);
-        let mut total_entries = 0;
-        for id in 0..s.shards() {
-            total_entries += s.epoch_of(id).base_cache.snapshot().entries;
+        for shards in [1usize, 4] {
+            let s = ShardedState::new(model(), ServeConfig::default(), shards);
+            assert_eq!(s.prewarm(), 2);
+            let fleet = |f: fn(&ModelEpoch) -> u64| -> u64 {
+                (0..s.shards()).map(|id| f(&s.epoch_of(id))).sum()
+            };
+            assert_eq!(fleet(|e| e.base_cache.snapshot().entries as u64), 2);
+            assert_eq!(fleet(|e| e.base_cache.misses()), 2);
+            // The prewarmed entry serves the first query as a hit.
+            let p3 = Prefix::for_origin(Asn(3));
+            let line = format!(r#"{{"type":"predict","prefix":"{p3}","observer":1}}"#);
+            assert!(matches!(s.handle_line(&line), Response::Predict(_)));
+            let owner = s.owner_of(p3);
+            assert_eq!(s.epoch_of(owner).base_cache.hits(), 1);
+            assert_eq!(fleet(|e| e.base_cache.misses()), 2);
         }
-        assert_eq!(total_entries, 2);
-        // First query is a hit now.
-        let p3 = Prefix::for_origin(Asn(3));
-        let line = format!(r#"{{"type":"predict","prefix":"{p3}","observer":1}}"#);
-        assert!(matches!(s.handle_line(&line), Response::Predict(_)));
-        let owner = s.owner_of(p3);
-        assert_eq!(s.epoch_of(owner).base_cache.hits(), 1);
+    }
+
+    #[test]
+    fn predict_warms_the_base_cache() {
+        let s = one_shard();
+        let p = Prefix::for_origin(Asn(3)).to_string();
+        let line = format!(r#"{{"type":"predict","prefix":"{p}","observer":1}}"#);
+        let first = s.handle_line(&line);
+        assert!(matches!(first, Response::Predict(_)), "{first:?}");
+        assert_eq!(s.epoch_of(0).base_cache.misses(), 1);
+        let second = s.handle_line(&line);
+        assert_eq!(first, second);
+        assert_eq!(s.epoch_of(0).base_cache.hits(), 1);
+        assert_eq!(s.metrics().count(RequestKind::Predict), 2);
+    }
+
+    #[test]
+    fn unknown_prefix_and_as_are_errors() {
+        let s = one_shard();
+        let bad_prefix =
+            s.handle_line(r#"{"type":"predict","prefix":"192.0.2.0/24","observer":1}"#);
+        assert!(matches!(bad_prefix, Response::Error(_)), "{bad_prefix:?}");
+        let p = Prefix::for_origin(Asn(3)).to_string();
+        let bad_as = s.handle_line(&format!(
+            r#"{{"type":"predict","prefix":"{p}","observer":99}}"#
+        ));
+        assert!(matches!(bad_as, Response::Error(_)), "{bad_as:?}");
+        let garbage = s.handle_line("not json at all");
+        assert!(matches!(garbage, Response::Error(_)), "{garbage:?}");
+        assert_eq!(s.metrics().count(RequestKind::Error), 3);
+        assert_eq!(s.metrics().count(RequestKind::Predict), 0);
+    }
+
+    #[test]
+    fn diff_runs_in_an_overlay_session() {
+        let s = one_shard();
+        let req = Request::Diff {
+            changes: vec![ChangeSpec::Depeer { a: 2, b: 3 }],
+            prefixes: None,
+        };
+        let line = serde_json::to_string(&req).unwrap();
+        let resp = s.handle_line(&line);
+        let Response::Diff(diff) = resp else {
+            panic!("expected diff reply, got {resp:?}");
+        };
+        assert!(diff.pairs > 0);
+        assert_eq!(s.epoch_of(0).sessions.len(), 1);
+        // Same scenario again: session (and its overlay cache) is reused.
+        let again = s.handle_line(&line);
+        let Response::Diff(diff2) = again else {
+            panic!("expected diff reply");
+        };
+        assert_eq!(diff, diff2);
+        assert_eq!(s.epoch_of(0).sessions.len(), 1);
+        assert!(s.epoch_of(0).sessions.overlay_snapshot().hits > 0);
+        // The base cache never saw the scenario model.
+        let p = Prefix::for_origin(Asn(3)).to_string();
+        let predict = s.handle_line(&format!(
+            r#"{{"type":"predict","prefix":"{p}","observer":1}}"#
+        ));
+        let expected = one_shard().handle_line(&format!(
+            r#"{{"type":"predict","prefix":"{p}","observer":1}}"#
+        ));
+        assert_eq!(predict, expected);
+    }
+
+    #[test]
+    fn diff_matches_scenario_api() {
+        // Reference with no cache, session or dispatch: the core what-if
+        // API plus the shared reply builder.
+        let s = one_shard();
+        let changes = vec![Change::Depeer(Asn(2), Asn(3))];
+        let expected = Scenario::new(&model())
+            .apply(Change::Depeer(Asn(2), Asn(3)))
+            .diff()
+            .unwrap();
+        let resp = s.dispatch(&Request::Diff {
+            changes: vec![ChangeSpec::Depeer { a: 2, b: 3 }],
+            prefixes: None,
+        });
+        let Response::Diff(diff) = resp else {
+            panic!("expected diff reply");
+        };
+        assert_eq!(
+            diff,
+            diff_reply(crate::session::scenario_key(&changes), 1, &expected)
+        );
+    }
+
+    #[test]
+    fn predict_and_explain_match_core_simulation() {
+        // Reference with no cache, session or dispatch: a fresh
+        // `simulate` per prefix plus the shared reply builders.
+        let s = one_shard();
+        let model = model();
+        let observed = AsPath::from_u32s(&[1, 4, 3]);
+        for &prefix in model.prefixes().keys() {
+            let result = model.simulate(prefix).unwrap();
+            for observer in [1u32, 4, 5] {
+                let routers = model.quasi_routers_of(Asn(observer));
+                let p = prefix.to_string();
+                let predict = s.dispatch(&Request::Predict {
+                    prefix: p.clone(),
+                    observer,
+                    observed_path: None,
+                });
+                let expected = predict_reply(&result, &routers, prefix, Asn(observer), None);
+                assert_eq!(predict, Response::Predict(expected));
+                let with_path = s.dispatch(&Request::Predict {
+                    prefix: p.clone(),
+                    observer,
+                    observed_path: Some(vec![1, 4, 3]),
+                });
+                let expected =
+                    predict_reply(&result, &routers, prefix, Asn(observer), Some(&observed));
+                assert_eq!(with_path, Response::Predict(expected));
+                let explain = s.dispatch(&Request::Explain {
+                    prefix: p,
+                    observer,
+                });
+                let expected = explain_reply(&result, &routers, prefix, Asn(observer));
+                assert_eq!(explain, Response::Explain(expected));
+            }
+        }
+    }
+
+    #[test]
+    fn stats_metrics_and_shutdown_dispatch() {
+        let s = one_shard();
+        let Response::Stats(stats) = s.handle_line(r#"{"type":"stats"}"#) else {
+            panic!("expected stats reply");
+        };
+        assert_eq!(stats.ases, 5);
+        assert_eq!(stats.prefixes, 2);
+        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
+            panic!("expected metrics reply");
+        };
+        assert_eq!(m.for_kind("stats").unwrap().count, 1);
+        assert_eq!(m.generation, 0);
+        let shards = m.shards.expect("a one-entry shard table");
+        assert_eq!(shards.len(), 1);
+        assert_eq!(shards[0].prefixes, 2);
+        assert!(!s.shutting_down());
+        let Response::Shutdown(sd) = s.handle_line(r#"{"type":"shutdown"}"#) else {
+            panic!("expected shutdown reply");
+        };
+        assert!(sd.draining);
+        assert!(s.shutting_down());
+    }
+
+    #[test]
+    fn stream_report_is_stored_and_served_back() {
+        let s = one_shard();
+        // No report yet: metrics carries no stream status.
+        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
+            panic!("expected metrics reply");
+        };
+        assert!(m.stream.is_none());
+        let report = StreamStatusReport {
+            windows: 5,
+            updates_total: 200,
+            dirty_prefixes_total: 31,
+            swaps: 4,
+            swaps_rejected: 1,
+            incremental_windows: 4,
+            full_retrain_windows: 1,
+            source_done: false,
+            serve_outages: 0,
+            catch_up_swaps: 0,
+            ingest_retries: 0,
+            last_window: None,
+        };
+        let req = serde_json::to_string(&Request::StreamReport {
+            report: report.clone(),
+        })
+        .unwrap();
+        let Response::StreamReport(reply) = s.handle_line(&req) else {
+            panic!("expected stream_report reply");
+        };
+        assert!(reply.accepted);
+        assert_eq!(reply.windows, 5);
+        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
+            panic!("expected metrics reply");
+        };
+        assert_eq!(m.stream, Some(report));
+        assert_eq!(m.for_kind("stream_report").unwrap().count, 1);
+        // A newer report replaces the old one wholesale.
+        let newer = StreamStatusReport {
+            windows: 6,
+            source_done: true,
+            ..m.stream.unwrap()
+        };
+        let req = serde_json::to_string(&Request::StreamReport {
+            report: newer.clone(),
+        })
+        .unwrap();
+        assert!(matches!(s.handle_line(&req), Response::StreamReport(_)));
+        let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
+            panic!("expected metrics reply");
+        };
+        assert_eq!(m.stream, Some(newer));
     }
 
     /// Polls `pred` for up to `timeout`, for tests waiting on the
@@ -1081,18 +1273,38 @@ mod tests {
 
     #[test]
     fn health_reports_a_fresh_fleet_as_healthy() {
-        let s = ShardedState::new(model(), ServeConfig::default(), 2);
-        let Response::Health(h) = s.dispatch(&Request::Health) else {
-            panic!("expected health reply");
-        };
-        assert_eq!(h.status, "healthy");
-        assert_eq!(h.generation, 0);
-        assert_eq!(h.panics_caught, 0);
-        let shards = h.shards.expect("sharded health lists shards");
-        assert_eq!(shards.len(), 2);
-        assert!(shards.iter().all(|sh| sh.state == "healthy"));
-        assert!(shards.iter().all(|sh| sh.generation == 0));
-        assert!(h.stream.is_none(), "no pipeline has reported in");
+        for n in [1usize, 2] {
+            let s = ShardedState::new(model(), ServeConfig::default(), n);
+            let Response::Health(h) = s.dispatch(&Request::Health) else {
+                panic!("expected health reply");
+            };
+            assert_eq!(h.status, "healthy");
+            assert_eq!(h.generation, 0);
+            assert_eq!(h.panics_caught, 0);
+            let shards = h.shards.expect("health lists the shard table");
+            assert_eq!(shards.len(), n);
+            assert!(shards.iter().all(|sh| sh.state == "healthy"));
+            assert!(shards.iter().all(|sh| sh.generation == 0));
+            assert!(h.stream.is_none(), "no pipeline has reported in");
+            // Push a stream report: health now carries its counters and age.
+            let report = StreamStatusReport {
+                windows: 3,
+                swaps: 2,
+                serve_outages: 1,
+                catch_up_swaps: 1,
+                ..Default::default()
+            };
+            let req = serde_json::to_string(&Request::StreamReport { report }).unwrap();
+            assert!(matches!(s.handle_line(&req), Response::StreamReport(_)));
+            let Response::Health(h) = s.handle_line(r#"{"type":"health"}"#) else {
+                panic!("expected health reply");
+            };
+            let stream = h.stream.expect("stream section after a report");
+            assert_eq!(stream.windows, 3);
+            assert_eq!(stream.serve_outages, 1);
+            assert_eq!(stream.catch_up_swaps, 1);
+            assert!(stream.report_age_ms < 60_000);
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 #![cfg(feature = "testkit")]
 
 use quasar_bgpsim::fail;
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::{ask, reply_line};
 use quasar_testkit::workload::{toy_model, toy_requests};
 use std::sync::Arc;
@@ -23,12 +24,13 @@ fn worker_panic_inside_queue_lock_does_not_stop_service() {
     // `.expect(...)` calls turned into a cascading abort.
     fail::set("serve.worker.panic", "once:panic");
 
-    let state = Arc::new(ServerState::new(
+    let state = Arc::new(ShardedState::new(
         toy_model(),
         ServeConfig {
             workers: 3,
             ..ServeConfig::default()
         },
+        1,
     ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -50,7 +52,7 @@ fn worker_panic_inside_queue_lock_does_not_stop_service() {
 
     // Every surviving worker must keep serving through the poisoned
     // lock, with byte-exact replies.
-    let oneshot = ServerState::new(toy_model(), ServeConfig::default());
+    let oneshot = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     for round in 0..3 {
         for req in toy_requests() {
             let got = ask(addr, &req)

@@ -15,7 +15,8 @@
 use quasar_bgpsim::fail;
 use quasar_core::persist::save_model;
 use quasar_serve::protocol::{Request, Response};
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::ask;
 use quasar_testkit::workload::{tiny_trained, toy_model};
 use std::net::SocketAddr;
@@ -26,7 +27,7 @@ use std::time::Duration;
 /// The failpoint registry is process-global; armed tests serialize.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn stats_of(state: &ServerState) -> String {
+fn stats_of(state: &ShardedState) -> String {
     format!("{:?}", state.dispatch(&Request::Stats))
 }
 
@@ -40,7 +41,7 @@ fn reload_validation_fault_rejects_the_swap_and_keeps_serving() {
     let path = dir.join("next.model");
     save_model(&path, &tiny_trained(9).model).expect("save replacement");
 
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let before = stats_of(&state);
 
     fail::set("serve.reload", "always:error");
@@ -73,8 +74,8 @@ fn reload_validation_fault_rejects_the_swap_and_keeps_serving() {
 }
 
 /// Spawns a real TCP server on an ephemeral port.
-fn start_server() -> (Arc<ServerState>, SocketAddr, thread::JoinHandle<()>) {
-    let state = Arc::new(ServerState::new(toy_model(), ServeConfig::default()));
+fn start_server() -> (Arc<ShardedState>, SocketAddr, thread::JoinHandle<()>) {
+    let state = Arc::new(ShardedState::new(toy_model(), ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     let server = {

@@ -4,7 +4,8 @@
 //! never a panic, never a wedged worker — and the pool must keep
 //! answering normal traffic afterwards.
 
-use quasar_serve::server::{serve, ServeConfig, ServerState, MAX_REQUEST_LINE};
+use quasar_serve::server::{serve, ServeConfig, MAX_REQUEST_LINE};
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::{ask, reply_line};
 use quasar_testkit::workload::{toy_model, toy_requests};
 use std::io::{Read, Write};
@@ -15,15 +16,16 @@ use std::time::Duration;
 
 fn start_server() -> (
     SocketAddr,
-    Arc<ServerState>,
+    Arc<ShardedState>,
     thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let state = Arc::new(ServerState::new(
+    let state = Arc::new(ShardedState::new(
         toy_model(),
         ServeConfig {
             workers: 2,
             ..ServeConfig::default()
         },
+        1,
     ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -62,7 +64,7 @@ fn read_to_eof(stream: &mut TcpStream) -> Vec<u8> {
 /// The pool still answers every canonical request with the exact
 /// fault-free bytes.
 fn assert_pool_healthy(addr: SocketAddr) {
-    let oneshot = ServerState::new(toy_model(), ServeConfig::default());
+    let oneshot = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     for req in toy_requests() {
         let got = ask(addr, &req).expect("healthy pool answers");
         assert_eq!(
@@ -169,30 +171,43 @@ fn abrupt_disconnect_mid_request_leaves_the_pool_healthy() {
 #[test]
 fn pipelined_and_empty_lines_are_handled_in_order() {
     let (addr, _state, handle) = start_server();
-    let oneshot = ServerState::new(toy_model(), ServeConfig::default());
+    let oneshot = ShardedState::new(toy_model(), ServeConfig::default(), 1);
 
     let reqs = toy_requests();
-    let mut stream = TcpStream::connect(addr).unwrap();
-    // All requests in one write, with blank lines sprinkled in.
+    // All requests with blank lines sprinkled in, delivered in one write
+    // and then one byte per write (lines split across many reads).
     let mut payload = String::new();
     for r in &reqs {
         payload.push('\n');
         payload.push_str(r);
         payload.push('\n');
     }
-    stream.write_all(payload.as_bytes()).unwrap();
-    stream.flush().unwrap();
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let replies = read_to_eof(&mut stream);
-    let replies = String::from_utf8_lossy(&replies);
-    let got: Vec<&str> = replies.lines().collect();
     let want: Vec<String> = reqs.iter().map(|r| reply_line(&oneshot, r)).collect();
-    assert_eq!(got.len(), want.len(), "one reply per non-empty line");
-    for (g, w) in got.iter().zip(want.iter()) {
-        assert_eq!(
-            g, w,
-            "pipelined replies must match one-shot dispatch in order"
-        );
+    for chunk in [payload.len(), 1] {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_nodelay(true).unwrap();
+        let mut after_newline = false;
+        for part in payload.as_bytes().chunks(chunk) {
+            stream.write_all(part).unwrap();
+            // Byte by byte, pause at every line boundary so one read ends
+            // on a newline and the next line's first byte arrives alone.
+            if chunk == 1 && (after_newline || part == b"\n") {
+                thread::sleep(Duration::from_millis(2));
+            }
+            after_newline = part == b"\n";
+        }
+        stream.flush().unwrap();
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let replies = read_to_eof(&mut stream);
+        let replies = String::from_utf8_lossy(&replies);
+        let got: Vec<&str> = replies.lines().collect();
+        assert_eq!(got.len(), want.len(), "one reply per non-empty line");
+        for (g, w) in got.iter().zip(want.iter()) {
+            assert_eq!(
+                g, w,
+                "pipelined replies ({chunk}-byte writes) must match one-shot dispatch in order"
+            );
+        }
     }
     shutdown(addr, handle);
 }

@@ -9,7 +9,8 @@
 
 use quasar_bgpsim::fail;
 use quasar_serve::protocol::Response;
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::ask;
 use quasar_testkit::workload::toy_model;
 use std::sync::{Arc, Mutex};
@@ -27,13 +28,14 @@ fn full_queue_sheds_connections_with_typed_reply() {
     // one-slot queue guarantees the burst below overflows the queue.
     fail::set("serve.handle_line", "always:delay:150");
 
-    let state = Arc::new(ServerState::new(
+    let state = Arc::new(ShardedState::new(
         toy_model(),
         ServeConfig {
             workers: 1,
             max_pending: 1,
             ..ServeConfig::default()
         },
+        1,
     ));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
@@ -101,12 +103,13 @@ fn slow_request_draws_deadline_exceeded() {
     // dispatch, so a 5ms budget is always blown.
     fail::set("serve.handle_line", "always:delay:30");
 
-    let state = ServerState::new(
+    let state = ShardedState::new(
         toy_model(),
         ServeConfig {
             deadline_ms: 5,
             ..ServeConfig::default()
         },
+        1,
     );
     let reply = state.handle_line(r#"{"type":"stats"}"#);
     match reply {
@@ -140,7 +143,7 @@ fn deadline_disabled_by_default() {
     fail::reset(6);
     fail::set("serve.handle_line", "always:delay:20");
     // deadline_ms = 0 (the default) means no budget: slow but served.
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let reply = state.handle_line(r#"{"type":"stats"}"#);
     assert!(
         matches!(reply, Response::Stats(_)),

@@ -9,7 +9,8 @@ use quasar_bgpsim::types::{Asn, Prefix};
 use quasar_core::model::AsRoutingModel;
 use quasar_core::observed::{Dataset, ObservedRoute};
 use quasar_serve::prelude::*;
-use quasar_serve::server::{ServeConfig, ServerState};
+use quasar_serve::server::ServeConfig;
+use quasar_serve::shard::ShardedState;
 
 /// Random loop-free observed-route sets over a small AS universe (the
 /// same shape the core proptests use).
@@ -111,8 +112,8 @@ proptest! {
         ops in arb_ops(),
     ) {
         let Some((model, prefixes, ases)) = build_model(routes) else { return Ok(()) };
-        let pristine = ServerState::new(model.clone(), ServeConfig::default());
-        let state = ServerState::new(model, ServeConfig::default());
+        let pristine = ShardedState::new(model.clone(), ServeConfig::default(), 1);
+        let state = ShardedState::new(model, ServeConfig::default(), 1);
 
         for op in &ops {
             match op {
@@ -150,7 +151,7 @@ proptest! {
     ) {
         let Some((model, prefixes, ases)) = build_model(routes) else { return Ok(()) };
         let run = || {
-            let state = ServerState::new(model.clone(), ServeConfig::default());
+            let state = ShardedState::new(model.clone(), ServeConfig::default(), 1);
             ops.iter()
                 .map(|op| match op {
                     Op::Predict { prefix, observer } => {

@@ -5,7 +5,8 @@
 
 use quasar_core::persist::save_model;
 use quasar_serve::protocol::{Request, Response};
-use quasar_serve::server::{ServeConfig, ServerState};
+use quasar_serve::server::ServeConfig;
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::workload::{tiny_trained, toy_model};
 use std::path::PathBuf;
 
@@ -16,7 +17,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn stats_of(state: &ServerState) -> (usize, usize) {
+fn stats_of(state: &ShardedState) -> (usize, usize) {
     match state.dispatch(&Request::Stats) {
         Response::Stats(s) => (s.prefixes, s.quasi_routers),
         other => panic!("stats request failed: {other:?}"),
@@ -30,7 +31,7 @@ fn reload_swaps_in_a_fresh_model() {
     let path = dir.join("next.model");
     save_model(&path, &replacement).expect("save replacement");
 
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let before = stats_of(&state);
 
     let resp = state.dispatch(&Request::Reload {
@@ -58,7 +59,7 @@ fn reload_accepts_a_legacy_bare_json_model() {
     let path = dir.join("legacy.json");
     std::fs::write(&path, replacement.to_json().expect("serializes")).expect("write bare JSON");
 
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let resp = state.dispatch(&Request::Reload {
         path: path.to_str().unwrap().to_string(),
     });
@@ -79,7 +80,7 @@ fn corrupt_reload_is_rejected_and_the_old_model_keeps_serving() {
     let bytes = std::fs::read(&path).expect("read");
     std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
 
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let before = stats_of(&state);
 
     let resp = state.dispatch(&Request::Reload {
@@ -124,7 +125,7 @@ fn corrupt_reload_is_rejected_and_the_old_model_keeps_serving() {
 #[test]
 fn reload_of_a_missing_file_is_rejected() {
     let dir = scratch("missing");
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let resp = state.dispatch(&Request::Reload {
         path: dir.join("nope.model").to_str().unwrap().to_string(),
     });
@@ -149,7 +150,7 @@ fn audit_error_vetoes_reload_and_the_old_epoch_keeps_serving() {
     let path = dir.join("tainted.model");
     save_model(&path, &tainted).expect("save tainted model");
 
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let before = stats_of(&state);
 
     let resp = state.dispatch(&Request::Reload {

@@ -6,14 +6,13 @@
 //! The comparisons the workspace cares about:
 //!
 //! - sequential vs parallel refinement ([`refine_differential`]),
-//! - a live server vs a fresh one-shot dispatch ([`served_vs_oneshot`]),
-//! - a sharded server vs a fresh one-shot dispatch
+//! - a live N-shard server vs a fresh 1-shard one-shot dispatch
 //!   ([`sharded_vs_oneshot`]),
 //! - a JSON-round-tripped model vs the in-memory original
 //!   ([`roundtrip_differential`]),
-//! - any two [`ServeHandler`]s answering the same request mix
-//!   ([`states_differential`] — a plain [`ServerState`] and a
-//!   [`ShardedState`] compare directly).
+//! - any two [`ShardedState`]s answering the same request mix
+//!   ([`states_differential`] — N shards against one is the sharding
+//!   differential suite).
 //!
 //! Everything reduces to [`first_divergence`] over two
 //! [`serde_json::Value`] documents.
@@ -21,7 +20,7 @@
 use quasar_core::model::AsRoutingModel;
 use quasar_core::observed::Dataset;
 use quasar_core::refine::{refine, RefineConfig};
-use quasar_serve::server::{serve, ServeConfig, ServeHandler, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
 use quasar_serve::shard::ShardedState;
 use serde_json::Value;
 use std::fmt;
@@ -215,15 +214,12 @@ fn root_err(msg: String) -> Divergence {
     }
 }
 
-/// Sends each request line through both handlers' dispatch path and
+/// Sends each request line through both states' dispatch path and
 /// demands byte-identical reply lines. Stops at the first divergence.
-/// The two sides may be different handler types — comparing a plain
-/// [`ServerState`] against a [`ShardedState`] is the sharding
-/// differential suite's whole job.
-pub fn states_differential<L: ServeHandler, R: ServeHandler>(
+pub fn states_differential(
     context: &str,
-    left: &L,
-    right: &R,
+    left: &ShardedState,
+    right: &ShardedState,
     requests: &[String],
 ) -> Result<(), Divergence> {
     for req in requests {
@@ -238,7 +234,7 @@ pub fn states_differential<L: ServeHandler, R: ServeHandler>(
 
 /// The exact reply line a server would write for `req` (without the
 /// trailing newline).
-pub fn reply_line<H: ServeHandler>(state: &H, req: &str) -> String {
+pub fn reply_line(state: &ShardedState, req: &str) -> String {
     serde_json::to_string(&state.handle_line(req))
         .unwrap_or_else(|_| r#"{"type":"error","message":"serialization failed"}"#.to_string())
 }
@@ -256,32 +252,16 @@ pub fn roundtrip_differential(
     if let Some(d) = diff_json("model JSON round-trip", &json1, &json2) {
         return Err(d);
     }
-    let left = ServerState::new(model.clone(), ServeConfig::default());
-    let right = ServerState::new(reloaded, ServeConfig::default());
+    let left = ShardedState::new(model.clone(), ServeConfig::default(), 1);
+    let right = ShardedState::new(reloaded, ServeConfig::default(), 1);
     states_differential("round-tripped model vs in-memory", &left, &right, requests)
 }
 
-/// Runs a real `serve()` instance for `model`, sends every request over
-/// TCP (one connection each), and demands that each reply is
-/// byte-identical to a fresh one-shot dispatch of the same request —
-/// i.e. the server's pooling, caching and sessions never change an
-/// answer.
-pub fn served_vs_oneshot(model: &AsRoutingModel, requests: &[String]) -> Result<(), Divergence> {
-    let state = Arc::new(ServerState::new(
-        model.clone(),
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-    ));
-    serve_vs_oneshot("served vs one-shot", state, model, requests)
-}
-
-/// [`served_vs_oneshot`] for a prefix-sharded server: runs a real
-/// `serve()` over a [`ShardedState`] with `shards` shards and demands
-/// every TCP reply is byte-identical to a fresh single-epoch one-shot
-/// dispatch — sharding must never change an answer, only who computes
-/// it.
+/// Runs a real `serve()` instance for `model` with `shards` shards, sends
+/// every request over TCP (one connection each), and demands that each
+/// reply is byte-identical to a fresh 1-shard one-shot dispatch of the
+/// same request — i.e. the server's pooling, caching, sessions and
+/// sharding never change an answer.
 pub fn sharded_vs_oneshot(
     model: &AsRoutingModel,
     shards: usize,
@@ -295,19 +275,6 @@ pub fn sharded_vs_oneshot(
         },
         shards,
     ));
-    let context = format!("sharded({shards}) vs one-shot");
-    serve_vs_oneshot(&context, state, model, requests)
-}
-
-/// Shared body: serve `state` on a real socket, send every request over
-/// TCP, compare each reply byte-for-byte with a fresh one-shot
-/// single-epoch dispatch.
-fn serve_vs_oneshot<H: ServeHandler + 'static>(
-    context: &str,
-    state: Arc<H>,
-    model: &AsRoutingModel,
-    requests: &[String],
-) -> Result<(), Divergence> {
     let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| root_err(e.to_string()))?;
     let addr = listener.local_addr().map_err(|e| root_err(e.to_string()))?;
     let server = {
@@ -315,7 +282,7 @@ fn serve_vs_oneshot<H: ServeHandler + 'static>(
         std::thread::spawn(move || serve(state, listener))
     };
 
-    let oneshot = ServerState::new(model.clone(), ServeConfig::default());
+    let oneshot = ShardedState::new(model.clone(), ServeConfig::default(), 1);
     let mut result = Ok(());
     for req in requests {
         let served = match ask(addr, req) {
@@ -326,7 +293,8 @@ fn serve_vs_oneshot<H: ServeHandler + 'static>(
             }
         };
         let direct = reply_line(&oneshot, req);
-        if let Some(d) = diff_json(&format!("{context} — request {req}"), &served, &direct) {
+        let context = format!("served({shards}-shard) vs one-shot — request {req}");
+        if let Some(d) = diff_json(&context, &served, &direct) {
             result = Err(d);
             break;
         }

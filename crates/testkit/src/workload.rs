@@ -195,9 +195,10 @@ mod tests {
     #[test]
     fn toy_requests_are_valid_and_deterministic() {
         let model = toy_model();
-        let state = quasar_serve::server::ServerState::new(
+        let state = quasar_serve::shard::ShardedState::new(
             model,
             quasar_serve::server::ServeConfig::default(),
+            1,
         );
         for req in toy_requests() {
             let reply = crate::diff::reply_line(&state, &req);
@@ -214,9 +215,10 @@ mod tests {
         let model = toy_model();
         let reqs = model_requests(&model, &toy_observers());
         assert_eq!(reqs, model_requests(&model, &toy_observers()));
-        let state = quasar_serve::server::ServerState::new(
+        let state = quasar_serve::shard::ShardedState::new(
             model,
             quasar_serve::server::ServeConfig::default(),
+            1,
         );
         let replies: Vec<String> = reqs
             .iter()

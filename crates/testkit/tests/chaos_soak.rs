@@ -4,7 +4,8 @@
 //! never panics, never wedges a worker, and that every reply that
 //! arrives complete is byte-identical to the fault-free run.
 
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::{ask, reply_line};
 use quasar_testkit::prelude::*;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -70,12 +71,13 @@ fn chaos_round_trip(proxy: SocketAddr, request: &str) -> Result<Option<String>, 
 #[test]
 fn soak_under_chaos_is_panic_free_and_byte_identical() {
     // The system under test: a real server with a real worker pool.
-    let state = Arc::new(ServerState::new(
+    let state = Arc::new(ShardedState::new(
         toy_model(),
         ServeConfig {
             workers: 4,
             ..ServeConfig::default()
         },
+        1,
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind server");
     let server_addr = listener.local_addr().unwrap();
@@ -97,7 +99,7 @@ fn soak_under_chaos_is_panic_free_and_byte_identical() {
 
     // Fault-free expectations: what a fresh state answers directly.
     let requests = Arc::new(toy_requests());
-    let oneshot = ServerState::new(toy_model(), ServeConfig::default());
+    let oneshot = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let expected: Arc<Vec<String>> =
         Arc::new(requests.iter().map(|r| reply_line(&oneshot, r)).collect());
 

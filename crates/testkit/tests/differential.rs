@@ -4,7 +4,7 @@
 //! compared field by field, and the harness itself is checked to point
 //! at the right field when fed a deliberate divergence.
 
-use quasar_testkit::diff::{refine_differential, roundtrip_differential, served_vs_oneshot};
+use quasar_testkit::diff::{refine_differential, roundtrip_differential, sharded_vs_oneshot};
 use quasar_testkit::prelude::*;
 
 #[test]
@@ -18,7 +18,7 @@ fn sequential_and_parallel_refinement_agree() {
 #[test]
 fn served_replies_match_oneshot_dispatch() {
     let model = toy_model();
-    if let Err(d) = served_vs_oneshot(&model, &toy_requests()) {
+    if let Err(d) = sharded_vs_oneshot(&model, 1, &toy_requests()) {
         panic!("{d}");
     }
 }
@@ -58,14 +58,16 @@ fn json_roundtripped_model_answers_identically() {
 fn harness_pinpoints_a_planted_divergence() {
     // Two servers over *different* models must diverge, and the harness
     // must point inside the reply body, not just say "differs".
-    let left = quasar_serve::server::ServerState::new(
+    let left = quasar_serve::shard::ShardedState::new(
         toy_model(),
         quasar_serve::server::ServeConfig::default(),
+        1,
     );
     let fx = tiny_trained(101);
-    let right = quasar_serve::server::ServerState::new(
+    let right = quasar_serve::shard::ShardedState::new(
         fx.model,
         quasar_serve::server::ServeConfig::default(),
+        1,
     );
     let d = states_differential(
         "toy vs trained",

@@ -8,7 +8,8 @@
 #![cfg(feature = "testkit")]
 
 use quasar_core::refine::{refine, RefineConfig};
-use quasar_serve::server::{ServeConfig, ServerState};
+use quasar_serve::server::ServeConfig;
+use quasar_serve::shard::ShardedState;
 use quasar_testkit::fail;
 use quasar_testkit::prelude::*;
 use std::sync::Mutex;
@@ -54,7 +55,7 @@ fn engine_error_injection_surfaces_as_typed_error() {
 #[test]
 fn server_predict_reports_injected_simulation_failure() {
     let _armed = armed(2);
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let req = &toy_requests()[0]; // first predict of the canonical mix
 
     fail::set("engine.simulate", "always:error");
@@ -67,7 +68,7 @@ fn server_predict_reports_injected_simulation_failure() {
     // The steady-state cache memoizes errors too, so a fresh state is
     // the honest way to check recovery after disarming.
     fail::clear("engine.simulate");
-    let fresh = ServerState::new(toy_model(), ServeConfig::default());
+    let fresh = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let reply = quasar_testkit::diff::reply_line(&fresh, req);
     assert!(
         !reply.contains(r#""type":"error""#),
@@ -78,7 +79,7 @@ fn server_predict_reports_injected_simulation_failure() {
 #[test]
 fn dispatch_failpoint_turns_any_request_into_an_error_reply() {
     let _armed = armed(3);
-    let state = ServerState::new(toy_model(), ServeConfig::default());
+    let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     fail::set("serve.handle_line", "1in2:error");
     let mut injected = 0;
     let mut clean = 0;

@@ -22,7 +22,7 @@
 use quasar_bgpsim::types::{Asn, Prefix};
 use quasar_core::persist::{load_model, save_model};
 use quasar_serve::protocol::{HealthReply, Request, Response};
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
 use quasar_serve::shard::ShardedState;
 use quasar_stream::prelude::*;
 use quasar_testkit::diff::{ask, reply_line};
@@ -217,7 +217,7 @@ fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
         "post-outage epoch must be byte-identical to the offline retrain"
     );
     let final_model = load_model(&dir.join("model.quasar")).expect("final model");
-    let oneshot = ServerState::new(final_model, ServeConfig::default());
+    let oneshot = ShardedState::new(final_model, ServeConfig::default(), 1);
     for p in scenario.dirty.iter().take(3) {
         let observer = scenario.before[0].observer_as.0;
         let probe = format!(r#"{{"type":"predict","prefix":"{p}","observer":{observer}}}"#);

@@ -20,7 +20,7 @@
 use quasar_bgpsim::types::{Asn, Prefix};
 use quasar_core::persist::{load_model, save_model};
 use quasar_serve::protocol::{Request, Response};
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
 use quasar_serve::shard::{ShardMap, ShardedState};
 use quasar_stream::prelude::*;
 use quasar_testkit::diff::{ask, reply_line};
@@ -368,8 +368,8 @@ fn shard_panic_mid_soak_poisons_only_the_owning_slice() {
         "the mix must cover both the victim slice and healthy slices"
     );
 
-    // Fault-free expectations from a plain single-epoch dispatch.
-    let oneshot = ServerState::new(toy_model(), ServeConfig::default());
+    // Fault-free expectations from a fresh 1-shard dispatch.
+    let oneshot = ShardedState::new(toy_model(), ServeConfig::default(), 1);
     let expected: Arc<Vec<String>> =
         Arc::new(requests.iter().map(|r| reply_line(&oneshot, r)).collect());
     let requests = Arc::new(requests);

@@ -1,6 +1,6 @@
-//! The sharding differential suite: a prefix-sharded server must answer
-//! every protocol verb byte-identically to a plain single-epoch server
-//! over the same model. No feature gate — this is pure differential
+//! The sharding differential suite: an N-shard server must answer every
+//! protocol verb byte-identically to a 1-shard server over the same
+//! model. No feature gate — this is pure differential
 //! testing, no fault injection.
 //!
 //! Three layers:
@@ -10,17 +10,17 @@
 //!    error case, and multi-prefix diffs whose explicit lists are
 //!    unsorted and duplicated (so the merged reply order is exercised);
 //! 2. a proptest over random observed-route sets and random op
-//!    sequences, comparing a plain server against a sharded one with a
-//!    random shard count;
+//!    sequences, comparing a 1-shard server against one with a random
+//!    shard count;
 //! 3. an end-to-end TCP run: a real `serve()` over a 4-shard state vs a
-//!    fresh one-shot dispatch per request.
+//!    fresh 1-shard one-shot dispatch per request.
 
 use proptest::prelude::*;
 use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::types::{Asn, Prefix};
 use quasar_core::model::AsRoutingModel;
 use quasar_core::observed::{Dataset, ObservedRoute};
-use quasar_serve::server::{ServeConfig, ServerState};
+use quasar_serve::server::ServeConfig;
 use quasar_serve::shard::ShardedState;
 use quasar_testkit::prelude::*;
 
@@ -39,19 +39,19 @@ fn observers_of(dataset: &Dataset) -> Vec<u32> {
 }
 
 #[test]
-fn sharded_toy_model_matches_plain_server_for_every_shard_count() {
+fn sharded_toy_model_matches_one_shard_for_every_shard_count() {
     let model = toy_model();
     let requests = {
         let mut reqs = toy_requests();
         reqs.extend(model_requests(&model, &toy_observers()));
         reqs
     };
-    let plain = ServerState::new(model.clone(), ServeConfig::default());
+    let one = ShardedState::new(model.clone(), ServeConfig::default(), 1);
     for shards in SHARD_COUNTS {
         let sharded = ShardedState::new(model.clone(), ServeConfig::default(), shards);
         states_differential(
-            &format!("toy model: plain vs {shards}-shard"),
-            &plain,
+            &format!("toy model: 1-shard vs {shards}-shard"),
+            &one,
             &sharded,
             &requests,
         )
@@ -60,7 +60,7 @@ fn sharded_toy_model_matches_plain_server_for_every_shard_count() {
 }
 
 #[test]
-fn sharded_trained_models_match_plain_server_across_seeds() {
+fn sharded_trained_models_match_one_shard_across_seeds() {
     for seed in [11, 47, 2006] {
         let fx = tiny_trained(seed);
         let observers = observers_of(&fx.full);
@@ -69,17 +69,9 @@ fn sharded_trained_models_match_plain_server_across_seeds() {
             requests.len() > 8,
             "seed {seed}: workload should cover the verb space"
         );
-        let plain = ServerState::new(fx.model.clone(), ServeConfig::default());
         let one = ShardedState::new(fx.model.clone(), ServeConfig::default(), 1);
         for shards in SHARD_COUNTS {
             let sharded = ShardedState::new(fx.model.clone(), ServeConfig::default(), shards);
-            states_differential(
-                &format!("seed {seed}: plain vs {shards}-shard"),
-                &plain,
-                &sharded,
-                &requests,
-            )
-            .unwrap_or_else(|d| panic!("{d}"));
             states_differential(
                 &format!("seed {seed}: 1-shard vs {shards}-shard"),
                 &one,
@@ -94,14 +86,14 @@ fn sharded_trained_models_match_plain_server_across_seeds() {
 #[test]
 fn multi_prefix_diff_replies_merge_in_deterministic_prefix_order() {
     // A whole-model diff fans out across every shard; the merged impact
-    // list must be in ascending prefix order — the same order the plain
-    // server produces — and repeated runs must be byte-stable.
+    // list must be in ascending prefix order — the same order one shard
+    // produces — and repeated runs must be byte-stable.
     let fx = tiny_trained(7);
     let origins: Vec<u32> = fx.model.prefixes().values().map(|a| a.0).collect();
     let (a, b) = (origins[0], origins[origins.len() - 1]);
     let req = format!(r#"{{"type":"diff","changes":[{{"action":"depeer","a":{a},"b":{b}}}]}}"#);
-    let plain = ServerState::new(fx.model.clone(), ServeConfig::default());
-    let want = reply_line(&plain, &req);
+    let one = ShardedState::new(fx.model.clone(), ServeConfig::default(), 1);
+    let want = reply_line(&one, &req);
     for shards in SHARD_COUNTS {
         let sharded = ShardedState::new(fx.model.clone(), ServeConfig::default(), shards);
         let first = reply_line(&sharded, &req);
@@ -231,8 +223,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole property: for ANY model, ANY request sequence, and
-    /// ANY shard count, the sharded server's reply stream is
-    /// byte-identical to the plain single-epoch server's.
+    /// ANY shard count, the server's reply stream is byte-identical to a
+    /// 1-shard server's.
     #[test]
     fn any_request_sequence_is_shard_count_invariant(
         routes in arb_routes(),
@@ -256,14 +248,14 @@ proptest! {
             return Ok(());
         }
         let lines: Vec<String> = specs.iter().map(|s| render(s, &prefixes, &ases)).collect();
-        let plain = ServerState::new(model.clone(), ServeConfig::default());
+        let one = ShardedState::new(model.clone(), ServeConfig::default(), 1);
         let sharded = ShardedState::new(model, ServeConfig::default(), shards);
         for line in &lines {
-            let l = reply_line(&plain, line);
+            let l = reply_line(&one, line);
             let r = reply_line(&sharded, line);
             prop_assert_eq!(
                 &l, &r,
-                "plain vs {}-shard diverged on {}", shards, line
+                "1-shard vs {}-shard diverged on {}", shards, line
             );
         }
     }

@@ -5,7 +5,8 @@
 //! follow-mode soak tailing a file another thread is appending to.
 
 use quasar_core::persist::load_model;
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_stream::prelude::*;
 use quasar_testkit::diff::{ask, reply_line};
 use quasar_testkit::prelude::*;
@@ -119,7 +120,7 @@ fn live_server_keeps_answering_through_streamed_swaps() {
         full_retrain_artifact(&dataset_of(&scenario.before), 1, &dir.join("before.quasar"));
     drop(before_artifact);
     let before_model = load_model(dir.join("before.quasar")).expect("before model");
-    let state = Arc::new(ServerState::new(before_model, ServeConfig::default()));
+    let state = Arc::new(ShardedState::new(before_model, ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = {
@@ -181,7 +182,7 @@ fn live_server_keeps_answering_through_streamed_swaps() {
     // server loaded with the final streamed epoch.
     let after_reply = ask(addr, &probe).expect("post-stream query");
     let final_model = load_model(&model_out).expect("final epoch loads");
-    let oracle = ServerState::new(final_model, ServeConfig::default());
+    let oracle = ShardedState::new(final_model, ServeConfig::default(), 1);
     assert_eq!(after_reply.trim(), reply_line(&oracle, &probe));
 
     // The pipeline's status is served back through metrics.

@@ -9,7 +9,8 @@
 #![cfg(feature = "testkit")]
 
 use quasar_core::persist::load_model;
-use quasar_serve::server::{serve, ServeConfig, ServerState};
+use quasar_serve::server::{serve, ServeConfig};
+use quasar_serve::shard::ShardedState;
 use quasar_stream::prelude::*;
 use quasar_testkit::diff::ask;
 use quasar_testkit::fail;
@@ -140,7 +141,7 @@ fn rejected_reloads_leave_the_old_model_serving() {
     // Live server on the before-set model.
     full_retrain_artifact(&dataset_of(&scenario.before), 1, &dir.join("before.quasar"));
     let before_model = load_model(&dir.join("before.quasar")).expect("before model");
-    let state = Arc::new(ServerState::new(before_model, ServeConfig::default()));
+    let state = Arc::new(ShardedState::new(before_model, ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let server = {

@@ -2,7 +2,7 @@
 //! over real TCP, exactly like `quasar serve` + `quasar query` do.
 //!
 //! We refine a model against observed feeds, hand it to a
-//! [`quasar::serve::server::ServerState`], start the listener on an
+//! 1-shard [`quasar::serve::shard::ShardedState`], start the listener on an
 //! ephemeral port, then send newline-delimited JSON requests: a `predict`
 //! twice (the second answered from the per-prefix steady-state cache), a
 //! what-if `diff`, the cache `metrics`, and finally a graceful `shutdown`.
@@ -11,7 +11,8 @@
 
 use quasar::model::prelude::*;
 use quasar::netgen::prelude::*;
-use quasar::serve::server::{serve, ServeConfig, ServerState};
+use quasar::serve::server::{serve, ServeConfig};
+use quasar::serve::shard::ShardedState;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -32,7 +33,7 @@ fn main() {
 
     // The server: shared state behind an Arc, listener on an ephemeral
     // port, accept loop + worker pool on a background thread.
-    let state = Arc::new(ServerState::new(model, ServeConfig::default()));
+    let state = Arc::new(ShardedState::new(model, ServeConfig::default(), 1));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     println!("serving on {addr}");

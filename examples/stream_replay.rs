@@ -21,7 +21,8 @@ use quasar::model::persist::{self, load_model};
 use quasar::model::prelude::*;
 use quasar::mrt::prelude::*;
 use quasar::netgen::prelude::*;
-use quasar::serve::server::{serve, ServeConfig, ServerState};
+use quasar::serve::server::{serve, ServeConfig};
+use quasar::serve::shard::ShardedState;
 use quasar::stream::prelude::*;
 use std::sync::Arc;
 
@@ -66,7 +67,7 @@ fn main() {
     let mut model = AsRoutingModel::initial(&before.as_graph(), &before.prefixes());
     refine(&mut model, &before, &RefineConfig::default()).expect("refinement converges");
     model.generalize_med_preferences();
-    let state = Arc::new(ServerState::new(model, ServeConfig::default()));
+    let state = Arc::new(ShardedState::new(model, ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
     let server = {

@@ -44,12 +44,12 @@
 //!             long-running query server (see `quasar-serve` crate docs);
 //!             --max-pending bounds the accept queue (excess connections
 //!             are shed with an `overloaded` reply), --deadline-ms caps
-//!             per-request compute time (0 = unlimited), --shards N runs
-//!             the prefix-sharded dispatcher (0 = one shard per core),
-//!             --quarantine-after N quarantines and rebuilds a shard after
-//!             N panics (0 = disabled; needs --shards), --prewarm
-//!             simulates every prefix into the cache(s) before the
-//!             listener starts answering
+//!             per-request compute time (0 = unlimited), --shards N splits
+//!             the prefixes over N shards (default 1, 0 = one shard per
+//!             core), --quarantine-after N quarantines and rebuilds a
+//!             shard after N panics (0 = disabled), --prewarm simulates
+//!             every prefix into the shard caches before the listener
+//!             starts answering
 //!   query     ADDR JSON [JSON...]
 //!             send newline-delimited JSON requests to a running server;
 //!             `overloaded` replies are retried with jittered backoff
@@ -698,7 +698,7 @@ fn cmd_whatif_json(args: &[String]) {
     if changes.is_empty() {
         usage("whatif --json requires at least one --depeer/--add-peering/--filter");
     }
-    let state = ServerState::new(load_model(&model_path), ServeConfig::default());
+    let state = ShardedState::new(load_model(&model_path), ServeConfig::default(), 1);
     print_response(state.dispatch(&Request::Diff {
         changes,
         prefixes: None,
@@ -720,7 +720,7 @@ fn cmd_predict_oneshot(args: &[String]) {
             })
             .collect()
     });
-    let state = ServerState::new(load_model(&model_path), ServeConfig::default());
+    let state = ShardedState::new(load_model(&model_path), ServeConfig::default(), 1);
     print_response(state.dispatch(&Request::Predict {
         prefix,
         observer,
@@ -747,65 +747,44 @@ fn cmd_serve(args: &[String]) {
     if let Some(q) = parsed_flag::<u64>(args, "--quarantine-after") {
         config.quarantine_threshold = q;
     }
-    // --shards N selects the prefix-sharded dispatcher (0 = one shard
-    // per core); without the flag the single-epoch server runs, as
-    // before. Replies are byte-identical either way.
-    let shards = parsed_flag::<usize>(args, "--shards").map(|n| {
-        if n == 0 {
-            std::thread::available_parallelism()
-                .map(|c| c.get())
-                .unwrap_or(4)
-        } else {
-            n
-        }
-    });
-    if config.quarantine_threshold > 0 && shards.is_none() {
-        eprintln!("note: --quarantine-after only takes effect with --shards");
-    }
+    // 0 = one shard per core. Replies are byte-identical at every count.
+    let shards = match parsed_flag::<usize>(args, "--shards").unwrap_or(1) {
+        0 => std::thread::available_parallelism()
+            .map(|c| c.get())
+            .unwrap_or(4),
+        n => n,
+    };
     let prewarm = args.iter().any(|a| a == "--prewarm");
     let model = load_model(&model_path);
     let stats = model.stats();
+    let prefixes = model.prefixes().len();
     let listener = TcpListener::bind(&listen)
         .unwrap_or_else(|e| die(format!("cannot listen on {listen}: {e}")));
     let addr = listener
         .local_addr()
         .unwrap_or_else(|e| die(format!("cannot resolve listen address: {e}")));
+    let state = Arc::new(ShardedState::new(model, config, shards));
     // The address line goes first and alone to stdout so wrappers (tests,
     // scripts) can read the ephemeral port; progress chatter is stderr.
     println!("quasar-serve listening on {addr}");
     std::io::stdout().flush().ok();
     eprintln!(
-        "serving {} prefixes over {} ASes ({} quasi-routers) with {} worker(s){}",
-        model.prefixes().len(),
+        "serving {prefixes} prefixes over {} ASes ({} quasi-routers) with {} worker(s) across {} shard(s)",
         stats.ases,
         stats.quasi_routers,
         config.workers,
-        match shards {
-            Some(n) => format!(" across {n} shard(s)"),
-            None => String::new(),
-        }
+        state.shards()
     );
-    let result = match shards {
-        Some(n) => {
-            let state = Arc::new(quasar::serve::shard::ShardedState::new(model, config, n));
-            if prewarm {
-                // Warm before serving so the first client hits a full
-                // cache; the listener is bound but not yet accepting.
-                let warmed = state.prewarm();
-                eprintln!("prewarmed {warmed} prefix(es) across {} shard(s)", n);
-            }
-            quasar::serve::server::serve(state, listener)
-        }
-        None => {
-            let state = Arc::new(ServerState::new(model, config));
-            if prewarm {
-                let warmed = state.prewarm();
-                eprintln!("prewarmed {warmed} prefix(es)");
-            }
-            quasar::serve::server::serve(state, listener)
-        }
-    };
-    if let Err(e) = result {
+    if prewarm {
+        // Warm before serving so the first client hits a full cache; the
+        // listener is bound but not yet accepting.
+        let warmed = state.prewarm();
+        eprintln!(
+            "prewarmed {warmed} prefix(es) across {} shard(s)",
+            state.shards()
+        );
+    }
+    if let Err(e) = serve(state, listener) {
         die(format!("serve failed: {e}"));
     }
     eprintln!("quasar-serve drained, exiting");

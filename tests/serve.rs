@@ -1,14 +1,15 @@
 //! End-to-end serving test: train a tiny model through the real binary,
-//! run `quasar serve` on an ephemeral port, talk to it concurrently over
-//! TCP, verify served answers are byte-identical to the one-shot CLI,
-//! check the steady-state cache registers warm hits, and shut the server
-//! down gracefully.
+//! run `quasar serve` on an ephemeral port (once with the default single
+//! shard, once with `--shards 2`), talk to it concurrently over TCP,
+//! verify served answers are byte-identical to the one-shot CLI, check
+//! the shard table and that the steady-state cache registers warm hits,
+//! and shut the server down gracefully.
 
 use quasar::bgpsim::types::{Asn, Prefix};
 use quasar::serve::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 fn quasar_bin() -> Command {
@@ -71,6 +72,21 @@ fn serve_end_to_end() {
         String::from_utf8_lossy(&out.stderr)
     );
 
+    serve_flow(&model, &[], 1);
+    serve_flow(&model, &["--shards", "2"], 2);
+
+    for f in [
+        feeds.clone(),
+        model,
+        PathBuf::from(format!("{}.updates.mrt", feeds.display())),
+    ] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
+/// Serves `model` with `extra` CLI flags and runs the whole client flow
+/// against it, expecting a shard table of `shards` entries.
+fn serve_flow(model: &Path, extra: &[&str], shards: usize) {
     // The tiny seed-5 internet has AS10 originating this prefix and a
     // feed from AS100 (same constants as the whatif step in cli.rs).
     let prefix = Prefix::for_origin(Asn(10)).to_string();
@@ -83,6 +99,7 @@ fn serve_end_to_end() {
     // stdout line.
     let mut child = quasar_bin()
         .args(["serve", model.to_str().unwrap(), "--workers", "2"])
+        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -175,7 +192,12 @@ fn serve_end_to_end() {
         m.base_cache
     );
     assert!(m.base_cache.misses >= 1);
-    assert_eq!(m.active_sessions, 1, "one what-if scenario resident");
+    let table = m.shards.as_ref().expect("metrics carry the shard table");
+    assert_eq!(table.len(), shards, "shard table for {extra:?}");
+    assert_eq!(
+        m.active_sessions, shards,
+        "one what-if scenario resident per shard"
+    );
     assert!(m.for_kind("predict").unwrap().count >= 3);
 
     // `quasar query` speaks the same protocol.
@@ -197,12 +219,4 @@ fn serve_end_to_end() {
     assert!(sd.draining);
     let status = child.wait().unwrap();
     assert!(status.success(), "server exited with {status:?}");
-
-    for f in [
-        feeds.clone(),
-        model,
-        PathBuf::from(format!("{}.updates.mrt", feeds.display())),
-    ] {
-        let _ = std::fs::remove_file(f);
-    }
 }
