@@ -43,15 +43,15 @@
 //!    policy fixes are scoped to their own prefixes and cannot perturb a
 //!    replayed step; only a drift in a dirty prefix's repair-time
 //!    *duplications* changes shared structure, and that one event aborts
-//!    the replay back to the classic full repair.
+//!    the replay back to a repair that re-simulates every prefix.
 //!
 //! The fallback ladder degrades conservatively: a changed AS graph,
 //! origin map, or domain partition forces a full retrain; a changed
 //! merge-time duplication schedule — or a structural drift detected
 //! mid-replay — disables the trace replay, so every prefix is re-verified
-//! by the classic loop, but cached deltas of fingerprint-matching domains
-//! are still reused. The differential suite in `quasar-testkit` enforces
-//! the contract across seeds and thread counts.
+//! live, but cached deltas of fingerprint-matching domains are still
+//! reused. The differential suite in `quasar-testkit` enforces the
+//! contract across seeds and thread counts.
 
 use crate::observed::Dataset;
 use crate::persist::{self, PersistError};
@@ -85,10 +85,11 @@ pub enum TrainMode {
     /// Cached domain deltas were reused for unchanged domains.
     Incremental {
         /// Untouched prefixes' repair steps were replayed from the
-        /// recorded trace without re-simulation. False when a re-refined
-        /// domain's duplication subsequence changed (structure shifted,
-        /// so the trace doesn't carry) or a mid-replay drift aborted the
-        /// replay back to the classic full repair.
+        /// recorded trace without re-simulation. False when the merge
+        /// duplication schedule, compared as a set, differs from the
+        /// cached run's (structure shifted, so the trace doesn't carry) or
+        /// a mid-replay drift aborted the replay back to a repair that
+        /// re-simulates every prefix.
         repair_replayed: bool,
     },
 }
@@ -302,7 +303,7 @@ impl IncrementalTrainer {
         // replay the recorded repair trace: untouched prefixes re-apply
         // their recorded fixes without a single simulation, and only the
         // prefixes of re-refined (dirty) domains are simulated live. A
-        // structural drift mid-replay aborts back to the classic loop
+        // structural drift mid-replay aborts back to an all-live repair
         // inside `run_repair_traced`.
         let live: Vec<bool> = {
             let mut v = vec![false; jobs.len()];
@@ -315,14 +316,14 @@ impl IncrementalTrainer {
             }
             v
         };
-        let hybrid = match (&self.cache, &mode_plan) {
+        let replay = match (&self.cache, &mode_plan) {
             (Some(cache), Plan::Incremental) if !structural => {
                 Some((live.as_slice(), &cache.repair))
             }
             _ => None,
         };
         let (report, repair_trace, replayed) =
-            run_repair_traced(&mut model, cfg, &mut jobs, ranges.len(), hybrid)?;
+            run_repair_traced(&mut model, cfg, &mut jobs, ranges.len(), replay)?;
         let skipped = if replayed {
             live.iter().filter(|&&l| !l).count()
         } else {
@@ -480,8 +481,9 @@ pub fn load_or_new(
 mod tests {
     use super::*;
     use crate::observed::ObservedRoute;
-    use crate::refine::refine;
+    use crate::refine::{refine, RefineOp};
     use quasar_bgpsim::aspath::AsPath;
+    use quasar_bgpsim::types::RouterId;
 
     /// A small synthetic dataset: a chain-and-spokes topology with enough
     /// prefixes to span multiple refinement domains.
@@ -597,6 +599,50 @@ mod tests {
             model.to_json().expect("json"),
             full_json(&training, &cfg),
             "incremental model must be byte-identical to a full retrain"
+        );
+    }
+
+    #[test]
+    fn stale_repair_trace_falls_back_to_full_repair() {
+        let training = to_dataset(&base_paths());
+        let cfg = RefineConfig {
+            threads: 1,
+            ..RefineConfig::default()
+        };
+        let mut trainer = IncrementalTrainer::new();
+        trainer.train(&training, &cfg).expect("first");
+
+        // Corrupt the recorded trace: the first replayed step now claims a
+        // duplication that allocates a different router id than recorded,
+        // after the replay has already mutated the model.
+        let cache = trainer.cache.as_mut().expect("trained cache");
+        cache.repair[0][0].ops.push(RefineOp::Duplicate {
+            prefix: Prefix::for_origin(Asn(30)),
+            src: RouterId::new(Asn(10), 0),
+            copy: RouterId::new(Asn(10), 999),
+        });
+        let (model, report) = trainer.train(&training, &cfg).expect("second");
+        assert_eq!(
+            report.mode,
+            TrainMode::Incremental {
+                repair_replayed: false
+            },
+            "a stale trace must abort the replay"
+        );
+        assert_eq!(report.prefixes_skipped, 0);
+        assert_eq!(
+            model.to_json().expect("json"),
+            full_json(&training, &cfg),
+            "the fallback repair must restore the pre-replay snapshot"
+        );
+
+        // The fallback recorded a fresh, usable trace.
+        let (_, report) = trainer.train(&training, &cfg).expect("third");
+        assert_eq!(
+            report.mode,
+            TrainMode::Incremental {
+                repair_replayed: true
+            }
         );
     }
 

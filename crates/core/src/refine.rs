@@ -47,9 +47,12 @@
 //!    per-domain logs, never of the order in which domains first claim a
 //!    shared copy — the invariant the incremental trainer's repair-trace
 //!    replay is built on (see `merge_duplication_schedule`).
-//! 3. **Repair.** The classic round loop re-verifies every prefix against
-//!    the merged model and fixes any residual cross-domain interference —
-//!    typically a single verification round.
+//! 3. **Repair.** One round loop, `run_repair`, re-verifies every prefix
+//!    against the merged model and fixes any residual cross-domain
+//!    interference — typically a single verification round. It records
+//!    every round's fixes as a repair trace, can replay a previous
+//!    epoch's trace for the incremental trainer, and checkpoints on round
+//!    boundaries for [`resume_refine`].
 //!
 //! Determinism: phase 1 results are schedule-independent (every domain
 //! starts from the pristine base model), and phases 2 and 3 are
@@ -85,6 +88,16 @@ pub enum RankingAttr {
     /// ones can lead to divergence". Provided as an ablation; expect
     /// [`PrefixOutcome::diverged`] prefixes.
     LocalPref,
+}
+
+impl RankingAttr {
+    /// Ranks the routes arriving over `senders` best at `q` for `prefix`.
+    fn rank(self, model: &mut AsRoutingModel, q: RouterId, prefix: Prefix, senders: &[RouterId]) {
+        match self {
+            RankingAttr::Med => model.set_med_preference(q, prefix, senders),
+            RankingAttr::LocalPref => model.set_local_pref_preference(q, prefix, senders),
+        }
+    }
 }
 
 /// Refinement tunables.
@@ -313,37 +326,21 @@ pub(crate) enum RefineOp {
     },
 }
 
-/// The mutation surface [`apply_fixes`] needs, abstracted so the same fix
-/// pass runs directly against the real model (repair phase, legacy
-/// [`refine_prefix`]) or against a domain's copy-on-write view that also
-/// records [`RefineOp`]s for the merge.
+/// The mutation surface [`apply_fixes`] needs: a model to read and mutate
+/// plus an op-log that records every fix as a [`RefineOp`]. The provided
+/// methods apply each fix and log it; a zero-length shorter-path floor and
+/// a filter deletion that deleted nothing are applied but not logged. Two
+/// hosts implement it: a domain's copy-on-write [`DomainModel`] and the
+/// in-place [`RecordingModel`].
 trait RefineHost {
     fn model(&self) -> &AsRoutingModel;
-    fn duplicate_quasi_router(&mut self, prefix: Prefix, src: RouterId) -> RouterId;
-    fn rank_preference(
-        &mut self,
-        q: RouterId,
-        prefix: Prefix,
-        senders: &[RouterId],
-        ranking: RankingAttr,
-    );
-    fn set_shorter_path_filters(&mut self, q: RouterId, prefix: Prefix, min_locrib_len: usize);
-    fn delete_blocking_filters(
-        &mut self,
-        from: RouterId,
-        to: RouterId,
-        prefix: Prefix,
-        locrib_len: usize,
-    ) -> usize;
-}
+    fn model_mut(&mut self) -> &mut AsRoutingModel;
+    fn record(&mut self, op: RefineOp);
 
-impl RefineHost for AsRoutingModel {
-    fn model(&self) -> &AsRoutingModel {
-        self
-    }
-
-    fn duplicate_quasi_router(&mut self, _prefix: Prefix, src: RouterId) -> RouterId {
-        AsRoutingModel::duplicate_quasi_router(self, src)
+    fn duplicate_quasi_router(&mut self, prefix: Prefix, src: RouterId) -> RouterId {
+        let copy = self.model_mut().duplicate_quasi_router(src);
+        self.record(RefineOp::Duplicate { prefix, src, copy });
+        copy
     }
 
     fn rank_preference(
@@ -353,14 +350,24 @@ impl RefineHost for AsRoutingModel {
         senders: &[RouterId],
         ranking: RankingAttr,
     ) {
-        match ranking {
-            RankingAttr::Med => self.set_med_preference(q, prefix, senders),
-            RankingAttr::LocalPref => self.set_local_pref_preference(q, prefix, senders),
-        }
+        ranking.rank(self.model_mut(), q, prefix, senders);
+        self.record(RefineOp::Rank {
+            q,
+            prefix,
+            senders: senders.to_vec(),
+        });
     }
 
     fn set_shorter_path_filters(&mut self, q: RouterId, prefix: Prefix, min_locrib_len: usize) {
-        AsRoutingModel::set_shorter_path_filters(self, q, prefix, min_locrib_len);
+        self.model_mut()
+            .set_shorter_path_filters(q, prefix, min_locrib_len);
+        if min_locrib_len > 0 {
+            self.record(RefineOp::ShorterFilters {
+                q,
+                prefix,
+                min_locrib_len,
+            });
+        }
     }
 
     fn delete_blocking_filters(
@@ -370,7 +377,18 @@ impl RefineHost for AsRoutingModel {
         prefix: Prefix,
         locrib_len: usize,
     ) -> usize {
-        AsRoutingModel::delete_blocking_filters(self, from, to, prefix, locrib_len)
+        let deleted = self
+            .model_mut()
+            .delete_blocking_filters(from, to, prefix, locrib_len);
+        if deleted > 0 {
+            self.record(RefineOp::DeleteBlockers {
+                from,
+                to,
+                prefix,
+                locrib_len,
+            });
+        }
+        deleted
     }
 }
 
@@ -392,10 +410,6 @@ impl<'a> DomainModel<'a> {
             ops: Vec::new(),
         }
     }
-
-    fn owned_mut(&mut self) -> &mut AsRoutingModel {
-        self.owned.get_or_insert_with(|| self.base.clone())
-    }
 }
 
 impl RefineHost for DomainModel<'_> {
@@ -403,64 +417,48 @@ impl RefineHost for DomainModel<'_> {
         self.owned.as_ref().unwrap_or(self.base)
     }
 
-    fn duplicate_quasi_router(&mut self, prefix: Prefix, src: RouterId) -> RouterId {
-        let copy = self.owned_mut().duplicate_quasi_router(src);
-        self.ops.push(RefineOp::Duplicate { prefix, src, copy });
-        copy
+    fn model_mut(&mut self) -> &mut AsRoutingModel {
+        self.owned.get_or_insert_with(|| self.base.clone())
     }
 
-    fn rank_preference(
-        &mut self,
-        q: RouterId,
-        prefix: Prefix,
-        senders: &[RouterId],
-        ranking: RankingAttr,
-    ) {
-        match ranking {
-            RankingAttr::Med => self.owned_mut().set_med_preference(q, prefix, senders),
-            RankingAttr::LocalPref => self
-                .owned_mut()
-                .set_local_pref_preference(q, prefix, senders),
-        }
-        self.ops.push(RefineOp::Rank {
-            q,
-            prefix,
-            senders: senders.to_vec(),
-        });
+    fn record(&mut self, op: RefineOp) {
+        self.ops.push(op);
     }
 
     fn set_shorter_path_filters(&mut self, q: RouterId, prefix: Prefix, min_locrib_len: usize) {
-        if min_locrib_len == 0 {
-            return; // no-op on the model; skipping keeps the log minimal
-        }
-        self.owned_mut()
-            .set_shorter_path_filters(q, prefix, min_locrib_len);
-        self.ops.push(RefineOp::ShorterFilters {
-            q,
-            prefix,
-            min_locrib_len,
-        });
-    }
-
-    fn delete_blocking_filters(
-        &mut self,
-        from: RouterId,
-        to: RouterId,
-        prefix: Prefix,
-        locrib_len: usize,
-    ) -> usize {
-        let deleted = self
-            .owned_mut()
-            .delete_blocking_filters(from, to, prefix, locrib_len);
-        if deleted > 0 {
-            self.ops.push(RefineOp::DeleteBlockers {
-                from,
-                to,
+        // A domain skips a zero floor outright rather than applying it
+        // unlogged: the merge rebuilds the domain's effect from its log.
+        if min_locrib_len > 0 {
+            self.model_mut()
+                .set_shorter_path_filters(q, prefix, min_locrib_len);
+            self.record(RefineOp::ShorterFilters {
+                q,
                 prefix,
-                locrib_len,
+                min_locrib_len,
             });
         }
-        deleted
+    }
+}
+
+/// A [`RefineHost`] over the real model, mutated in place: the repair
+/// phase's counterpart of [`DomainModel`]'s op-log, and the host of
+/// [`refine_prefix`] (which drops the log).
+struct RecordingModel<'a> {
+    model: &'a mut AsRoutingModel,
+    ops: Vec<RefineOp>,
+}
+
+impl RefineHost for RecordingModel<'_> {
+    fn model(&self) -> &AsRoutingModel {
+        self.model
+    }
+
+    fn model_mut(&mut self) -> &mut AsRoutingModel {
+        self.model
+    }
+
+    fn record(&mut self, op: RefineOp) {
+        self.ops.push(op);
     }
 }
 
@@ -675,6 +673,27 @@ pub(crate) struct PrefixJob {
     pub(crate) repair_changed: bool,
 }
 
+impl PrefixJob {
+    /// A fresh job for `prefix`: no iterations spent, no cap yet.
+    fn new(prefix: Prefix, targets: Vec<Target>) -> Self {
+        PrefixJob {
+            outcome: PrefixOutcome {
+                prefix,
+                targets: targets.len(),
+                iterations: 0,
+                converged: false,
+                quasi_routers_added: 0,
+                filters_deleted: 0,
+                diverged: false,
+            },
+            targets,
+            done: false,
+            max_iter: usize::MAX,
+            repair_changed: false,
+        }
+    }
+}
+
 /// Refines `model` until the simulated routing reproduces every AS-path of
 /// `training` (or the iteration cap is hit).
 ///
@@ -727,7 +746,9 @@ pub fn refine_checkpointed(
     )?;
     merge_domains(model, cfg, &ranges, &done, &mut jobs);
     prepare_repair(&mut jobs, cfg);
-    let report = run_rounds(model, cfg, &mut jobs, 0, ranges.len(), fingerprint, policy)?;
+    let checkpoint = policy.map(|p| (p, fingerprint));
+    let (report, _) = run_repair(model, cfg, &mut jobs, 0, ranges.len(), None, checkpoint)
+        .map_err(HybridError::into_refine)?;
     crate::audit::log_audit("post-train", model);
     Ok(report)
 }
@@ -792,7 +813,7 @@ pub fn resume_refine(
             ranges.len()
         )));
     }
-    let report = match ckpt.stage {
+    let round = match ckpt.stage {
         StageCheckpoint::Domains { done } => {
             let mut done_map: BTreeMap<usize, DomainDelta> = BTreeMap::new();
             for delta in done {
@@ -835,15 +856,7 @@ pub fn resume_refine(
             )?;
             merge_domains(&mut model, cfg, &ranges, &done_map, &mut jobs);
             prepare_repair(&mut jobs, cfg);
-            run_rounds(
-                &mut model,
-                cfg,
-                &mut jobs,
-                0,
-                ranges.len(),
-                fingerprint,
-                Some(policy),
-            )?
+            0
         }
         StageCheckpoint::Repair { round, jobs: jcs } => {
             if ckpt.seq != ranges.len() as u64 + round {
@@ -871,17 +884,20 @@ pub fn resume_refine(
                 job.done = jc.done;
                 job.max_iter = jc.max_iter;
             }
-            run_rounds(
-                &mut model,
-                cfg,
-                &mut jobs,
-                round,
-                ranges.len(),
-                fingerprint,
-                Some(policy),
-            )?
+            round
         }
     };
+    let checkpoint = Some((policy, fingerprint));
+    let (report, _) = run_repair(
+        &mut model,
+        cfg,
+        &mut jobs,
+        round,
+        ranges.len(),
+        None,
+        checkpoint,
+    )
+    .map_err(HybridError::into_refine)?;
     crate::audit::log_audit("post-resume", &model);
     Ok((model, report))
 }
@@ -898,28 +914,7 @@ pub(crate) fn build_jobs(model: &AsRoutingModel, training: &Dataset) -> Vec<(Pre
     by_prefix
         .iter()
         .filter(|(prefix, _)| model.prefixes().contains_key(prefix))
-        .map(|(&prefix, paths)| {
-            let targets = targets_for(paths);
-            let outcome = PrefixOutcome {
-                prefix,
-                targets: targets.len(),
-                iterations: 0,
-                converged: false,
-                quasi_routers_added: 0,
-                filters_deleted: 0,
-                diverged: false,
-            };
-            (
-                prefix,
-                PrefixJob {
-                    targets,
-                    outcome,
-                    done: false,
-                    max_iter: usize::MAX,
-                    repair_changed: false,
-                },
-            )
-        })
+        .map(|(&prefix, paths)| (prefix, PrefixJob::new(prefix, targets_for(paths))))
         .collect()
 }
 
@@ -1102,40 +1097,53 @@ fn refine_domain(
     scratch: &mut SimScratch,
 ) -> Result<DomainDelta, SimError> {
     let mut dm = DomainModel::new(base);
-    for (prefix, job) in jobs.iter_mut() {
-        while job.outcome.iterations < cfg.max_iterations {
-            job.outcome.iterations += 1;
-            // Failpoint: per-simulation jitter that perturbs worker timing
-            // (error injection belongs to `engine.simulate`, where it
-            // propagates naturally).
-            #[cfg(feature = "testkit")]
-            let _ = quasar_bgpsim::fail::inject("refine.simulate_batch");
-            let res = match dm.model().simulate_with(*prefix, scratch) {
-                Ok(res) => res,
-                Err(SimError::Divergence { .. }) => {
-                    job.outcome.diverged = true;
-                    break;
-                }
-                Err(e) => return Err(e),
-            };
-            // Each iteration re-simulates the domain view, so the model is
-            // never stale here: a fresh (empty) mirror map per iteration
-            // is the exact sequential semantics.
-            let (all_matched, changed) = apply_fixes(&mut dm, &res, job, cfg, &mut BTreeMap::new());
-            if all_matched {
-                job.outcome.converged = true;
-                break;
-            }
-            if !changed {
-                break; // no local fix applies anywhere — progress is impossible
-            }
-        }
+    for (_, job) in jobs.iter_mut() {
+        refine_job(&mut dm, job, cfg, scratch)?;
     }
     Ok(DomainDelta {
         id,
         ops: dm.ops,
         outcomes: jobs.iter().map(|(_, j)| j.outcome.clone()).collect(),
     })
+}
+
+/// Refines one prefix to convergence on `host`, re-simulating it every
+/// iteration: the per-prefix loop of the domain phase and of
+/// [`refine_prefix`].
+fn refine_job<H: RefineHost>(
+    host: &mut H,
+    job: &mut PrefixJob,
+    cfg: &RefineConfig,
+    scratch: &mut SimScratch,
+) -> Result<(), SimError> {
+    while job.outcome.iterations < cfg.max_iterations {
+        job.outcome.iterations += 1;
+        // Failpoint: per-simulation jitter that perturbs worker timing
+        // (error injection belongs to `engine.simulate`, where it
+        // propagates naturally).
+        #[cfg(feature = "testkit")]
+        let _ = quasar_bgpsim::fail::inject("refine.simulate_batch");
+        let res = match host.model().simulate_with(job.outcome.prefix, scratch) {
+            Ok(res) => res,
+            Err(SimError::Divergence { .. }) => {
+                job.outcome.diverged = true;
+                break;
+            }
+            Err(e) => return Err(e),
+        };
+        // Each iteration re-simulates the host's model, so it is never
+        // stale here: a fresh (empty) mirror map per iteration is the
+        // exact sequential semantics.
+        let (all_matched, changed) = apply_fixes(host, &res, job, cfg, &mut BTreeMap::new());
+        if all_matched {
+            job.outcome.converged = true;
+            break;
+        }
+        if !changed {
+            break; // no local fix applies anywhere — progress is impossible
+        }
+    }
+    Ok(())
 }
 
 /// Phase 2 — replays every completed domain's op-log onto the real model
@@ -1238,12 +1246,7 @@ pub(crate) fn merge_domains(
                 RefineOp::Rank { q, prefix, senders } => {
                     let gq = map(&l2g, *q);
                     let gsenders: Vec<RouterId> = senders.iter().map(|&r| map(&l2g, r)).collect();
-                    match cfg.ranking {
-                        RankingAttr::Med => model.set_med_preference(gq, *prefix, &gsenders),
-                        RankingAttr::LocalPref => {
-                            model.set_local_pref_preference(gq, *prefix, &gsenders)
-                        }
-                    }
+                    cfg.ranking.rank(model, gq, *prefix, &gsenders);
                 }
                 RefineOp::ShorterFilters {
                     q,
@@ -1297,12 +1300,7 @@ fn replay_prior_src_ops(
             RefineOp::Rank { q, prefix, senders } => {
                 if map(*q) == gsrc {
                     let gsenders: Vec<RouterId> = senders.iter().map(|&r| map(r)).collect();
-                    match cfg.ranking {
-                        RankingAttr::Med => model.set_med_preference(copy, *prefix, &gsenders),
-                        RankingAttr::LocalPref => {
-                            model.set_local_pref_preference(copy, *prefix, &gsenders)
-                        }
-                    }
+                    cfg.ranking.rank(model, copy, *prefix, &gsenders);
                 }
             }
             RefineOp::ShorterFilters {
@@ -1343,101 +1341,11 @@ pub(crate) fn prepare_repair(jobs: &mut [(Prefix, PrefixJob)], cfg: &RefineConfi
     }
 }
 
-/// Phase 3 — the classic round loop over the merged model: every
-/// still-active prefix is simulated (fanned out across workers) and the
-/// fixes are applied sequentially in ascending prefix order. For an
-/// uninterrupted run this serves as the *repair* pass that re-verifies
-/// every prefix after the merge; on a repair-stage resume it continues at
-/// `round`. Checkpoints are written after a round's fixes are applied, so
-/// every snapshot sits on a round boundary.
-pub(crate) fn run_rounds(
-    model: &mut AsRoutingModel,
-    cfg: &RefineConfig,
-    jobs: &mut [(Prefix, PrefixJob)],
-    mut round: u64,
-    domains_total: usize,
-    fingerprint: u64,
-    policy: Option<&CheckpointPolicy>,
-) -> Result<RefineReport, RefineError> {
-    let threads = cfg.effective_threads();
-    loop {
-        let active: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, j))| !j.done)
-            .map(|(i, _)| i)
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        round += 1;
-        // Failpoint: the repair-phase crash site for kill-and-resume
-        // tests — work units continue the domain phase's numbering, so an
-        // `atN:panic` with N > domain count dies at the start of repair
-        // round N - domains.
-        #[cfg(feature = "testkit")]
-        if quasar_bgpsim::fail::inject("refine.round") {
-            return Err(RefineError::Sim(SimError::Injected {
-                point: "refine.round",
-            }));
-        }
-        // Phase 1: simulate every active prefix against the *same* model
-        // snapshot, in parallel (`simulate` takes `&self`).
-        let prefixes: Vec<Prefix> = active.iter().map(|&i| jobs[i].0).collect();
-        let sims = simulate_batch(model, &prefixes, threads);
-        // Phase 2: apply fixes sequentially, in prefix order. The mirror
-        // map is shared across the round so a prefix whose simulation
-        // predates another prefix's duplication still reuses the new
-        // router instead of duplicating again (see `apply_fixes`).
-        let mut mirrors: BTreeMap<RouterId, RouterId> = BTreeMap::new();
-        for (&i, sim) in active.iter().zip(sims) {
-            let job = &mut jobs[i].1;
-            job.outcome.iterations += 1;
-            let res = match sim {
-                Ok(res) => res,
-                Err(SimError::Divergence { .. }) => {
-                    job.outcome.diverged = true;
-                    job.done = true;
-                    continue;
-                }
-                Err(e) => return Err(RefineError::Sim(e)),
-            };
-            let (all_matched, changed) = apply_fixes(model, &res, job, cfg, &mut mirrors);
-            if changed {
-                job.repair_changed = true;
-            }
-            if all_matched {
-                job.outcome.converged = true;
-                job.done = true;
-            } else if !changed || job.outcome.iterations >= job.max_iter {
-                // No local fix applies anywhere — progress is impossible —
-                // or the iteration budget is spent. A domain-phase
-                // convergence claim that no longer verifies is withdrawn.
-                job.outcome.converged = false;
-                job.done = true;
-            } else {
-                job.outcome.converged = false;
-            }
-        }
-        if let Some(p) = policy {
-            if round.is_multiple_of(p.every.max(1)) {
-                save_repair_checkpoint(model, cfg, domains_total, jobs, round, fingerprint, p)?;
-            }
-        }
-    }
-
-    Ok(RefineReport {
-        prefixes: jobs.iter().map(|(_, j)| j.outcome.clone()).collect(),
-        domains: domains_total,
-        repair_rounds: round,
-    })
-}
-
 /// One prefix's applied fix-set in one repair round — the unit of the
 /// [`RepairTrace`]. `ops` replays against a live model by re-invoking the
 /// same mutations (a duplication re-allocates and is checked against the
-/// recorded router id); the flags restore the job bookkeeping the classic
-/// round loop would have produced.
+/// recorded router id); the flags restore the job bookkeeping that
+/// [`live_step`] produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct RepairStep {
     /// Index into the job list (ascending-prefix order).
@@ -1453,81 +1361,8 @@ pub(crate) struct RepairStep {
 }
 
 /// The whole repair phase as rounds of [`RepairStep`]s in ascending job
-/// order — exactly the classic round loop's application schedule.
+/// order — exactly [`run_repair`]'s application schedule.
 pub(crate) type RepairTrace = Vec<Vec<RepairStep>>;
-
-/// A [`RefineHost`] over the real model that additionally records every
-/// fix as a [`RefineOp`] — the repair-phase counterpart of
-/// [`DomainModel`]'s op-log, with the same log-minimising conventions:
-/// model-level no-ops (a zero-length shorter-path floor, a filter
-/// deletion that deleted nothing) are applied but not recorded.
-struct RecordingModel<'a> {
-    model: &'a mut AsRoutingModel,
-    ops: Vec<RefineOp>,
-}
-
-impl RefineHost for RecordingModel<'_> {
-    fn model(&self) -> &AsRoutingModel {
-        self.model
-    }
-
-    fn duplicate_quasi_router(&mut self, prefix: Prefix, src: RouterId) -> RouterId {
-        let copy = self.model.duplicate_quasi_router(src);
-        self.ops.push(RefineOp::Duplicate { prefix, src, copy });
-        copy
-    }
-
-    fn rank_preference(
-        &mut self,
-        q: RouterId,
-        prefix: Prefix,
-        senders: &[RouterId],
-        ranking: RankingAttr,
-    ) {
-        match ranking {
-            RankingAttr::Med => self.model.set_med_preference(q, prefix, senders),
-            RankingAttr::LocalPref => self.model.set_local_pref_preference(q, prefix, senders),
-        }
-        self.ops.push(RefineOp::Rank {
-            q,
-            prefix,
-            senders: senders.to_vec(),
-        });
-    }
-
-    fn set_shorter_path_filters(&mut self, q: RouterId, prefix: Prefix, min_locrib_len: usize) {
-        self.model
-            .set_shorter_path_filters(q, prefix, min_locrib_len);
-        if min_locrib_len > 0 {
-            self.ops.push(RefineOp::ShorterFilters {
-                q,
-                prefix,
-                min_locrib_len,
-            });
-        }
-    }
-
-    fn delete_blocking_filters(
-        &mut self,
-        from: RouterId,
-        to: RouterId,
-        prefix: Prefix,
-        locrib_len: usize,
-    ) -> usize {
-        let deleted = self
-            .model
-            .delete_blocking_filters(from, to, prefix, locrib_len);
-        if deleted > 0 {
-            self.ops.push(RefineOp::DeleteBlockers {
-                from,
-                to,
-                prefix,
-                locrib_len,
-            });
-        }
-        deleted
-    }
-}
 
 /// The `(source, copy)` duplication subsequence of a fix-set — the part
 /// that mutates shared structure. A replayed epoch stays exact only while
@@ -1541,8 +1376,9 @@ fn duplicate_pairs(ops: &[RefineOp]) -> Vec<(RouterId, RouterId)> {
         .collect()
 }
 
-/// Processes one freshly simulated job exactly like one [`run_rounds`]
-/// iteration, recording the applied fixes as a [`RepairStep`].
+/// Processes one freshly simulated job of a repair round, recording the
+/// applied fixes as a [`RepairStep`]. The one place a repair moves a job to
+/// converged, stuck, or out of budget.
 fn live_step(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
@@ -1573,25 +1409,15 @@ fn live_step(
         ops: Vec::new(),
     };
     let (all_matched, changed) = apply_fixes(&mut host, &res, job, cfg, mirrors);
-    let ops = host.ops;
-    if changed {
-        job.repair_changed = true;
-    }
-    if all_matched {
-        job.outcome.converged = true;
-        job.done = true;
-    } else if !changed || job.outcome.iterations >= job.max_iter {
-        // No local fix applies anywhere — progress is impossible — or the
-        // iteration budget is spent. A domain-phase convergence claim that
-        // no longer verifies is withdrawn.
-        job.outcome.converged = false;
-        job.done = true;
-    } else {
-        job.outcome.converged = false;
-    }
+    job.repair_changed |= changed;
+    // A domain-phase convergence claim that no longer verifies is
+    // withdrawn. Unmatched, the job stops when no local fix applies
+    // anywhere — progress is impossible — or its iteration budget is spent.
+    job.outcome.converged = all_matched;
+    job.done = all_matched || !changed || job.outcome.iterations >= job.max_iter;
     Ok(RepairStep {
         job: i,
-        ops,
+        ops: host.ops,
         done: job.done,
         converged: job.outcome.converged,
         diverged: job.outcome.diverged,
@@ -1623,10 +1449,7 @@ fn apply_recorded_step(
                 mirrors.insert(got, ancestor);
                 job.outcome.quasi_routers_added += 1;
             }
-            RefineOp::Rank { q, prefix, senders } => match cfg.ranking {
-                RankingAttr::Med => model.set_med_preference(*q, *prefix, senders),
-                RankingAttr::LocalPref => model.set_local_pref_preference(*q, *prefix, senders),
-            },
+            RefineOp::Rank { q, prefix, senders } => cfg.ranking.rank(model, *q, *prefix, senders),
             RefineOp::ShorterFilters {
                 q,
                 prefix,
@@ -1657,21 +1480,42 @@ fn apply_recorded_step(
     Ok(())
 }
 
-/// Why a hybrid replay gave up: `Stale` sends the caller back to the
-/// recorded classic loop, `Refine` is a true fault of the run.
+/// Why a trace replay gave up: `Stale` sends the caller back to a repair
+/// without the trace, `Refine` is a true fault of the run.
 enum HybridError {
     Stale(&'static str),
     Refine(RefineError),
 }
 
-/// Phase 3 with trace replay (see the `incremental` module docs): jobs
-/// marked `live` are re-simulated round by round exactly like the classic
-/// loop, while every other job's recorded steps replay without simulation
-/// in the same ascending-job application schedule.
+impl From<RefineError> for HybridError {
+    fn from(e: RefineError) -> Self {
+        HybridError::Refine(e)
+    }
+}
+
+impl HybridError {
+    /// The fault of a [`run_repair`] that had no trace to replay, and so
+    /// could not go stale.
+    fn into_refine(self) -> RefineError {
+        match self {
+            HybridError::Refine(e) => e,
+            HybridError::Stale(reason) => unreachable!("stale replay without a trace: {reason}"),
+        }
+    }
+}
+
+/// Phase 3 — the repair round loop over the merged model. Each round
+/// simulates every live active prefix against the round-start model (fanned
+/// out across workers), then applies fixes sequentially in ascending job
+/// order: live jobs through [`live_step`], the other jobs by replaying
+/// their cached steps of the same round without simulating. Every applied
+/// step is recorded into the returned [`RepairTrace`].
 ///
-/// Soundness rests on the caller's guarantee that the merged model equals
-/// the recorded epoch's (no re-refined domain changed its duplication
-/// subsequence), plus the per-round check that every live fix-set's
+/// `replay` is `None` for a plain repair, where every job is live. With
+/// `Some((live, cached))` (see the `incremental` module docs), soundness
+/// rests on the caller's guarantee that the merged model equals the
+/// recorded epoch's — the merge duplication schedule, compared as a set,
+/// is unchanged — plus the per-round check that every live fix-set's
 /// duplication subsequence matches its recorded counterpart: policy ops
 /// are scoped to their own (live) prefix and cannot perturb a replayed
 /// prefix's implied simulation, so the first structural drift — and only
@@ -1679,26 +1523,36 @@ enum HybridError {
 /// [`HybridError::Stale`]. Rounds past the end of the recorded trace have
 /// nothing left to replay (every recorded job's final step is `done`) and
 /// need no checks.
+///
+/// The loop continues after `round` (0 for a fresh repair, the checkpointed
+/// round on resume). With a `checkpoint` policy and dataset fingerprint, a
+/// repair checkpoint is written after every `policy.every`-th round's fixes
+/// are applied, so every snapshot sits on a round boundary.
 // `expect` below: `simulate_batch` returns exactly one result per live
 // active job, consumed in the same ascending-job order.
 #[allow(clippy::expect_used)]
-fn run_repair_hybrid(
+fn run_repair(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
     jobs: &mut [(Prefix, PrefixJob)],
+    mut round: u64,
     domains_total: usize,
-    live: &[bool],
-    cached: &RepairTrace,
+    replay: Option<(&[bool], &RepairTrace)>,
+    checkpoint: Option<(&CheckpointPolicy, u64)>,
 ) -> Result<(RefineReport, RepairTrace), HybridError> {
     let threads = cfg.effective_threads();
+    let (live, cached) = match replay {
+        Some((live, cached)) => (Some(live), cached.as_slice()),
+        None => (None, &[][..]),
+    };
+    let is_live = |i: usize| live.is_none_or(|l| l[i]);
     let mut trace: RepairTrace = Vec::new();
-    let mut round = 0u64;
     loop {
         let round_idx = round as usize;
         let live_active: Vec<usize> = jobs
             .iter()
             .enumerate()
-            .filter(|(i, (_, j))| live[*i] && !j.done)
+            .filter(|(i, (_, j))| !j.done && is_live(*i))
             .map(|(i, _)| i)
             .collect();
         let cached_round: &[RepairStep] = cached.get(round_idx).map(Vec::as_slice).unwrap_or(&[]);
@@ -1706,17 +1560,24 @@ fn run_repair_hybrid(
             break;
         }
         round += 1;
-        // Failpoint: the same repair-round crash site as `run_rounds`.
+        // Failpoint: the repair-phase crash site for kill-and-resume
+        // tests — work units continue the domain phase's numbering, so an
+        // `atN:panic` with N > domain count dies at the start of repair
+        // round N - domains.
         #[cfg(feature = "testkit")]
         if quasar_bgpsim::fail::inject("refine.round") {
-            return Err(HybridError::Refine(RefineError::Sim(SimError::Injected {
+            return Err(RefineError::Sim(SimError::Injected {
                 point: "refine.round",
-            })));
+            })
+            .into());
         }
         let in_replay = round_idx < cached.len();
         let prefixes: Vec<Prefix> = live_active.iter().map(|&i| jobs[i].0).collect();
         let mut sims = simulate_batch(model, &prefixes, threads).into_iter();
-        let mut steps: Vec<RepairStep> = Vec::new();
+        let mut steps: Vec<RepairStep> = Vec::with_capacity(live_active.len());
+        // The mirror map is shared across the round so a prefix whose
+        // simulation predates another prefix's duplication still reuses
+        // the new router instead of duplicating again (see `apply_fixes`).
         let mut mirrors: BTreeMap<RouterId, RouterId> = BTreeMap::new();
         let mut ci = 0usize;
         let mut li = 0usize;
@@ -1731,7 +1592,7 @@ fn run_repair_hybrid(
             if take_cached {
                 let step = &cached_round[ci];
                 ci += 1;
-                if live[step.job] {
+                if is_live(step.job) {
                     // The live run finished this job in an earlier round.
                     // Its recorded policy ops are scoped to a live prefix
                     // (irrelevant to everyone else), but a recorded
@@ -1759,8 +1620,7 @@ fn run_repair_hybrid(
                     Vec::new()
                 };
                 let sim = sims.next().expect("one simulation per live active job");
-                let step = live_step(model, cfg, jobs, i, sim, &mut mirrors)
-                    .map_err(HybridError::Refine)?;
+                let step = live_step(model, cfg, jobs, i, sim, &mut mirrors)?;
                 if in_replay && duplicate_pairs(&step.ops) != expected {
                     return Err(HybridError::Stale(
                         "a live prefix's duplications drifted from the recorded round",
@@ -1770,6 +1630,19 @@ fn run_repair_hybrid(
             }
         }
         trace.push(steps);
+        if let Some((policy, fingerprint)) = checkpoint {
+            if round.is_multiple_of(policy.every.max(1)) {
+                save_repair_checkpoint(
+                    model,
+                    cfg,
+                    domains_total,
+                    jobs,
+                    round,
+                    fingerprint,
+                    policy,
+                )?;
+            }
+        }
     }
     Ok((
         RefineReport {
@@ -1781,22 +1654,22 @@ fn run_repair_hybrid(
     ))
 }
 
-/// Runs the repair phase for the incremental trainer: with `hybrid` set,
-/// tries the trace replay first and falls back to the recorded classic
-/// loop (restoring the model and jobs from a snapshot) if the trace goes
-/// stale mid-flight. Returns the report, the freshly recorded trace for
-/// the next epoch, and whether the replay carried through.
+/// Runs the repair phase for the incremental trainer: with `replay` set,
+/// tries the trace replay first and, if the trace goes stale mid-flight,
+/// restores the model and jobs from a snapshot and reruns the repair with
+/// every job live. Returns the report, the freshly recorded trace for the
+/// next epoch, and whether the replay carried through.
 pub(crate) fn run_repair_traced(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
     jobs: &mut Vec<(Prefix, PrefixJob)>,
     domains_total: usize,
-    hybrid: Option<(&[bool], &RepairTrace)>,
+    replay: Option<(&[bool], &RepairTrace)>,
 ) -> Result<(RefineReport, RepairTrace, bool), RefineError> {
-    if let Some((live, cached)) = hybrid {
+    if replay.is_some() {
         let model_snapshot = model.clone();
         let jobs_snapshot = jobs.clone();
-        match run_repair_hybrid(model, cfg, jobs, domains_total, live, cached) {
+        match run_repair(model, cfg, jobs, 0, domains_total, replay, None) {
             Ok((report, trace)) => return Ok((report, trace, true)),
             Err(HybridError::Refine(e)) => return Err(e),
             Err(HybridError::Stale(reason)) => {
@@ -1808,58 +1681,9 @@ pub(crate) fn run_repair_traced(
             }
         }
     }
-    let (report, trace) = run_repair_recorded(model, cfg, jobs, domains_total)?;
+    let (report, trace) = run_repair(model, cfg, jobs, 0, domains_total, None, None)
+        .map_err(HybridError::into_refine)?;
     Ok((report, trace, false))
-}
-
-/// The classic round loop of [`run_rounds`] (without checkpointing),
-/// additionally recording every applied fix-set as a [`RepairTrace`] for
-/// the next epoch to replay. The final model is byte-identical to
-/// `run_rounds` on the same inputs.
-pub(crate) fn run_repair_recorded(
-    model: &mut AsRoutingModel,
-    cfg: &RefineConfig,
-    jobs: &mut [(Prefix, PrefixJob)],
-    domains_total: usize,
-) -> Result<(RefineReport, RepairTrace), RefineError> {
-    let threads = cfg.effective_threads();
-    let mut trace: RepairTrace = Vec::new();
-    let mut round = 0u64;
-    loop {
-        let active: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, j))| !j.done)
-            .map(|(i, _)| i)
-            .collect();
-        if active.is_empty() {
-            break;
-        }
-        round += 1;
-        // Failpoint: the same repair-round crash site as `run_rounds`.
-        #[cfg(feature = "testkit")]
-        if quasar_bgpsim::fail::inject("refine.round") {
-            return Err(RefineError::Sim(SimError::Injected {
-                point: "refine.round",
-            }));
-        }
-        let prefixes: Vec<Prefix> = active.iter().map(|&i| jobs[i].0).collect();
-        let sims = simulate_batch(model, &prefixes, threads);
-        let mut steps: Vec<RepairStep> = Vec::with_capacity(active.len());
-        let mut mirrors: BTreeMap<RouterId, RouterId> = BTreeMap::new();
-        for (&i, sim) in active.iter().zip(sims) {
-            steps.push(live_step(model, cfg, jobs, i, sim, &mut mirrors)?);
-        }
-        trace.push(steps);
-    }
-    Ok((
-        RefineReport {
-            prefixes: jobs.iter().map(|(_, j)| j.outcome.clone()).collect(),
-            domains: domains_total,
-            repair_rounds: round,
-        },
-        trace,
-    ))
 }
 
 /// Serializes a domain-phase snapshot and writes it atomically into the
@@ -2000,48 +1824,12 @@ pub fn refine_prefix(
     paths: &[&AsPath],
     cfg: &RefineConfig,
 ) -> Result<PrefixOutcome, SimError> {
-    let targets = targets_for(paths);
-    let mut job = PrefixJob {
-        targets,
-        outcome: PrefixOutcome {
-            prefix,
-            targets: 0,
-            iterations: 0,
-            converged: false,
-            quasi_routers_added: 0,
-            filters_deleted: 0,
-            diverged: false,
-        },
-        done: false,
-        max_iter: usize::MAX,
-        repair_changed: false,
+    let mut job = PrefixJob::new(prefix, targets_for(paths));
+    let mut host = RecordingModel {
+        model,
+        ops: Vec::new(),
     };
-    job.outcome.targets = job.targets.len();
-
-    let mut scratch = SimScratch::new();
-    while job.outcome.iterations < cfg.max_iterations {
-        job.outcome.iterations += 1;
-        let res = match model.simulate_with(prefix, &mut scratch) {
-            Ok(res) => res,
-            Err(SimError::Divergence { .. }) => {
-                job.outcome.diverged = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        // Each iteration re-simulates, so the model is never stale here:
-        // a fresh (empty) mirror map per iteration is the exact sequential
-        // semantics.
-        let (all_matched, changed) = apply_fixes(model, &res, &mut job, cfg, &mut BTreeMap::new());
-        if all_matched {
-            job.outcome.converged = true;
-            break;
-        }
-        if !changed {
-            // No local fix applies anywhere — progress is impossible.
-            break;
-        }
-    }
+    refine_job(&mut host, &mut job, cfg, &mut SimScratch::new())?;
     Ok(job.outcome)
 }
 
