@@ -102,10 +102,9 @@ impl AsPath {
     /// exported over an eBGP session).
     #[must_use]
     pub fn prepend(&self, asn: Asn) -> Self {
-        let mut v = Vec::with_capacity(self.0.len() + 1);
-        v.push(asn);
-        v.extend_from_slice(&self.0);
-        AsPath::new(v)
+        // An exact-size iterator lets the shared slice be built in its one
+        // final allocation, without an intermediate `Vec`.
+        AsPath(std::iter::once(asn).chain(self.0.iter().copied()).collect())
     }
 
     /// True if the path already contains `asn` (BGP loop detection: such an

@@ -102,7 +102,7 @@ impl DecisionOutcome {
 /// slices so the simulation hot path can decide over its RIB entries
 /// without cloning them first.
 pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> DecisionOutcome {
-    let candidates: Vec<&Route> = candidates.iter().map(Borrow::borrow).collect();
+    let c = |i: usize| -> &Route { candidates[i].borrow() };
     let n = candidates.len();
     let mut eliminated_at: Vec<Option<Step>> = vec![None; n];
     if n == 0 {
@@ -140,25 +140,25 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
         &mut alive,
         &mut eliminated_at,
         Step::LocalOrigination,
-        |i| u8::from(candidates[i].learned != LearnedVia::Local),
+        |i| u8::from(c(i).learned != LearnedVia::Local),
     );
     // 2. Highest local-pref (minimize the negation).
     keep_min(&mut alive, &mut eliminated_at, Step::LocalPref, |i| {
-        std::cmp::Reverse(candidates[i].local_pref)
+        std::cmp::Reverse(c(i).local_pref)
     });
     // 3. Shortest AS-path.
     keep_min(&mut alive, &mut eliminated_at, Step::AsPathLength, |i| {
-        candidates[i].as_path.len()
+        c(i).as_path.len()
     });
     // 4. Lowest origin.
     keep_min(&mut alive, &mut eliminated_at, Step::Origin, |i| {
-        candidates[i].origin
+        c(i).origin
     });
     // 5. MED.
     match cfg.med_mode {
         MedMode::AlwaysCompare => {
             keep_min(&mut alive, &mut eliminated_at, Step::Med, |i| {
-                candidates[i].med_value()
+                c(i).med_value()
             });
         }
         MedMode::PerNeighbor => {
@@ -170,8 +170,8 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
                 alive.retain(|&i| {
                     let dominated = before.iter().any(|&j| {
                         j != i
-                            && candidates[j].neighbor_for_med() == candidates[i].neighbor_for_med()
-                            && candidates[j].med_value() < candidates[i].med_value()
+                            && c(j).neighbor_for_med() == c(i).neighbor_for_med()
+                            && c(j).med_value() < c(i).med_value()
                     });
                     if dominated {
                         eliminated_at[i] = Some(Step::Med);
@@ -183,15 +183,15 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
     }
     // 6. Prefer eBGP-learned over iBGP-learned.
     keep_min(&mut alive, &mut eliminated_at, Step::EbgpOverIbgp, |i| {
-        u8::from(candidates[i].learned == LearnedVia::Ibgp)
+        u8::from(c(i).learned == LearnedVia::Ibgp)
     });
     // 7. Lowest IGP cost (hot-potato).
     keep_min(&mut alive, &mut eliminated_at, Step::IgpCost, |i| {
-        candidates[i].igp_cost
+        c(i).igp_cost
     });
     // 8. Final tie-break: lowest neighbor router id.
     keep_min(&mut alive, &mut eliminated_at, Step::TieBreak, |i| {
-        candidates[i].from_router
+        c(i).from_router
     });
     // Candidate order as the absolute last resort (unreachable for routes
     // from distinct sessions, but keeps `decide` total).
@@ -206,12 +206,45 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
     }
 }
 
+/// The winner [`decide`] would pick over `candidates`, without recording
+/// eliminations and without allocating under [`MedMode::AlwaysCompare`].
+///
+/// There the eight steps form a lexicographic order on one key per
+/// candidate, and `min_by_key` keeps the first minimal candidate, just as
+/// `decide` keeps the first survivor. `PerNeighbor` MED is not
+/// lexicographic (it compares only within a neighbor AS), so that mode
+/// collects the candidates and defers to `decide`.
+pub(crate) fn best_of<'a>(
+    candidates: impl Iterator<Item = &'a Route>,
+    cfg: &DecisionConfig,
+) -> Option<&'a Route> {
+    match cfg.med_mode {
+        MedMode::AlwaysCompare => candidates.min_by_key(|r| {
+            (
+                u8::from(r.learned != LearnedVia::Local),
+                std::cmp::Reverse(r.local_pref),
+                r.as_path.len(),
+                r.origin,
+                r.med_value(),
+                u8::from(r.learned == LearnedVia::Ibgp),
+                r.igp_cost,
+                r.from_router,
+            )
+        }),
+        MedMode::PerNeighbor => {
+            let all: Vec<&Route> = candidates.collect();
+            decide(&all, cfg).best.map(|i| all[i])
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aspath::AsPath;
     use crate::route::Origin;
     use crate::types::{Asn, Prefix, RouterId};
+    use proptest::strategy::Strategy;
 
     fn route(path: &[u32], from: (u32, u16)) -> Route {
         Route {
@@ -372,5 +405,76 @@ mod tests {
         c.as_path = AsPath::from_u32s(&[5, 8, 9]);
         let out = decide(&[a, b, c], &DecisionConfig::default());
         assert_eq!(out.tie_break_survivors(), vec![0, 1]);
+    }
+
+    /// One attribute set drawn from small ranges: kind 0 is a locally
+    /// originated route, 1 eBGP, 2 iBGP.
+    fn arb_attributes() -> impl Strategy<Value = Route> {
+        (
+            0u8..3,
+            proptest::option::of(0u32..2),
+            0usize..2,
+            (0u8..2, 90u32..92),
+            1u32..3,
+            0u32..2,
+        )
+            .prop_map(|(kind, med, len, (origin, lp), head, igp)| {
+                if kind == 0 {
+                    return Route::originate(Prefix::new(0x0A000000, 8));
+                }
+                let mut r = route(&[head, 7, 8][..=len], (head, 0));
+                r.learned = if kind == 1 {
+                    LearnedVia::Ebgp
+                } else {
+                    LearnedVia::Ibgp
+                };
+                r.med = med;
+                r.origin = Origin::from_wire(origin);
+                r.local_pref = lp;
+                r.igp_cost = igp;
+                r
+            })
+    }
+
+    /// Candidate sets whose members copy one of three attribute sets and
+    /// differ, if at all, in a `from_router` drawn from four values, so
+    /// ties down to the router-id step and the candidate-order fallback
+    /// behind it are common.
+    fn arb_candidates() -> impl Strategy<Value = Vec<Route>> {
+        (
+            proptest::collection::vec(arb_attributes(), 3..4),
+            proptest::collection::vec((0usize..3, (1u32..3, 0u16..2)), 0..8),
+        )
+            .prop_map(|(palette, picks)| {
+                picks
+                    .into_iter()
+                    .map(|(pick, (asn, idx))| {
+                        let mut r = palette[pick].clone();
+                        if r.learned != LearnedVia::Local {
+                            r.from_router = Some(RouterId::new(Asn(asn), idx));
+                            r.from_asn = Some(Asn(asn));
+                        }
+                        r
+                    })
+                    .collect()
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(1000))]
+        /// `best_of` picks the very candidate `decide` picks, in both MED
+        /// modes, ties broken by candidate order included.
+        #[test]
+        fn best_of_agrees_with_decide(cands in arb_candidates()) {
+            for med_mode in [MedMode::AlwaysCompare, MedMode::PerNeighbor] {
+                let cfg = DecisionConfig { med_mode };
+                let want = decide(&cands, &cfg).best.map(|i| &cands[i]);
+                let got = best_of(cands.iter(), &cfg);
+                proptest::prop_assert!(
+                    got.map(std::ptr::from_ref) == want.map(std::ptr::from_ref),
+                    "{med_mode:?}: best_of {got:?} vs decide {want:?}"
+                );
+            }
+        }
     }
 }

@@ -25,9 +25,23 @@
 //!   ASN, reset local-pref, clear the non-transitive MED).
 //! * **Hot-potato input**: routes received over iBGP are costed with the
 //!   IGP distance from the receiver to the announcing border router.
+//!
+//! Allocation: a run on a warm [`SimScratch`] allocates only for what its
+//! result hands back and for new paths.
+//! * An activation picks its winner over borrowed candidates without
+//!   allocating (`decision::best_of`) and clones the winner only when it
+//!   changed.
+//! * A best change builds at most one new path: the router's ASN is
+//!   prepended once and the shared path goes out over every eBGP session
+//!   of the fan-out, since export policies never rewrite the path.
+//! * Import runs the policy chain on the update it already owns.
+//! * The result takes the converged candidates out of the scratch instead
+//!   of cloning them. Only the full decision outcome per router is
+//!   computed anew. The scratch is reused only for the adjacency it was
+//!   laid out for (see [`SimScratch`]).
 
 use crate::aspath::AsPath;
-use crate::decision::{decide, DecisionOutcome};
+use crate::decision::{best_of, decide, DecisionOutcome};
 use crate::error::SimError;
 use crate::network::{Network, SessionKind};
 use crate::route::{LearnedVia, Route, DEFAULT_LOCAL_PREF, NO_ADVERTISE, NO_EXPORT};
@@ -142,9 +156,6 @@ pub struct SimulationResult {
     pub prefix: Prefix,
     index: Arc<HashMap<RouterId, usize>>,
     ribs: Vec<RouterRib>,
-    /// Directed announcements in flight at convergence: what `from` last
-    /// announced to `to` (the Adj-RIB-Out content of that direction).
-    sent: HashMap<(RouterId, RouterId), Route>,
     /// Run counters.
     pub stats: SimStats,
 }
@@ -160,11 +171,6 @@ impl SimulationResult {
         self.rib(router).and_then(|r| r.best())
     }
 
-    /// What `from` announced to `to` at convergence (`None` = nothing).
-    pub fn announced(&self, from: RouterId, to: RouterId) -> Option<&Route> {
-        self.sent.get(&(from, to))
-    }
-
     /// Iterates over all router RIBs.
     pub fn ribs(&self) -> impl Iterator<Item = &RouterRib> {
         self.ribs.iter()
@@ -175,25 +181,39 @@ impl SimulationResult {
 ///
 /// One steady-state run needs O(routers + adjacency) of vector state; a
 /// fresh `SimScratch` allocates it, and every later simulation on a network
-/// of the same shape clears the buffers in place instead of reallocating.
-/// The session→inbox-slot table (`slot_of`) depends only on the topology,
-/// so it too is computed once per shape instead of once per simulation.
-/// Refinement workers keep one scratch each across all the prefix
-/// simulations they execute — the dominant allocation saving of the
-/// sharded refinement scheduler.
+/// with the same adjacency clears the buffers in place instead of
+/// reallocating. The buffers are keyed on the adjacency itself (a copy of
+/// `Network::adj`, compared in O(sessions) per run), not on router and
+/// session counts: two networks of equal counts can wire their sessions
+/// differently, and a slot table sized for one would index out of bounds
+/// in the other. [`Network::simulate_with`] moves the converged candidate
+/// routes out of these buffers into its result, which the next run's
+/// reset would discard anyway. Refinement workers keep one scratch each
+/// across all the prefix simulations they execute — the dominant
+/// allocation saving of the sharded refinement scheduler.
 #[derive(Debug, Default)]
 pub struct SimScratch {
-    /// Shape key of the network the buffers were sized for:
-    /// `(routers, sessions)`. Both only ever grow during refinement, so a
-    /// matching key means a matching adjacency layout.
-    shape: Option<(usize, usize)>,
-    rib_in: Vec<Vec<Option<Route>>>,
+    /// The adjacency the buffers were laid out for.
+    adj: Vec<Vec<(usize, usize)>>,
+    /// Per router, per adjacency slot (peer-sorted order).
+    slots: Vec<Vec<Slot>>,
     local: Vec<Option<Route>>,
     best: Vec<Option<Route>>,
-    last_sent: Vec<[Option<Route>; 2]>,
-    pending: Vec<Vec<Option<Option<Route>>>>,
-    slot_of: Vec<[usize; 2]>,
     dirty: Vec<bool>,
+}
+
+/// The per-session state one router keeps about one peer.
+#[derive(Debug, Default)]
+struct Slot {
+    /// Adj-RIB-In: the peer's announcement after import.
+    rib_in: Option<Route>,
+    /// Latest-update-wins inbox (`Some(None)` = a pending withdraw).
+    pending: Option<Option<Route>>,
+    /// Adj-RIB-Out: what this router last sent to the peer.
+    sent: Option<Route>,
+    /// This session's slot in the peer's adjacency list, so updates land
+    /// in vec-indexed inbox slots without any per-message map lookups.
+    peer_slot: usize,
 }
 
 impl SimScratch {
@@ -202,53 +222,53 @@ impl SimScratch {
         Self::default()
     }
 
-    /// Sizes (or, on a matching shape, clears in place) the buffers for
-    /// `net`.
+    /// Lays out (or, on a matching adjacency, clears in place) the buffers
+    /// for `net`.
     fn prepare(&mut self, net: &Network) {
-        let shape = (net.routers.len(), net.sessions.len());
-        if self.shape == Some(shape) {
-            for v in &mut self.rib_in {
-                v.fill(None);
-            }
-            for v in &mut self.pending {
-                v.fill(None);
+        if self.adj == net.adj {
+            for slot in self.slots.iter_mut().flatten() {
+                slot.rib_in = None;
+                slot.pending = None;
+                slot.sent = None;
             }
             self.local.fill(None);
             self.best.fill(None);
-            self.last_sent.fill([None, None]);
             self.dirty.fill(false);
             return;
         }
         let n = net.routers.len();
-        self.rib_in = net.adj.iter().map(|a| vec![None; a.len()]).collect();
-        self.pending = net.adj.iter().map(|a| vec![None; a.len()]).collect();
+        self.adj.clone_from(&net.adj);
+        self.slots = net
+            .adj
+            .iter()
+            .map(|a| a.iter().map(|_| Slot::default()).collect())
+            .collect();
         self.local = vec![None; n];
         self.best = vec![None; n];
-        self.last_sent = vec![[None, None]; net.sessions.len()];
         self.dirty = vec![false; n];
-        // Map each session to its slot position inside both endpoints'
-        // adjacency lists, so updates land in vec-indexed inbox slots
-        // without any per-message map lookups.
-        self.slot_of = vec![[usize::MAX; 2]; net.sessions.len()];
+        // Pair the two slots of every session: the first endpoint seen
+        // waits in `seen` until the second one links both.
+        let mut seen: Vec<Option<(usize, usize)>> = vec![None; net.sessions.len()];
         for (r, adj) in net.adj.iter().enumerate() {
             for (pos, &(sid, _)) in adj.iter().enumerate() {
-                let end = usize::from(net.sessions[sid].a != r);
-                self.slot_of[sid][end] = pos;
+                if let Some((q, qpos)) = seen[sid] {
+                    self.slots[r][pos].peer_slot = qpos;
+                    self.slots[q][qpos].peer_slot = pos;
+                } else {
+                    seen[sid] = Some((r, pos));
+                }
             }
         }
-        self.shape = Some(shape);
     }
 }
 
 struct RunState<'n, 's> {
     net: &'n Network,
-    /// Borrowed scratch buffers (see [`SimScratch`] for field semantics):
-    /// `rib_in` holds the post-import Adj-RIB-In per adjacency slot,
-    /// `local` the locally originated routes, `best` the current
-    /// selections, `last_sent` the per-session-direction Adj-RIB-Out,
-    /// `pending` the latest-update-wins inboxes, and `dirty` the routers
-    /// with pending work. Slot order is the router's `Network::adj` order,
-    /// i.e. sorted by peer RouterId.
+    /// Borrowed scratch buffers: `slots` holds each router's per-peer
+    /// Adj-RIB-In, inbox and Adj-RIB-Out (see [`Slot`]), `local` the
+    /// locally originated routes, `best` the current selections, and
+    /// `dirty` the routers with pending work. Slot order is the router's
+    /// `Network::adj` order, i.e. sorted by peer RouterId.
     sc: &'s mut SimScratch,
     /// Total pending updates across all inboxes (peak tracking).
     queued: usize,
@@ -375,15 +395,18 @@ impl RunState<'_, '_> {
     fn activate(&mut self, r: usize) {
         self.sc.dirty[r] = false;
         if let Some(t) = &mut self.trace {
-            let inbox = self.sc.pending[r].iter().filter(|s| s.is_some()).count();
+            let inbox = self.sc.slots[r]
+                .iter()
+                .filter(|s| s.pending.is_some())
+                .count();
             t.push(TraceEvent::Activate {
                 router: self.net.routers[r],
                 inbox,
             });
         }
         // Drain the inbox slots in place (adjacency = peer-sorted order).
-        for slot in 0..self.sc.pending[r].len() {
-            let Some(update) = self.sc.pending[r][slot].take() else {
+        for slot in 0..self.sc.slots[r].len() {
+            let Some(update) = self.sc.slots[r][slot].pending.take() else {
                 continue;
             };
             self.queued -= 1;
@@ -427,10 +450,10 @@ impl RunState<'_, '_> {
                     route.igp_cost = self.net.igp_cost(receiver_id.asn(), receiver_id, sender_id);
                 }
             }
-            session.direction(from).import.apply(&route)
+            session.direction(from).import.apply_owned(route)
         });
 
-        self.sc.rib_in[to][slot] = installed;
+        self.sc.slots[to][slot].rib_in = installed;
     }
 
     /// Re-runs the decision process at dense router `r`; if the best route
@@ -441,15 +464,13 @@ impl RunState<'_, '_> {
         // does not hold a borrow of the whole state (this used to clone the
         // adjacency list on every activation).
         let net = self.net;
-        // Decide over borrowed candidates; clone only the winner, and only
-        // when it actually changed.
+        // Pick the winner over borrowed candidates; clone it only when it
+        // actually changed.
         let new_best: Option<Route> = {
-            let candidates: Vec<&Route> = self.sc.local[r]
+            let candidates = self.sc.local[r]
                 .iter()
-                .chain(self.sc.rib_in[r].iter().flatten())
-                .collect();
-            let outcome = decide(&candidates, &net.cfg);
-            let nb = outcome.best.map(|i| candidates[i]);
+                .chain(self.sc.slots[r].iter().filter_map(|s| s.rib_in.as_ref()));
+            let nb = best_of(candidates, &net.cfg);
             if nb == self.sc.best[r].as_ref() {
                 return;
             }
@@ -464,11 +485,14 @@ impl RunState<'_, '_> {
         }
         self.sc.best[r] = new_best;
 
-        // Fan out over sessions in deterministic (peer-sorted) order.
-        for &(sid, peer) in &net.adj[r] {
-            let msg = self.export_over(r, sid);
-            let dir = usize::from(net.sessions[sid].a != r);
-            if self.sc.last_sent[sid][dir] == msg {
+        // Fan out over sessions in deterministic (peer-sorted) order. The
+        // eBGP form of the path is built on the first eBGP export and
+        // shared by the rest.
+        let mut ebgp_path = None;
+        for (pos, &(sid, peer)) in net.adj[r].iter().enumerate() {
+            let msg = self.export_over(r, sid, &mut ebgp_path);
+            let slot = &mut self.sc.slots[r][pos];
+            if slot.sent == msg {
                 self.stats.suppressed += 1;
                 continue;
             }
@@ -482,9 +506,10 @@ impl RunState<'_, '_> {
             // The message is recorded once per copy that must live on: the
             // Adj-RIB-Out bookkeeping and the peer's inbox slot (the trace
             // above only bumped the AS-path refcount).
-            self.sc.last_sent[sid][dir] = msg.clone();
-            let peer_slot = self.sc.slot_of[sid][1 - dir];
-            if self.sc.pending[peer][peer_slot].replace(msg).is_none() {
+            slot.sent = msg.clone();
+            let peer_slot = slot.peer_slot;
+            let inbox = &mut self.sc.slots[peer][peer_slot].pending;
+            if inbox.replace(msg).is_none() {
                 self.queued += 1;
             }
             self.sc.dirty[peer] = true;
@@ -493,8 +518,11 @@ impl RunState<'_, '_> {
     }
 
     /// Builds the update dense router `r` sends over session `sid`
-    /// (`None` = withdraw).
-    fn export_over(&self, r: usize, sid: usize) -> Option<Route> {
+    /// (`None` = withdraw). `ebgp_path` caches the best path with `r`'s
+    /// ASN prepended across the sessions of one fan-out: export policies
+    /// never rewrite the path, so every eBGP session announces the same
+    /// one.
+    fn export_over(&self, r: usize, sid: usize, ebgp_path: &mut Option<AsPath>) -> Option<Route> {
         let session = &self.net.sessions[sid];
         let best = self.sc.best[r].as_ref()?;
         // RFC 1997 well-known communities, honored by the protocol itself.
@@ -532,7 +560,9 @@ impl RunState<'_, '_> {
         let mut out = session.direction(r).export.apply(best)?;
         if session.kind == SessionKind::Ebgp {
             let own = self.net.routers[r].asn();
-            out.as_path = out.as_path.prepend(own);
+            out.as_path = ebgp_path
+                .get_or_insert_with(|| best.as_path.prepend(own))
+                .clone();
             out.local_pref = DEFAULT_LOCAL_PREF;
             out.med = None; // non-transitive
         }
@@ -549,25 +579,17 @@ impl RunState<'_, '_> {
         Some(out)
     }
 
+    /// Moves the converged candidates out of the scratch buffers (the
+    /// next run's `prepare` would reset them anyway) into the result.
     fn into_result(self, prefix: Prefix) -> SimulationResult {
-        let mut sent = HashMap::new();
-        for (sid, dirs) in self.sc.last_sent.iter().enumerate() {
-            let s = &self.net.sessions[sid];
-            let (a, b) = (self.net.routers[s.a], self.net.routers[s.b]);
-            if let Some(route) = &dirs[0] {
-                sent.insert((a, b), route.clone());
-            }
-            if let Some(route) = &dirs[1] {
-                sent.insert((b, a), route.clone());
-            }
-        }
         let mut ribs = Vec::with_capacity(self.net.routers.len());
         for r in 0..self.net.routers.len() {
-            let candidates: Vec<Route> = self.sc.local[r]
-                .iter()
-                .cloned()
-                .chain(self.sc.rib_in[r].iter().flatten().cloned())
-                .collect();
+            let (local, slots) = (&mut self.sc.local[r], &mut self.sc.slots[r]);
+            let len =
+                usize::from(local.is_some()) + slots.iter().filter(|s| s.rib_in.is_some()).count();
+            let mut candidates = Vec::with_capacity(len);
+            candidates.extend(local.take());
+            candidates.extend(slots.iter_mut().filter_map(|s| s.rib_in.take()));
             let outcome = decide(&candidates, &self.net.cfg);
             ribs.push(RouterRib {
                 router: self.net.routers[r],
@@ -579,7 +601,6 @@ impl RunState<'_, '_> {
             prefix,
             index: Arc::clone(&self.net.index),
             ribs,
-            sent,
             stats: self.stats,
         }
     }
@@ -627,11 +648,49 @@ mod tests {
         let net = line();
         let p = Prefix::for_origin(Asn(3));
         let res = net.simulate(p, &[rid(3, 0)]).unwrap();
-        let out = res.announced(rid(2, 0), rid(1, 0)).unwrap();
+        // What AS2 announced to AS1 is what AS1 selected.
+        let out = res.best_route(rid(1, 0)).unwrap();
         assert_eq!(out.as_path.to_string(), "2 3");
         // AS1 announces nothing back to AS2 beyond loop-rejected paths:
         // split horizon keeps the learning session silent.
-        assert!(res.announced(rid(1, 0), rid(2, 0)).is_none());
+        let rib2 = res.rib(rid(2, 0)).unwrap();
+        assert!(rib2
+            .candidates
+            .iter()
+            .all(|c| c.from_router != Some(rid(1, 0))));
+    }
+
+    /// Two networks of equal router and session counts whose third
+    /// session lands on different routers (4–1 in one, 4–3 in the other)
+    /// must each get a scratch laid out for their own adjacency.
+    #[test]
+    fn scratch_reused_across_networks_of_the_same_shape() {
+        let build = |third: u32| {
+            let mut net = Network::new(DecisionConfig::default());
+            for a in 1..=4u32 {
+                net.add_router(rid(a, 0));
+            }
+            for (x, y) in [(1, 2), (2, 3), (4, third)] {
+                net.add_session(rid(x, 0), rid(y, 0), SessionKind::Ebgp)
+                    .unwrap();
+            }
+            net
+        };
+        let (a, b) = (build(1), build(3));
+        let p = Prefix::for_origin(Asn(4));
+        let mut scratch = SimScratch::new();
+        let on_a = a.simulate_with(p, &[rid(4, 0)], &mut scratch).unwrap();
+        let on_b = b.simulate_with(p, &[rid(4, 0)], &mut scratch).unwrap();
+        let path = |res: &SimulationResult, asn: u32| {
+            res.best_route(rid(asn, 0)).unwrap().as_path.to_string()
+        };
+        assert_eq!(path(&on_a, 3), "2 1 4");
+        assert_eq!(path(&on_b, 1), "2 3 4");
+        let fresh = b.simulate(p, &[rid(4, 0)]).unwrap();
+        for (x, y) in on_b.ribs().zip(fresh.ribs()) {
+            assert_eq!(x.candidates, y.candidates);
+            assert_eq!(x.outcome, y.outcome);
+        }
     }
 
     #[test]

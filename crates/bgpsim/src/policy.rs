@@ -212,7 +212,12 @@ impl Policy {
     /// Applies the chain to `route`. Returns the (possibly modified) route,
     /// or `None` if it was denied.
     pub fn apply(&self, route: &Route) -> Option<Route> {
-        let mut out = route.clone();
+        self.apply_owned(route.clone())
+    }
+
+    /// [`Policy::apply`] on a route the caller already owns, so the
+    /// simulation's import path runs the chain without a second clone.
+    pub(crate) fn apply_owned(&self, mut out: Route) -> Option<Route> {
         for rule in self.rules.iter() {
             if !rule.matcher.matches(&out) {
                 continue;

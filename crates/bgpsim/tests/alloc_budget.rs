@@ -1,0 +1,165 @@
+//! Allocation budget of one warm-scratch simulation, counted in work.
+//!
+//! Once a [`SimScratch`] is laid out for a network, a simulation may
+//! allocate only for what it hands back or must build anew:
+//! - one eBGP path per best-route change (the router's ASN prepended once
+//!   and shared by every eBGP session of the fan-out);
+//! - per router, the result's candidate list and the two vectors of its
+//!   decision outcome;
+//! - a few vectors per run (sorted origins, the RIB list).
+//!
+//! The bound is `BestChanged` events + 3 × routers + a small constant. The
+//! allocator below counts only the calls made by the thread that switched
+//! counting on, so concurrently running tests cannot disturb the figure.
+
+use quasar_bgpsim::engine::SimScratch;
+use quasar_bgpsim::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_call() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are const-initialized
+// thread-locals that never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_call();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_call();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls made by `f` on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    CALLS.with(|c| c.set(0));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    (out, CALLS.with(Cell::get))
+}
+
+const ASES: u32 = 40;
+
+fn rid(asn: u32, idx: u16) -> RouterId {
+    RouterId::new(Asn(asn), idx)
+}
+
+/// Routers of `asn`: every fifth AS has two, joined by iBGP.
+fn routers(asn: u32) -> u16 {
+    if asn.is_multiple_of(5) {
+        2
+    } else {
+        1
+    }
+}
+
+/// A fixed 40-AS topology (a ring plus pseudo-random chords) with the rule
+/// kinds refinement installs: per-prefix MED rankings on import and
+/// per-prefix shorter-path filters on export, interleaved with rules for
+/// another prefix so every chain is scanned.
+fn network(p: Prefix, other: Prefix) -> Network {
+    let mut net = Network::new(DecisionConfig::default());
+    for a in 1..=ASES {
+        for i in 0..routers(a) {
+            net.add_router(rid(a, i));
+        }
+        if routers(a) == 2 {
+            net.add_session(rid(a, 0), rid(a, 1), SessionKind::Ibgp)
+                .unwrap();
+        }
+    }
+    let mut lcg: u64 = 0x9E37_79B9;
+    let mut next = |m: u32| {
+        lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((lcg >> 33) % u64::from(m)) as u32
+    };
+    let mut edges = Vec::new();
+    for a in 1..=ASES {
+        edges.push((a, a % ASES + 1));
+        edges.push((a, next(ASES) + 1));
+    }
+    for (k, (a, b)) in edges.into_iter().enumerate() {
+        let (x, y) = (rid(a, next(2) as u16 % routers(a)), rid(b, 0));
+        if a == b || net.has_session(x, y) {
+            continue;
+        }
+        net.add_session(x, y, SessionKind::Ebgp).unwrap();
+        let mut import = Policy::permit_all();
+        import.push(PolicyRule::new(
+            RouteMatch::prefix(other),
+            Action::SetMed(7),
+        ));
+        import.push(PolicyRule::new(
+            RouteMatch::prefix(p),
+            Action::SetMed(if k % 3 == 0 { 0 } else { 10 }),
+        ));
+        net.set_import_policy(x, y, import).unwrap();
+        if k % 4 == 1 {
+            let mut export = Policy::permit_all();
+            export.push(PolicyRule::new(RouteMatch::prefix(other), Action::Deny));
+            export.push(PolicyRule::new(
+                RouteMatch {
+                    prefix: Some(p),
+                    path_shorter_than: Some(3),
+                    ..RouteMatch::any()
+                },
+                Action::Deny,
+            ));
+            net.set_export_policy(y, x, export).unwrap();
+        }
+    }
+    net
+}
+
+#[test]
+fn warm_simulation_allocates_per_best_change_and_router() {
+    let p = Prefix::for_origin(Asn(1));
+    let net = network(p, Prefix::for_origin(Asn(2)));
+    let origins = net.routers_of(Asn(1));
+    let (traced, trace) = net.simulate_traced(p, &origins).unwrap();
+    let best_changes = trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::BestChanged { .. }))
+        .count() as u64;
+
+    let mut scratch = SimScratch::new();
+    net.simulate_with(p, &origins, &mut scratch).unwrap();
+    let (warm, calls) = allocations(|| net.simulate_with(p, &origins, &mut scratch).unwrap());
+
+    for (a, b) in warm.ribs().zip(traced.ribs()) {
+        assert_eq!(a.candidates, b.candidates);
+        assert_eq!(a.outcome, b.outcome);
+    }
+    let routers = net.num_routers() as u64;
+    let budget = best_changes + 3 * routers + 8;
+    assert!(
+        calls <= budget,
+        "{calls} allocator calls for one warm simulation; budget {budget} = \
+         {best_changes} best changes + 3 x {routers} routers + 8"
+    );
+}
