@@ -52,7 +52,7 @@ fn main() {
             "--counts" => {
                 counts = Some(
                     args.get(i + 1)
-                        .map(|s| s.split(',').filter_map(|x| x.parse().ok()).collect())
+                        .and_then(|s| s.split(',').map(|x| x.parse().ok()).collect())
                         .unwrap_or_else(|| usage("bad --counts")),
                 );
                 i += 2;

@@ -1,17 +1,15 @@
 //! # quasar-bench — the experiment harness
 //!
 //! One function per table/figure of the paper (see DESIGN.md's experiment
-//! index). The `repro` binary prints them; the Criterion benches measure
-//! the computations behind them; EXPERIMENTS.md records paper-vs-measured.
+//! index). The `repro` binary prints them and EXPERIMENTS.md records
+//! paper-vs-measured. Performance is measured by `perfbench/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod envinfo;
 pub mod experiments;
 pub mod scale;
 
-pub use envinfo::EnvInfo;
 pub use experiments::*;
 pub use scale::*;
 
@@ -24,11 +22,10 @@ use quasar_netgen::observe::SyntheticInternet;
 pub enum Scale {
     /// Seconds-fast (44 ASes); used by tests.
     Tiny,
-    /// The default experiment scale (hundreds of ASes). Accepts the
-    /// legacy spelling `default` on CLIs.
+    /// The default experiment scale (hundreds of ASes).
     Small,
-    /// Thousands of ASes — the former `paper` scale, closest to the
-    /// paper's 14.5k-AS pruned graph that a laptop-scale run affords.
+    /// Thousands of ASes — the closest to the paper's 14.5k-AS pruned
+    /// graph that a laptop-scale run affords.
     Medium,
     /// Tens of thousands of ASes with ~1000 observation ASes (matching
     /// the paper's >1300 observation points); overnight runs only.
@@ -36,31 +33,15 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses a CLI string. `default` and `paper` stay accepted as
-    /// aliases for `small` and `medium`.
+    /// Parses a `--scale` value: `tiny`, `small`, `medium` or `large`.
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
             "tiny" => Some(Scale::Tiny),
-            "small" | "default" => Some(Scale::Small),
-            "medium" | "paper" => Some(Scale::Medium),
+            "small" => Some(Scale::Small),
+            "medium" => Some(Scale::Medium),
             "large" => Some(Scale::Large),
             _ => None,
         }
-    }
-
-    /// The canonical CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Scale::Tiny => "tiny",
-            Scale::Small => "small",
-            Scale::Medium => "medium",
-            Scale::Large => "large",
-        }
-    }
-
-    /// Every preset, ascending by size.
-    pub fn all() -> [Scale; 4] {
-        [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large]
     }
 
     /// The generator configuration for this scale.

@@ -111,3 +111,17 @@ fn golden_set_is_complete() {
         "golden fixtures out of sync with EXPERIMENTS"
     );
 }
+
+#[test]
+fn counts_with_an_unparsable_entry_is_a_usage_error() {
+    // `--counts` feeds the density sweep; a bad entry must stop the run
+    // before any work, not shrink the sweep to the entries that parse.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "density", "--scale", SCALE, "--counts", "4,x,8"])
+        .output()
+        .expect("launch repro");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("bad --counts"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run: {out:?}");
+}

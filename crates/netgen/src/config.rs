@@ -111,8 +111,8 @@ impl NetGenConfig {
     }
 
     /// The `small` preset: the canonical experiment scale. Identical to
-    /// [`Default`](NetGenConfig::default) (hundreds of ASes), named so the
-    /// scale×threads benchmark matrix can address it.
+    /// [`Default`](NetGenConfig::default) (hundreds of ASes), named so
+    /// `--scale small` can address it.
     pub fn small(seed: u64) -> Self {
         NetGenConfig {
             seed,
@@ -120,9 +120,9 @@ impl NetGenConfig {
         }
     }
 
-    /// The paper-scale (`medium`) configuration (thousands of ASes);
-    /// heavy — intended for the benchmark harness, not for unit tests.
-    pub fn paper_scale(seed: u64) -> Self {
+    /// The `medium` preset (thousands of ASes, the closest to the
+    /// paper's scale); heavy — intended for experiments, not unit tests.
+    pub fn medium(seed: u64) -> Self {
         NetGenConfig {
             seed,
             num_tier1: 10,
@@ -132,11 +132,6 @@ impl NetGenConfig {
             num_observation_ases: 150,
             ..Self::default()
         }
-    }
-
-    /// The `medium` preset — an alias for [`paper_scale`](Self::paper_scale).
-    pub fn medium(seed: u64) -> Self {
-        Self::paper_scale(seed)
     }
 
     /// The `large` preset: tens of thousands of ASes with an observation

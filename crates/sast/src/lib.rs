@@ -426,7 +426,7 @@ mod tests {
         assert_eq!(classify("src/lib.rs"), Some(FileKind::Library));
         assert_eq!(classify("src/bin/quasar.rs"), Some(FileKind::Binary));
         assert_eq!(
-            classify("crates/bench/src/bin/bench_refine.rs"),
+            classify("crates/bench/src/bin/repro.rs"),
             Some(FileKind::Binary)
         );
         assert_eq!(

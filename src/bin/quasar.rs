@@ -4,8 +4,6 @@
 //!   generate  --out FILE [--scale tiny|small|medium|large] [--seed N]
 //!             synthesize an Internet and write its feeds as MRT
 //!             TABLE_DUMP_V2 (plus FILE.updates.mrt with an UPDATE stream)
-//!             (`default` and `paper` stay accepted as legacy aliases for
-//!             `small` and `medium`)
 //!   analyze   FILE            §3 analyses of an MRT feed file
 //!   train     (FILE | --scale tiny|small|medium|large) --out MODEL.json
 //!             [--threads N] [--seed N]
@@ -225,13 +223,12 @@ fn load_dataset(path: &str) -> (Vec<ObservationPoint>, Dataset) {
     }
 }
 
-/// Maps a `--scale` name to a generator preset. `default` and `paper`
-/// stay accepted as legacy aliases for `small` and `medium`.
+/// Maps a `--scale` name to a generator preset.
 fn scale_config(name: &str, seed: u64) -> Option<NetGenConfig> {
     match name {
         "tiny" => Some(NetGenConfig::tiny(seed)),
-        "small" | "default" => Some(NetGenConfig::small(seed)),
-        "medium" | "paper" => Some(NetGenConfig::medium(seed)),
+        "small" => Some(NetGenConfig::small(seed)),
+        "medium" => Some(NetGenConfig::medium(seed)),
         "large" => Some(NetGenConfig::large(seed)),
         _ => None,
     }

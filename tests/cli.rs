@@ -315,3 +315,21 @@ fn serve_on_corrupt_model_names_offset_and_hint() {
     let _ = std::fs::remove_file(PathBuf::from(format!("{}.updates.mrt", feeds.display())));
     let _ = std::fs::remove_file(&model);
 }
+
+#[test]
+fn retired_scale_aliases_are_usage_errors() {
+    // Each preset has one name; `default` and `paper` were former
+    // spellings of `small` and `medium`.
+    for alias in ["paper", "default"] {
+        let feeds = tmp(&format!("alias-{alias}.mrt"));
+        let out = quasar()
+            .args(["generate", "--out", feeds.to_str().unwrap()])
+            .args(["--scale", alias])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "--scale {alias}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("bad --scale"), "{stderr}");
+        assert!(!feeds.exists(), "--scale {alias} must write nothing");
+    }
+}

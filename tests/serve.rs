@@ -2,10 +2,11 @@
 //! run `quasar serve` on an ephemeral port (once with the default single
 //! shard, once with `--shards 2`), talk to it concurrently over TCP,
 //! verify served answers are byte-identical to the one-shot CLI, check
-//! the shard table and that the steady-state cache registers warm hits,
-//! and shut the server down gracefully.
+//! the shard table and the steady-state cache's exact hit and miss
+//! counts over cold and warm passes, and shut the server down gracefully.
 
 use quasar::bgpsim::types::{Asn, Prefix};
+use quasar::model::persist::load_model;
 use quasar::serve::prelude::*;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -32,6 +33,15 @@ fn ask(addr: &str, line: &str) -> String {
     reader.read_line(&mut reply).unwrap();
     assert!(reply.ends_with('\n'), "incomplete reply: {reply:?}");
     reply
+}
+
+/// The fleet-wide base-cache counters from a `metrics` request.
+fn base_cache(addr: &str) -> CacheSnapshot {
+    let Response::Metrics(m) = serde_json::from_str(&ask(addr, r#"{"type":"metrics"}"#)).unwrap()
+    else {
+        panic!("expected metrics reply")
+    };
+    m.base_cache
 }
 
 #[test]
@@ -114,6 +124,45 @@ fn serve_flow(model: &Path, extra: &[&str], shards: usize) {
         .unwrap_or_else(|| panic!("unexpected address line: {addr_line:?}"))
         .to_string();
 
+    // Warm over cold, in counted work: a cold pass predicting each of P
+    // distinct model prefixes once simulates every one of them (P misses,
+    // no hits); each warm pass answers all P from the base cache. This
+    // runs before any `diff`, which would simulate every prefix.
+    let prefixes: Vec<String> = load_model(model)
+        .expect("model loads")
+        .prefixes()
+        .keys()
+        .take(16)
+        .map(Prefix::to_string)
+        .collect();
+    let p = prefixes.len() as u64;
+    let pass = || {
+        for prefix in &prefixes {
+            let req = format!(r#"{{"type":"predict","prefix":"{prefix}","observer":{observer}}}"#);
+            let reply = ask(&addr, &req);
+            let parsed: Response = serde_json::from_str(&reply).expect("parsable reply");
+            assert!(matches!(parsed, Response::Predict(_)), "{reply}");
+        }
+    };
+    let start = base_cache(&addr);
+    pass();
+    let cold = base_cache(&addr);
+    assert_eq!(
+        (cold.misses - start.misses, cold.hits - start.hits),
+        (p, 0),
+        "cold pass over {p} prefixes with {extra:?}"
+    );
+    const WARM_PASSES: u64 = 3;
+    for _ in 0..WARM_PASSES {
+        pass();
+    }
+    let warm = base_cache(&addr);
+    assert_eq!(
+        (warm.misses - cold.misses, warm.hits - cold.hits),
+        (0, WARM_PASSES * p),
+        "{WARM_PASSES} warm passes over {p} prefixes with {extra:?}"
+    );
+
     // Concurrent clients mixing predict / diff / explain.
     let handles: Vec<_> = (0..6)
         .map(|i| {
@@ -180,18 +229,10 @@ fn serve_flow(model: &Path, extra: &[&str], shards: usize) {
         "served diff differs from one-shot CLI"
     );
 
-    // The repeats above hit the warm per-prefix cache; metrics must show
-    // it (first predict simulated, later ones reused the steady state).
     let Response::Metrics(m) = serde_json::from_str(&ask(&addr, r#"{"type":"metrics"}"#)).unwrap()
     else {
         panic!("expected metrics reply")
     };
-    assert!(
-        m.base_cache.hits >= 1,
-        "no warm cache hits: {:?}",
-        m.base_cache
-    );
-    assert!(m.base_cache.misses >= 1);
     let table = m.shards.as_ref().expect("metrics carry the shard table");
     assert_eq!(table.len(), shards, "shard table for {extra:?}");
     assert_eq!(
