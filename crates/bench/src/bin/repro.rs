@@ -11,6 +11,31 @@
 use quasar_bench::*;
 use quasar_core::prelude::*;
 
+/// The ids `--exp` accepts besides `all`.
+const EXPERIMENTS: [&str; 21] = [
+    "t0",
+    "fig2",
+    "t1",
+    "spread",
+    "t2",
+    "degrees",
+    "train",
+    "pred-op",
+    "pred-origin",
+    "pred-both",
+    "gen",
+    "qr",
+    "cov",
+    "scale",
+    "density",
+    "seeds",
+    "atoms",
+    "prune",
+    "ablate-single",
+    "ablate-lp",
+    "ablate-rel",
+];
+
 fn main() {
     let mut exp = "all".to_string();
     let mut scale = Scale::Small;
@@ -25,6 +50,11 @@ fn main() {
         match args[i].as_str() {
             "--exp" => {
                 exp = args.get(i + 1).cloned().unwrap_or_default();
+                if exp != "all" {
+                    if let Some(bad) = exp.split(',').find(|id| !EXPERIMENTS.contains(id)) {
+                        usage(&format!("unknown experiment {bad:?}"));
+                    }
+                }
                 i += 2;
             }
             "--scale" => {
@@ -343,7 +373,8 @@ fn write_csv(dir: &str, name: &str, contents: &str) {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [--exp t0|fig2|t1|spread|t2|degrees|train|pred-op|pred-origin|pred-both|gen|qr|cov|scale|density|seeds|atoms|prune|ablate-single|ablate-lp|ablate-rel|all] [--scale tiny|small|medium|large] [--seed N] [--obs N] [--counts N,N,...] [--csv DIR]"
+        "usage: repro [--exp {}|all] [--scale tiny|small|medium|large] [--seed N] [--obs N] [--counts N,N,...] [--csv DIR]",
+        EXPERIMENTS.join("|")
     );
     std::process::exit(2)
 }

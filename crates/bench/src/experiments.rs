@@ -159,12 +159,6 @@ pub fn train_model(
     (model, result)
 }
 
-/// E-train: refinement to exact training reproduction.
-pub fn exp_train(ctx: &Context) -> TrainResult {
-    let (training, _) = SplitKind::ByPoint.split(&ctx.dataset, ctx.seed);
-    train_model(ctx, &training, &RefineConfig::default()).1
-}
-
 /// Prediction result on a held-out validation set, with the §3.3 baseline
 /// alongside for the same validation routes.
 #[derive(Debug, Clone, Serialize)]
@@ -574,7 +568,9 @@ mod tests {
 
     #[test]
     fn train_converges_and_reproduces() {
-        let t = exp_train(&ctx());
+        let c = ctx();
+        let (training, _) = SplitKind::ByPoint.split(&c.dataset, c.seed);
+        let (_, t) = train_model(&c, &training, &RefineConfig::default());
         assert!(t.converged);
         assert_eq!(t.training_eval.counts.rib_out, t.training_eval.counts.total);
     }

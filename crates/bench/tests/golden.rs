@@ -125,3 +125,17 @@ fn counts_with_an_unparsable_entry_is_a_usage_error() {
     assert!(stderr.contains("bad --counts"), "{stderr}");
     assert!(out.stdout.is_empty(), "no experiment may run: {out:?}");
 }
+
+#[test]
+fn an_unknown_experiment_id_is_a_usage_error() {
+    // A typo in an id must not read as a successful run of nothing.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--exp", "t0,nosuch", "--scale", SCALE])
+        .output()
+        .expect("launch repro");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment \"nosuch\""), "{stderr}");
+    assert!(stderr.contains("t0|fig2|t1"), "known ids listed: {stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run: {out:?}");
+}

@@ -206,8 +206,9 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
     }
 }
 
-/// The winner [`decide`] would pick over `candidates`, without recording
-/// eliminations and without allocating under [`MedMode::AlwaysCompare`].
+/// The winner [`decide`] would pick over `candidates`, with its position
+/// in the iteration, without recording eliminations and without
+/// allocating under [`MedMode::AlwaysCompare`].
 ///
 /// There the eight steps form a lexicographic order on one key per
 /// candidate, and `min_by_key` keeps the first minimal candidate, just as
@@ -217,9 +218,9 @@ pub fn decide<B: Borrow<Route>>(candidates: &[B], cfg: &DecisionConfig) -> Decis
 pub(crate) fn best_of<'a>(
     candidates: impl Iterator<Item = &'a Route>,
     cfg: &DecisionConfig,
-) -> Option<&'a Route> {
+) -> Option<(usize, &'a Route)> {
     match cfg.med_mode {
-        MedMode::AlwaysCompare => candidates.min_by_key(|r| {
+        MedMode::AlwaysCompare => candidates.enumerate().min_by_key(|&(_, r)| {
             (
                 u8::from(r.learned != LearnedVia::Local),
                 std::cmp::Reverse(r.local_pref),
@@ -233,7 +234,7 @@ pub(crate) fn best_of<'a>(
         }),
         MedMode::PerNeighbor => {
             let all: Vec<&Route> = candidates.collect();
-            decide(&all, cfg).best.map(|i| all[i])
+            decide(&all, cfg).best.map(|i| (i, all[i]))
         }
     }
 }
@@ -468,12 +469,16 @@ mod tests {
         fn best_of_agrees_with_decide(cands in arb_candidates()) {
             for med_mode in [MedMode::AlwaysCompare, MedMode::PerNeighbor] {
                 let cfg = DecisionConfig { med_mode };
-                let want = decide(&cands, &cfg).best.map(|i| &cands[i]);
+                let want = decide(&cands, &cfg).best;
                 let got = best_of(cands.iter(), &cfg);
-                proptest::prop_assert!(
-                    got.map(std::ptr::from_ref) == want.map(std::ptr::from_ref),
+                proptest::prop_assert_eq!(
+                    got.map(|(i, _)| i),
+                    want,
                     "{med_mode:?}: best_of {got:?} vs decide {want:?}"
                 );
+                if let Some((i, r)) = got {
+                    proptest::prop_assert!(std::ptr::eq(r, &cands[i]));
+                }
             }
         }
     }

@@ -36,18 +36,19 @@
 //!   of the fan-out, since export policies never rewrite the path.
 //! * Import runs the policy chain on the update it already owns.
 //! * The result takes the converged candidates out of the scratch instead
-//!   of cloning them. Only the full decision outcome per router is
-//!   computed anew. The scratch is reused only for the adjacency it was
-//!   laid out for (see [`SimScratch`]).
+//!   of cloning them, and records only each router's winner; the full
+//!   decision outcome is computed when first asked for
+//!   ([`RouterRib::outcome`]). The scratch is reused only for the
+//!   adjacency it was laid out for (see [`SimScratch`]).
 
 use crate::aspath::AsPath;
-use crate::decision::{best_of, decide, DecisionOutcome};
+use crate::decision::{best_of, decide, DecisionConfig, DecisionOutcome};
 use crate::error::SimError;
 use crate::network::{Network, SessionKind};
 use crate::route::{LearnedVia, Route, DEFAULT_LOCAL_PREF, NO_ADVERTISE, NO_EXPORT};
 use crate::types::{Prefix, RouterId};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One propagation event, recorded by [`Network::simulate_traced`].
 /// Routes are summarized by their AS-path to keep traces readable.
@@ -101,15 +102,27 @@ pub struct RouterRib {
     /// first, then the per-session Adj-RIB-In entries in deterministic
     /// peer-sorted (adjacency) order.
     pub candidates: Vec<Route>,
-    /// Decision-process outcome over `candidates`, including the step at
-    /// which each losing candidate was eliminated.
-    pub outcome: DecisionOutcome,
+    /// Index of the selected best route in `candidates`.
+    best: Option<usize>,
+    /// The decision process `candidates` were ranked with.
+    cfg: DecisionConfig,
+    /// The full decision outcome, computed on first use.
+    outcome: OnceLock<DecisionOutcome>,
 }
 
 impl RouterRib {
     /// The selected best route, if any.
     pub fn best(&self) -> Option<&Route> {
-        self.outcome.best.map(|i| &self.candidates[i])
+        self.best.map(|i| &self.candidates[i])
+    }
+
+    /// Decision-process outcome over `candidates`, including the step at
+    /// which each losing candidate was eliminated. Simulation records only
+    /// the winner, so the first call runs the decision process and later
+    /// calls reuse its outcome.
+    pub fn outcome(&self) -> &DecisionOutcome {
+        self.outcome
+            .get_or_init(|| decide(&self.candidates, &self.cfg))
     }
 
     /// Renders a human-readable account of the decision at this router:
@@ -118,6 +131,7 @@ impl RouterRib {
     /// route.
     pub fn explain(&self) -> String {
         use std::fmt::Write;
+        let outcome = self.outcome();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -126,7 +140,7 @@ impl RouterRib {
             self.candidates.len()
         );
         for (i, c) in self.candidates.iter().enumerate() {
-            let verdict = match self.outcome.eliminated_at[i] {
+            let verdict = match outcome.eliminated_at[i] {
                 None => "BEST".to_string(),
                 Some(step) => format!("lost at {step:?}"),
             };
@@ -470,7 +484,7 @@ impl RunState<'_, '_> {
             let candidates = self.sc.local[r]
                 .iter()
                 .chain(self.sc.slots[r].iter().filter_map(|s| s.rib_in.as_ref()));
-            let nb = best_of(candidates, &net.cfg);
+            let nb = best_of(candidates, &net.cfg).map(|(_, b)| b);
             if nb == self.sc.best[r].as_ref() {
                 return;
             }
@@ -580,7 +594,8 @@ impl RunState<'_, '_> {
     }
 
     /// Moves the converged candidates out of the scratch buffers (the
-    /// next run's `prepare` would reset them anyway) into the result.
+    /// next run's `prepare` would reset them anyway) into the result,
+    /// with each router's winner.
     fn into_result(self, prefix: Prefix) -> SimulationResult {
         let mut ribs = Vec::with_capacity(self.net.routers.len());
         for r in 0..self.net.routers.len() {
@@ -590,11 +605,13 @@ impl RunState<'_, '_> {
             let mut candidates = Vec::with_capacity(len);
             candidates.extend(local.take());
             candidates.extend(slots.iter_mut().filter_map(|s| s.rib_in.take()));
-            let outcome = decide(&candidates, &self.net.cfg);
+            let best = best_of(candidates.iter(), &self.net.cfg).map(|(i, _)| i);
             ribs.push(RouterRib {
                 router: self.net.routers[r],
                 candidates,
-                outcome,
+                best,
+                cfg: self.net.cfg,
+                outcome: OnceLock::new(),
             });
         }
         SimulationResult {
@@ -689,7 +706,7 @@ mod tests {
         let fresh = b.simulate(p, &[rid(4, 0)]).unwrap();
         for (x, y) in on_b.ribs().zip(fresh.ribs()) {
             assert_eq!(x.candidates, y.candidates);
-            assert_eq!(x.outcome, y.outcome);
+            assert_eq!(x.outcome(), y.outcome());
         }
     }
 
@@ -725,7 +742,7 @@ mod tests {
         assert_eq!(rib1.candidates.len(), 2);
         assert_eq!(rib1.best().unwrap().as_path.to_string(), "2 3");
         // The loser survived to the tie-break.
-        assert_eq!(rib1.outcome.tie_break_survivors().len(), 2);
+        assert_eq!(rib1.outcome().tie_break_survivors().len(), 2);
     }
 
     #[test]

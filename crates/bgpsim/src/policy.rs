@@ -14,7 +14,7 @@ use crate::aspath::AsPathPattern;
 use crate::route::Route;
 use crate::types::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Predicate over a route. All present fields must match (conjunction);
 /// absent fields match anything.
@@ -142,25 +142,122 @@ impl PolicyRule {
 /// containing one, like a whole network snapshot) is a refcount bump, and
 /// the chain is deep-copied only when a clone actually mutates it. The
 /// serialized form is unchanged — a plain `rules` list.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A rule naming a prefix can match only routes for that prefix, and
+/// refinement leaves most chains holding rules for nearly every trained
+/// prefix. So evaluation visits only the prefix-less rules and the
+/// route's own prefix's rules, in chain order, through a prefix index
+/// the shared chain builds on its first evaluation. Every mutation drops
+/// the index; a clone shares it until the clone mutates.
+#[derive(Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Policy {
     #[serde(with = "arc_rules")]
-    rules: Arc<Vec<PolicyRule>>,
+    rules: Arc<Chain>,
+}
+
+/// A rule list plus its lazily built [`PrefixIndex`].
+#[derive(Default)]
+struct Chain {
+    list: Vec<PolicyRule>,
+    index: OnceLock<PrefixIndex>,
+}
+
+impl Chain {
+    fn new(list: Vec<PolicyRule>) -> Self {
+        Chain {
+            list,
+            index: OnceLock::new(),
+        }
+    }
+}
+
+/// Copy-on-write clones start without an index: the mutation that made
+/// the copy invalidates it anyway.
+impl Clone for Chain {
+    fn clone(&self) -> Self {
+        Chain::new(self.list.clone())
+    }
+}
+
+/// Chains compare by their rules; the index is derived state.
+impl PartialEq for Chain {
+    fn eq(&self, other: &Self) -> bool {
+        self.list == other.list
+    }
+}
+
+impl Eq for Chain {}
+
+/// Every rule's `(prefix, position)`, sorted, so the prefix-less rules
+/// (`None`) come first and each prefix's rules form one run in chain
+/// order. The key is stored inline so a lookup reads no rule.
+struct PrefixIndex(Box<[(Option<Prefix>, u32)]>);
+
+impl PrefixIndex {
+    #[allow(clippy::expect_used)] // 2^32 rules of ~100 bytes cannot fit in memory
+    fn build(rules: &[PolicyRule]) -> Self {
+        let mut entries: Box<[(Option<Prefix>, u32)]> = rules
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let pos = u32::try_from(i).expect("a policy chain holds fewer than 2^32 rules");
+                (r.matcher.prefix, pos)
+            })
+            .collect();
+        entries.sort_unstable();
+        PrefixIndex(entries)
+    }
+
+    /// Positions of the rules that can match a route for `prefix`, in
+    /// chain order: the prefix-less run merged with `prefix`'s run.
+    fn positions(&self, prefix: Prefix) -> impl Iterator<Item = usize> + '_ {
+        let e = &self.0;
+        let generic = e.partition_point(|(p, _)| p.is_none());
+        let lo = e.partition_point(|(p, _)| *p < Some(prefix));
+        let hi = lo + e[lo..].partition_point(|(p, _)| *p == Some(prefix));
+        let (mut a, mut b) = (&e[..generic], &e[lo..hi]);
+        std::iter::from_fn(move || {
+            let next = match (a.first(), b.first()) {
+                (Some(x), Some(y)) if y.1 < x.1 => {
+                    b = &b[1..];
+                    y.1
+                }
+                (Some(x), _) => {
+                    a = &a[1..];
+                    x.1
+                }
+                (None, Some(y)) => {
+                    b = &b[1..];
+                    y.1
+                }
+                (None, None) => return None,
+            };
+            Some(next as usize)
+        })
+    }
+}
+
+impl std::fmt::Debug for Policy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Policy")
+            .field("rules", &self.rules.list)
+            .finish()
+    }
 }
 
 /// Serializes the shared rule chain as the plain `Vec` it wraps, keeping
 /// the on-disk shape identical to the pre-Arc representation.
 mod arc_rules {
-    use super::PolicyRule;
+    use super::Chain;
     use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
     use std::sync::Arc;
 
-    pub fn serialize(rules: &Arc<Vec<PolicyRule>>, s: &mut Serializer) {
-        rules.as_slice().serialize(s);
+    pub fn serialize(chain: &Arc<Chain>, s: &mut Serializer) {
+        chain.list.as_slice().serialize(s);
     }
 
-    pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<Vec<PolicyRule>>, Error> {
-        Vec::deserialize(d).map(Arc::new)
+    pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<Chain>, Error> {
+        Vec::deserialize(d).map(|rules| Arc::new(Chain::new(rules)))
     }
 }
 
@@ -173,38 +270,45 @@ impl Policy {
     /// Builds a policy from rules.
     pub fn new(rules: Vec<PolicyRule>) -> Self {
         Policy {
-            rules: Arc::new(rules),
+            rules: Arc::new(Chain::new(rules)),
         }
     }
 
     /// True if the chain has no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.rules.list.is_empty()
     }
 
     /// Read access to the rules (used by the refinement heuristic's
     /// filter-deletion pass, §4.6).
     pub fn rules(&self) -> &[PolicyRule] {
-        &self.rules
+        &self.rules.list
+    }
+
+    /// The rule list, unshared and with its index dropped, for a mutation.
+    fn rules_mut(&mut self) -> &mut Vec<PolicyRule> {
+        let chain = Arc::make_mut(&mut self.rules);
+        chain.index.take();
+        &mut chain.list
     }
 
     /// Appends a rule at the end of the chain.
     pub fn push(&mut self, rule: PolicyRule) {
-        Arc::make_mut(&mut self.rules).push(rule);
+        self.rules_mut().push(rule);
     }
 
     /// Inserts a rule at the front of the chain (highest priority).
     pub fn push_front(&mut self, rule: PolicyRule) {
-        Arc::make_mut(&mut self.rules).insert(0, rule);
+        self.rules_mut().insert(0, rule);
     }
 
     /// Removes every rule for which `pred` returns true; returns how many
     /// were removed. Used to delete blocking filters (§4.6, Figure 7).
     /// The chain is only deep-copied when something actually matches.
     pub fn remove_rules(&mut self, pred: impl Fn(&PolicyRule) -> bool) -> usize {
-        let matching = self.rules.iter().filter(|r| pred(r)).count();
+        let matching = self.rules.list.iter().filter(|r| pred(r)).count();
         if matching > 0 {
-            Arc::make_mut(&mut self.rules).retain(|r| !pred(r));
+            self.rules_mut().retain(|r| !pred(r));
         }
         matching
     }
@@ -218,7 +322,13 @@ impl Policy {
     /// [`Policy::apply`] on a route the caller already owns, so the
     /// simulation's import path runs the chain without a second clone.
     pub(crate) fn apply_owned(&self, mut out: Route) -> Option<Route> {
-        for rule in self.rules.iter() {
+        let rules = &self.rules.list;
+        if rules.is_empty() {
+            return Some(out);
+        }
+        let index = self.rules.index.get_or_init(|| PrefixIndex::build(rules));
+        for pos in index.positions(out.prefix) {
+            let rule = &rules[pos];
             if !rule.matcher.matches(&out) {
                 continue;
             }

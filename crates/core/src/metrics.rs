@@ -66,7 +66,7 @@ pub fn match_level(
             if c.as_path != target {
                 continue;
             }
-            let level = match rib.outcome.eliminated_at[i] {
+            let level = match rib.outcome().eliminated_at[i] {
                 None => MatchLevel::RibOut,
                 Some(Step::TieBreak) => MatchLevel::PotentialRibOut,
                 Some(_) => MatchLevel::RibIn,

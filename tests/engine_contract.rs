@@ -20,7 +20,7 @@ fn assert_reuse_matches_fresh(model: &AsRoutingModel, scratch: &mut SimScratch, 
             assert_eq!(a.router, b.router);
             let at = format!("{label}: prefix {prefix} at {}", a.router);
             assert_eq!(a.candidates, b.candidates, "candidates differ, {at}");
-            assert_eq!(a.outcome, b.outcome, "decision outcome differs, {at}");
+            assert_eq!(a.outcome(), b.outcome(), "decision outcome differs, {at}");
             assert_eq!(a.best(), b.best(), "best route differs, {at}");
         }
     }
