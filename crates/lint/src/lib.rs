@@ -1,15 +1,21 @@
-//! # quasar-lint — a static analyzer for trained AS-routing models
+//! # quasar-lint — static analysis for trained models and for the sources
 //!
 //! The refinement heuristic of *"Building an AS-topology model that
 //! captures route diversity"* (SIGCOMM 2006) mutates a model thousands of
 //! times: per-prefix MED rankings, shorter-path egress filters,
 //! quasi-router duplication. Any bug in that pipeline — or any corruption
 //! of a persisted artifact — produces a model that is *structurally*
-//! wrong long before a simulation reveals it behaviorally. This crate
-//! audits an [`AsRoutingModel`] **without running the simulator**: every
-//! rule is a pure walk over routers, sessions, and policy chains.
+//! wrong long before a simulation reveals it behaviorally. [`audit`]
+//! checks an [`AsRoutingModel`] **without running the simulator**: every
+//! model rule is a pure walk over routers, sessions, and policy chains.
 //!
-//! ## Rule catalogue
+//! The [`source`] rule set audits the workspace's own Rust sources the
+//! same way: lexically, with a hand-rolled lexer, for the concurrency and
+//! protocol invariants DESIGN.md documents. Both rule sets report through
+//! one diagnostics core: [`Severity`], [`Diagnostic`] (anchored at a
+//! model [`Location`] or a `file:line:col` span) and [`Report`].
+//!
+//! ## Model rules
 //!
 //! | id     | name                 | severity | what it catches |
 //! |--------|----------------------|----------|-----------------|
@@ -23,11 +29,23 @@
 //! | QL0008 | reflector-cycle      | Error    | a cycle in the route-reflection client digraph (CLUSTER_LIST is not modeled) |
 //! | QL0009 | coverage-gap         | Info     | a prefix that cannot leave its origin AS through any permitted egress |
 //!
-//! Severity semantics: **Error** findings make the model unsound — the
-//! serve `reload` path vetoes an epoch swap on them; **Warn** findings are
-//! suspicious but a converged model can legitimately carry them; **Info**
-//! findings are advisory (the model is relationship-agnostic, so a
-//! coverage gap may be intentional).
+//! ## Source rules
+//!
+//! | id     | name                     | severity |
+//! |--------|--------------------------|----------|
+//! | QS0001 | lock-order               | error    |
+//! | QS0002 | atomic-ordering          | error (warn for an empty justification) |
+//! | QS0003 | failpoint-registry       | error    |
+//! | QS0004 | protocol-exhaustiveness  | error    |
+//! | QS0005 | process-exit             | error    |
+//! | QS0006 | println-in-library       | error    |
+//! | QS0007 | unsafe-code              | error    |
+//!
+//! Severity semantics: **Error** findings make the model (or the source
+//! tree) unsound — the serve `reload` path vetoes an epoch swap on them;
+//! **Warn** findings are suspicious but a converged model can
+//! legitimately carry them; **Info** findings are advisory (the model is
+//! relationship-agnostic, so a coverage gap may be intentional).
 //!
 //! A freshly refined, converged model is clean at `Error` severity by
 //! construction: refinement installs exactly one `SetMed` per
@@ -43,11 +61,12 @@
 
 use quasar_core::audit::AuditSummary;
 use quasar_core::model::AsRoutingModel;
-use serde::Serialize;
-use std::collections::BTreeMap;
+use serde::{Serialize, Serializer};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 mod rules;
+pub mod source;
 
 /// How bad a finding is. Ordered: `Info < Warn < Error`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,13 +75,13 @@ pub enum Severity {
     Info,
     /// Suspicious; worth a look but not disqualifying.
     Warn,
-    /// The model is unsound; serving or shipping it is a bug.
+    /// The model or source tree is unsound; shipping it is a bug.
     Error,
 }
 
 impl Severity {
     /// Lowercase name as used by `--deny` and the JSON renderer.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warn => "warn",
@@ -87,8 +106,9 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Stable identifiers of the audit rules. Codes are append-only: a rule
-/// may be retired but its code is never reused.
+/// Stable identifiers of the model (`QL`) and source (`QS`) rules. Codes
+/// are append-only: a rule may be retired but its code is never reused,
+/// so CI logs and suppression comments stay meaningful across versions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
     /// QL0001: a matcher or ranking names a prefix the model doesn't route.
@@ -109,22 +129,30 @@ pub enum RuleId {
     ReflectorCycle,
     /// QL0009: a prefix with no permitted egress out of its origin AS.
     CoverageGap,
+    /// QS0001: locks acquired while another guard is live must follow the
+    /// declared ascending-shard order; undeclared nesting is an error.
+    LockOrder,
+    /// QS0002: `Ordering::Relaxed` on a non-counter atomic needs a
+    /// `// sast: relaxed-ok <reason>` justification.
+    AtomicOrdering,
+    /// QS0003: every failpoint name armed in tests exists at an inject
+    /// site and every inject site is armed somewhere — no dead or
+    /// misspelled sites.
+    FailpointRegistry,
+    /// QS0004: every serve `Request` variant has a dispatch arm, a
+    /// same-named `Response` variant that is actually rendered, and a
+    /// metrics kind.
+    ProtocolExhaustiveness,
+    /// QS0005: `process::exit` outside `src/bin` trees.
+    ProcessExit,
+    /// QS0006: `println!` in library crates (stdout belongs to binaries).
+    PrintlnInLibrary,
+    /// QS0007: `unsafe` in library code (the bench counting allocator
+    /// lives in a binary tree and is exempt by classification).
+    UnsafeCode,
 }
 
 impl RuleId {
-    /// Every rule, in code order.
-    pub const ALL: [RuleId; 9] = [
-        RuleId::DanglingPrefix,
-        RuleId::DanglingAs,
-        RuleId::UnreachableRouter,
-        RuleId::DeadFilter,
-        RuleId::ShadowedRule,
-        RuleId::MedContradiction,
-        RuleId::DisputeCycle,
-        RuleId::ReflectorCycle,
-        RuleId::CoverageGap,
-    ];
-
     /// The stable code, e.g. `QL0004`.
     pub fn code(self) -> &'static str {
         match self {
@@ -137,11 +165,18 @@ impl RuleId {
             RuleId::DisputeCycle => "QL0007",
             RuleId::ReflectorCycle => "QL0008",
             RuleId::CoverageGap => "QL0009",
+            RuleId::LockOrder => "QS0001",
+            RuleId::AtomicOrdering => "QS0002",
+            RuleId::FailpointRegistry => "QS0003",
+            RuleId::ProtocolExhaustiveness => "QS0004",
+            RuleId::ProcessExit => "QS0005",
+            RuleId::PrintlnInLibrary => "QS0006",
+            RuleId::UnsafeCode => "QS0007",
         }
     }
 
     /// Short kebab-case name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RuleId::DanglingPrefix => "dangling-prefix",
             RuleId::DanglingAs => "dangling-as",
@@ -152,20 +187,21 @@ impl RuleId {
             RuleId::DisputeCycle => "dispute-cycle",
             RuleId::ReflectorCycle => "reflector-cycle",
             RuleId::CoverageGap => "coverage-gap",
+            RuleId::LockOrder => "lock-order",
+            RuleId::AtomicOrdering => "atomic-ordering",
+            RuleId::FailpointRegistry => "failpoint-registry",
+            RuleId::ProtocolExhaustiveness => "protocol-exhaustiveness",
+            RuleId::ProcessExit => "process-exit",
+            RuleId::PrintlnInLibrary => "println-in-library",
+            RuleId::UnsafeCode => "unsafe-code",
         }
-    }
-}
-
-impl fmt::Display for RuleId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} ({})", self.code(), self.name())
     }
 }
 
 /// Where in the model a finding points. All fields optional; rendered as
 /// a compact `r1.0 -> r2.0 export[3] prefix 10.9.0.0/16` suffix.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
-pub struct Location {
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+pub struct ModelLocation {
     /// The quasi-router the finding is about (e.g. `r7018.0`).
     pub router: Option<String>,
     /// The session direction, announcing router first (`r1.0 -> r2.0`).
@@ -178,7 +214,7 @@ pub struct Location {
     pub prefix: Option<String>,
 }
 
-impl fmt::Display for Location {
+impl fmt::Display for ModelLocation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut parts: Vec<String> = Vec::new();
         if let Some(r) = &self.router {
@@ -200,8 +236,25 @@ impl fmt::Display for Location {
     }
 }
 
-/// One finding: a rule, its severity, a message, and a model location.
-#[derive(Debug, Clone)]
+/// Where a finding points: a place in a trained model, or a span in a
+/// source file. Spans order by file, then line, then column.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Location {
+    /// A place in the audited model.
+    Model(ModelLocation),
+    /// A `file:line:col` span in a source file.
+    Span {
+        /// Workspace-relative, `/`-separated path.
+        file: String,
+        /// 1-based line.
+        line: u32,
+        /// 1-based column.
+        col: u32,
+    },
+}
+
+/// One finding: a rule, its severity, a message, and where it points.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: RuleId,
@@ -209,53 +262,86 @@ pub struct Diagnostic {
     pub severity: Severity,
     /// Human-readable description of the defect.
     pub message: String,
-    /// Where in the model it sits.
+    /// Where it sits.
     pub location: Location,
 }
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let loc = self.location.to_string();
-        if loc.is_empty() {
-            write!(
-                f,
-                "{}[{}]: {}",
-                self.severity,
-                self.rule.code(),
-                self.message
-            )
-        } else {
-            write!(
-                f,
-                "{}[{}]: {} ({loc})",
-                self.severity,
-                self.rule.code(),
-                self.message
-            )
+        let (sev, code, msg) = (self.severity, self.rule.code(), &self.message);
+        match &self.location {
+            Location::Span { file, line, col } => {
+                write!(f, "{sev}[{code}] {file}:{line}:{col}: {msg}")
+            }
+            Location::Model(at) => {
+                let loc = at.to_string();
+                if loc.is_empty() {
+                    write!(f, "{sev}[{code}]: {msg}")
+                } else {
+                    write!(f, "{sev}[{code}]: {msg} ({loc})")
+                }
+            }
         }
     }
 }
 
-/// The result of one audit pass: every finding plus model-size context.
-#[derive(Debug, Clone, Default)]
-pub struct LintReport {
-    /// All findings, in rule-code order.
+impl Serialize for Diagnostic {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_map();
+        s.field("rule", self.rule.code());
+        s.field("name", self.rule.name());
+        s.field("severity", self.severity.as_str());
+        match &self.location {
+            Location::Model(at) => {
+                s.field("message", &self.message);
+                s.field("location", at);
+            }
+            Location::Span { file, line, col } => {
+                s.field("file", file);
+                s.field("line", line);
+                s.field("col", col);
+                s.field("message", &self.message);
+            }
+        }
+        s.end_map();
+    }
+}
+
+/// What one pass examined.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scanned {
+    /// A trained model, by size.
+    Model {
+        /// Quasi-routers in the audited model.
+        quasi_routers: usize,
+        /// Sessions in the audited model.
+        sessions: usize,
+        /// Prefixes the model routes.
+        prefixes: usize,
+        /// Policy rules examined across every chain.
+        rules_scanned: usize,
+    },
+    /// Source files.
+    Source {
+        /// Files analyzed.
+        files: usize,
+    },
+}
+
+/// The result of one pass: every finding plus what was scanned.
+#[derive(Debug, Clone)]
+pub struct Report {
+    /// All findings: model findings in rule-code order, source findings
+    /// in span order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Quasi-routers in the audited model.
-    pub quasi_routers: usize,
-    /// Sessions in the audited model.
-    pub sessions: usize,
-    /// Prefixes the model routes.
-    pub prefixes: usize,
-    /// Policy rules examined across every chain.
-    pub rules_scanned: usize,
+    /// What the pass examined.
+    pub scanned: Scanned,
     /// Wall time of the pass, microseconds.
     pub elapsed_micros: u64,
 }
 
-impl LintReport {
-    /// Findings at exactly `sev`.
-    pub fn count(&self, sev: Severity) -> usize {
+impl Report {
+    fn count(&self, sev: Severity) -> usize {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == sev)
@@ -268,33 +354,23 @@ impl LintReport {
     }
 
     /// Warn-level findings.
-    pub fn warnings(&self) -> usize {
+    pub(crate) fn warnings(&self) -> usize {
         self.count(Severity::Warn)
     }
 
     /// Info-level findings.
-    pub fn infos(&self) -> usize {
+    pub(crate) fn infos(&self) -> usize {
         self.count(Severity::Info)
     }
 
-    /// No findings at all.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
-    /// The most severe finding, or `None` when clean.
-    pub fn worst(&self) -> Option<Severity> {
-        self.diagnostics.iter().map(|d| d.severity).max()
-    }
-
     /// True when any finding is at or above `threshold` (the `--deny`
-    /// semantics).
+    /// semantics; the CLI maps it to exit code 1).
     pub fn denies(&self, threshold: Severity) -> bool {
-        self.worst().is_some_and(|w| w >= threshold)
+        self.diagnostics.iter().any(|d| d.severity >= threshold)
     }
 
     /// Per-rule counts: code → (rule, worst severity, findings).
-    pub fn per_rule(&self) -> BTreeMap<&'static str, (RuleId, Severity, usize)> {
+    fn per_rule(&self) -> BTreeMap<&'static str, (RuleId, Severity, usize)> {
         let mut out: BTreeMap<&'static str, (RuleId, Severity, usize)> = BTreeMap::new();
         for d in &self.diagnostics {
             let entry = out.entry(d.rule.code()).or_insert((d.rule, d.severity, 0));
@@ -304,9 +380,9 @@ impl LintReport {
         out
     }
 
-    /// The set of rule codes that fired (for tests and terse summaries).
-    pub fn fired_codes(&self) -> Vec<&'static str> {
-        self.per_rule().keys().copied().collect()
+    /// The distinct rule codes that fired (for tests and terse summaries).
+    pub fn fired_codes(&self) -> BTreeSet<&'static str> {
+        self.diagnostics.iter().map(|d| d.rule.code()).collect()
     }
 
     /// One line summarizing Error-level findings — the serve `reload`
@@ -317,130 +393,119 @@ impl LintReport {
             .iter()
             .filter(|d| d.severity == Severity::Error)
             .collect();
-        if errors.is_empty() {
+        let Some(first) = errors.first() else {
             return String::new();
-        }
-        let codes: Vec<&'static str> = {
-            let mut seen = Vec::new();
-            for d in &errors {
-                if !seen.contains(&d.rule.code()) {
-                    seen.push(d.rule.code());
-                }
-            }
-            seen
         };
+        let mut codes: Vec<&'static str> = Vec::new();
+        for d in &errors {
+            if !codes.contains(&d.rule.code()) {
+                codes.push(d.rule.code());
+            }
+        }
         format!(
-            "{} error-level audit finding(s) [{}]; first: {}",
+            "{} error-level audit finding(s) [{}]; first: {first}",
             errors.len(),
             codes.join(", "),
-            errors[0]
         )
     }
 
-    /// Human-readable rendering: a header, per-rule counts, then every
-    /// finding.
+    /// Human-readable rendering. A model report is a header, per-rule
+    /// counts, then every finding; a source report is every finding, then
+    /// a summary footer.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "audit: {} finding(s) ({} error, {} warn, {} info) — {} quasi-routers, \
-             {} sessions, {} prefixes, {} policy rules scanned in {}us\n",
-            self.diagnostics.len(),
-            self.errors(),
-            self.warnings(),
-            self.infos(),
-            self.quasi_routers,
-            self.sessions,
-            self.prefixes,
-            self.rules_scanned,
-            self.elapsed_micros,
-        ));
-        if self.is_clean() {
-            out.push_str("clean: no findings\n");
-            return out;
-        }
-        for (code, (rule, worst, count)) in self.per_rule() {
+        if let Scanned::Model {
+            quasi_routers,
+            sessions,
+            prefixes,
+            rules_scanned,
+        } = self.scanned
+        {
             out.push_str(&format!(
-                "  {code} {:<20} {count} finding(s), worst {worst}\n",
-                rule.name()
+                "audit: {} finding(s) ({} error, {} warn, {} info) — {quasi_routers} quasi-routers, \
+                 {sessions} sessions, {prefixes} prefixes, {rules_scanned} policy rules scanned in {}us\n",
+                self.diagnostics.len(),
+                self.errors(),
+                self.warnings(),
+                self.infos(),
+                self.elapsed_micros,
             ));
+            if self.diagnostics.is_empty() {
+                out.push_str("clean: no findings\n");
+                return out;
+            }
+            for (code, (rule, worst, count)) in self.per_rule() {
+                out.push_str(&format!(
+                    "  {code} {:<20} {count} finding(s), worst {worst}\n",
+                    rule.name()
+                ));
+            }
         }
         for d in &self.diagnostics {
             out.push_str(&format!("{d}\n"));
         }
+        if let Scanned::Source { files } = self.scanned {
+            out.push_str(&format!(
+                "sast: {files} file(s) scanned, {} error(s), {} warning(s)\n",
+                self.errors(),
+                self.warnings()
+            ));
+        }
         out
     }
 
-    /// Machine-readable JSON rendering.
+    /// Machine-readable one-line JSON rendering.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        #[derive(Serialize)]
-        struct RuleCount {
-            rule: &'static str,
-            name: &'static str,
-            worst: &'static str,
-            count: usize,
-        }
-        // The vendored serde derive does not support generic (including
-        // lifetime-parameterized) types, so the mirror structs are owned.
-        #[derive(Serialize)]
-        struct JsonDiagnostic {
-            rule: &'static str,
-            name: &'static str,
-            severity: &'static str,
-            message: String,
-            location: Location,
-        }
-        #[derive(Serialize)]
-        struct JsonReport {
-            errors: usize,
-            warnings: usize,
-            infos: usize,
-            quasi_routers: usize,
-            sessions: usize,
-            prefixes: usize,
-            rules_scanned: usize,
-            elapsed_micros: u64,
-            rules: Vec<RuleCount>,
-            diagnostics: Vec<JsonDiagnostic>,
-        }
-        let report = JsonReport {
-            errors: self.errors(),
-            warnings: self.warnings(),
-            infos: self.infos(),
-            quasi_routers: self.quasi_routers,
-            sessions: self.sessions,
-            prefixes: self.prefixes,
-            rules_scanned: self.rules_scanned,
-            elapsed_micros: self.elapsed_micros,
-            rules: self
-                .per_rule()
-                .into_iter()
-                .map(|(code, (rule, worst, count))| RuleCount {
-                    rule: code,
-                    name: rule.name(),
-                    worst: worst.as_str(),
-                    count,
-                })
-                .collect(),
-            diagnostics: self
-                .diagnostics
-                .iter()
-                .map(|d| JsonDiagnostic {
-                    rule: d.rule.code(),
-                    name: d.rule.name(),
-                    severity: d.severity.as_str(),
-                    message: d.message.clone(),
-                    location: d.location.clone(),
-                })
-                .collect(),
-        };
-        serde_json::to_string(&report)
+        serde_json::to_string(self)
     }
 }
 
-/// Runs every audit rule over `model` and returns the full report.
+impl Serialize for Report {
+    fn serialize(&self, s: &mut Serializer) {
+        s.begin_map();
+        match self.scanned {
+            Scanned::Model {
+                quasi_routers,
+                sessions,
+                prefixes,
+                rules_scanned,
+            } => {
+                s.field("errors", &self.errors());
+                s.field("warnings", &self.warnings());
+                s.field("infos", &self.infos());
+                s.field("quasi_routers", &quasi_routers);
+                s.field("sessions", &sessions);
+                s.field("prefixes", &prefixes);
+                s.field("rules_scanned", &rules_scanned);
+                s.field("elapsed_micros", &self.elapsed_micros);
+                s.key("rules");
+                s.begin_seq();
+                for (code, (rule, worst, count)) in self.per_rule() {
+                    s.elem();
+                    s.begin_map();
+                    s.field("rule", code);
+                    s.field("name", rule.name());
+                    s.field("worst", worst.as_str());
+                    s.field("count", &count);
+                    s.end_map();
+                }
+                s.end_seq();
+            }
+            Scanned::Source { files } => {
+                s.field("files", &files);
+                s.field("errors", &self.errors());
+                s.field("warnings", &self.warnings());
+            }
+        }
+        s.field("diagnostics", &self.diagnostics);
+        s.end_map();
+    }
+}
+
+/// Runs every model rule over `model` and returns the full report.
 /// Purely static: no simulation is invoked, so runtime is linear-ish in
 /// routers + sessions + policy rules (+ a BFS per deny-affected prefix).
-pub fn audit(model: &AsRoutingModel) -> LintReport {
+pub fn audit(model: &AsRoutingModel) -> Report {
     let started = std::time::Instant::now();
     let mut report = rules::run_all(model);
     report.diagnostics.sort_by_key(|d| (d.rule, d.severity));
@@ -475,6 +540,19 @@ pub fn install() {
 mod tests {
     use super::*;
 
+    fn model_report(diagnostics: Vec<Diagnostic>) -> Report {
+        Report {
+            diagnostics,
+            scanned: Scanned::Model {
+                quasi_routers: 0,
+                sessions: 0,
+                prefixes: 0,
+                rules_scanned: 0,
+            },
+            elapsed_micros: 0,
+        }
+    }
+
     #[test]
     fn severity_is_ordered_and_parses() {
         assert!(Severity::Info < Severity::Warn);
@@ -486,47 +564,63 @@ mod tests {
 
     #[test]
     fn rule_codes_are_stable_and_unique() {
-        let codes: Vec<&str> = RuleId::ALL.iter().map(|r| r.code()).collect();
-        assert_eq!(codes.len(), 9);
-        let mut dedup = codes.clone();
-        dedup.dedup();
-        assert_eq!(codes, dedup);
-        assert_eq!(RuleId::DanglingPrefix.code(), "QL0001");
-        assert_eq!(RuleId::CoverageGap.code(), "QL0009");
+        use RuleId::*;
+        let all = [
+            DanglingPrefix,
+            DanglingAs,
+            UnreachableRouter,
+            DeadFilter,
+            ShadowedRule,
+            MedContradiction,
+            DisputeCycle,
+            ReflectorCycle,
+            CoverageGap,
+            LockOrder,
+            AtomicOrdering,
+            FailpointRegistry,
+            ProtocolExhaustiveness,
+            ProcessExit,
+            PrintlnInLibrary,
+            UnsafeCode,
+        ];
+        let codes: BTreeSet<&str> = all.iter().map(|r| r.code()).collect();
+        assert_eq!(codes.len(), all.len());
+        assert_eq!(DanglingPrefix.code(), "QL0001");
+        assert_eq!(CoverageGap.code(), "QL0009");
+        assert_eq!(LockOrder.code(), "QS0001");
+        assert_eq!(UnsafeCode.code(), "QS0007");
     }
 
     #[test]
     fn report_counts_and_deny_threshold() {
-        let mut report = LintReport::default();
-        assert!(report.is_clean());
+        let mut report = model_report(Vec::new());
         assert!(!report.denies(Severity::Info));
         report.diagnostics.push(Diagnostic {
             rule: RuleId::DeadFilter,
             severity: Severity::Warn,
             message: "x".into(),
-            location: Location::default(),
+            location: Location::Model(ModelLocation::default()),
         });
         assert!(report.denies(Severity::Warn));
         assert!(!report.denies(Severity::Error));
         assert_eq!(report.warnings(), 1);
-        assert_eq!(report.fired_codes(), vec!["QL0004"]);
+        assert_eq!(report.fired_codes(), BTreeSet::from(["QL0004"]));
     }
 
     #[test]
     fn renderers_include_codes_and_locations() {
-        let mut report = LintReport::default();
-        report.diagnostics.push(Diagnostic {
+        let report = model_report(vec![Diagnostic {
             rule: RuleId::DanglingPrefix,
             severity: Severity::Error,
             message: "ranking names unrouted prefix".into(),
-            location: Location {
+            location: Location::Model(ModelLocation {
                 session: Some("r1.0 -> r2.0".into()),
                 chain: Some("import".into()),
                 rule_index: Some(3),
                 prefix: Some("10.9.0.0/16".into()),
-                ..Location::default()
-            },
-        });
+                ..ModelLocation::default()
+            }),
+        }]);
         let text = report.render_text();
         assert!(text.contains("QL0001"), "text: {text}");
         assert!(text.contains("import[3]"), "text: {text}");
@@ -537,14 +631,38 @@ mod tests {
     }
 
     #[test]
+    fn source_json_escapes_and_summarizes() {
+        let report = Report {
+            diagnostics: vec![Diagnostic {
+                rule: RuleId::ProcessExit,
+                severity: Severity::Error,
+                message: "say \"no\"".into(),
+                location: Location::Span {
+                    file: "a.rs".into(),
+                    line: 3,
+                    col: 7,
+                },
+            }],
+            scanned: Scanned::Source { files: 1 },
+            elapsed_micros: 0,
+        };
+        let json = report.to_json().expect("report serializes");
+        assert!(json.contains("\"rule\":\"QS0005\""));
+        assert!(json.contains("say \\\"no\\\""));
+        assert!(report.denies(Severity::Error));
+        assert!(report.denies(Severity::Info));
+        assert_eq!(report.errors(), 1);
+    }
+
+    #[test]
     fn error_summary_names_codes() {
-        let mut report = LintReport::default();
+        let mut report = model_report(Vec::new());
         assert_eq!(report.error_summary(), "");
         report.diagnostics.push(Diagnostic {
             rule: RuleId::MedContradiction,
             severity: Severity::Error,
             message: "duplicate ranking".into(),
-            location: Location::default(),
+            location: Location::Model(ModelLocation::default()),
         });
         let s = report.error_summary();
         assert!(s.contains("QL0006"), "summary: {s}");

@@ -1,7 +1,7 @@
 //! The audit rules. Every pass walks routers, sessions, and policy
 //! chains — never the simulator.
 
-use crate::{Diagnostic, LintReport, Location, RuleId, Severity};
+use crate::{Diagnostic, Location, ModelLocation, Report, RuleId, Scanned, Severity};
 use quasar_bgpsim::network::{Network, SessionDirectionView, SessionKind};
 use quasar_bgpsim::policy::{Action, Policy, PolicyRule, RouteMatch};
 use quasar_bgpsim::route::DEFAULT_LOCAL_PREF;
@@ -18,7 +18,7 @@ struct Ctx<'a> {
     origin_ases: BTreeSet<Asn>,
 }
 
-pub(crate) fn run_all(model: &AsRoutingModel) -> LintReport {
+pub(crate) fn run_all(model: &AsRoutingModel) -> Report {
     let net = model.network();
     let ctx = Ctx {
         model,
@@ -33,12 +33,14 @@ pub(crate) fn run_all(model: &AsRoutingModel) -> LintReport {
     dispute_cycles(&ctx, &mut out);
     reflector_cycles(&ctx, &mut out);
     coverage_gaps(&ctx, &mut out);
-    LintReport {
+    Report {
         diagnostics: out,
-        quasi_routers: net.num_routers(),
-        sessions: net.num_sessions(),
-        prefixes: model.prefixes().len(),
-        rules_scanned,
+        scanned: Scanned::Model {
+            quasi_routers: net.num_routers(),
+            sessions: net.num_sessions(),
+            prefixes: model.prefixes().len(),
+            rules_scanned,
+        },
         elapsed_micros: 0,
     }
 }
@@ -47,12 +49,12 @@ fn session_label(d: &SessionDirectionView<'_>) -> String {
     format!("{} -> {}", d.from, d.to)
 }
 
-fn loc_rule(d: &SessionDirectionView<'_>, chain: &str, index: usize) -> Location {
-    Location {
+fn loc_rule(d: &SessionDirectionView<'_>, chain: &str, index: usize) -> ModelLocation {
+    ModelLocation {
         session: Some(session_label(d)),
         chain: Some(chain.to_string()),
         rule_index: Some(index),
-        ..Location::default()
+        ..ModelLocation::default()
     }
 }
 
@@ -87,10 +89,10 @@ fn chain_rules(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) -> usize {
                             message: format!(
                                 "rule matches prefix {p}, which the model does not route"
                             ),
-                            location: Location {
+                            location: Location::Model(ModelLocation {
                                 prefix: Some(p.to_string()),
                                 ..loc_rule(&d, chain_name, i)
-                            },
+                            }),
                         });
                     }
                 }
@@ -104,7 +106,7 @@ fn chain_rules(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) -> usize {
                                 message: format!(
                                     "rule matches {field} {a}, which has no quasi-router"
                                 ),
-                                location: loc_rule(&d, chain_name, i),
+                                location: Location::Model(loc_rule(&d, chain_name, i)),
                             });
                         }
                     }
@@ -118,10 +120,10 @@ fn chain_rules(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) -> usize {
                         rule: RuleId::DeadFilter,
                         severity: Severity::Warn,
                         message: reason,
-                        location: Location {
+                        location: Location::Model(ModelLocation {
                             prefix: m.prefix.map(|p| p.to_string()),
                             ..loc_rule(&d, chain_name, i)
-                        },
+                        }),
                     });
                 }
             }
@@ -141,7 +143,7 @@ fn chain_rules(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) -> usize {
                              terminated by rule {i} ({:?})",
                             rules[i].action
                         ),
-                        location: loc_rule(&d, chain_name, j),
+                        location: Location::Model(loc_rule(&d, chain_name, j)),
                     });
                 }
             }
@@ -239,10 +241,10 @@ fn unreachable_routers(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                      no route can ever reach it",
                     r.asn()
                 ),
-                location: Location {
+                location: Location::Model(ModelLocation {
                     router: Some(r.to_string()),
-                    ..Location::default()
-                },
+                    ..ModelLocation::default()
+                }),
             });
         }
     }
@@ -301,13 +303,13 @@ fn med_contradictions(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                         "{count} SetMed rules rank prefix {p} on the import chain from \
                          {from} — duplicated ranking, the later rule silently overrides"
                     ),
-                    location: Location {
+                    location: Location::Model(ModelLocation {
                         router: Some(to.to_string()),
                         session: Some(format!("{from} -> {to}")),
                         chain: Some("import".into()),
                         prefix: Some(p.to_string()),
-                        ..Location::default()
-                    },
+                        ..ModelLocation::default()
+                    }),
                 });
             }
         }
@@ -321,11 +323,11 @@ fn med_contradictions(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                      unranked peers announce without MED and win always-compare",
                     by_peer.len()
                 ),
-                location: Location {
+                location: Location::Model(ModelLocation {
                     router: Some(to.to_string()),
                     prefix: Some(p.to_string()),
-                    ..Location::default()
-                },
+                    ..ModelLocation::default()
+                }),
             });
         } else if by_peer.values().all(|&(_, med)| med > 0) {
             out.push(Diagnostic {
@@ -335,11 +337,11 @@ fn med_contradictions(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                     "MED ranking for prefix {p} at {to} prefers no announcer \
                      (no session gets MED 0)"
                 ),
-                location: Location {
+                location: Location::Model(ModelLocation {
                     router: Some(to.to_string()),
                     prefix: Some(p.to_string()),
-                    ..Location::default()
-                },
+                    ..ModelLocation::default()
+                }),
             });
         }
     }
@@ -431,10 +433,10 @@ fn dispute_cycles(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                      the route announced by the next; convergence is not guaranteed",
                     path.join(" -> ")
                 ),
-                location: Location {
+                location: Location::Model(ModelLocation {
                     prefix: Some(p.to_string()),
-                    ..Location::default()
-                },
+                    ..ModelLocation::default()
+                }),
             });
         }
     }
@@ -461,7 +463,7 @@ fn reflector_cycles(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
                  so reflected announcements can loop",
                 path.join(" -> ")
             ),
-            location: Location::default(),
+            location: Location::Model(ModelLocation::default()),
         });
     }
 }
@@ -685,10 +687,10 @@ fn gap(p: Prefix, origin: Asn) -> Diagnostic {
         message: format!(
             "prefix {p} cannot leave its origin {origin}: every egress is denied or absent"
         ),
-        location: Location {
+        location: Location::Model(ModelLocation {
             prefix: Some(p.to_string()),
-            ..Location::default()
-        },
+            ..ModelLocation::default()
+        }),
     }
 }
 

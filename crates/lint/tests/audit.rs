@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use quasar_core::persist::{load_model, save_model};
-use quasar_lint::{audit, Severity};
+use quasar_lint::{audit, Scanned, Severity};
 use quasar_testkit::defects::{flip_byte, DefectClass};
 use quasar_testkit::workload::tiny_trained;
 use std::collections::BTreeSet;
@@ -41,7 +41,7 @@ fn trained_model_is_error_clean_and_audit_is_fast() {
         report.elapsed_micros
     );
     assert!(
-        report.rules_scanned > 0,
+        matches!(report.scanned, Scanned::Model { rules_scanned, .. } if rules_scanned > 0),
         "the trained model has policy rules"
     );
 }

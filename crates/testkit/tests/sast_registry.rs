@@ -5,9 +5,9 @@
 //! repo, pinned here to the three suites that drive recovery drills so a
 //! renamed site breaks loudly in the testkit job too.
 
-use quasar_sast::collect_workspace;
-use quasar_sast::lexer::lex;
-use quasar_sast::rules::failpoints::{patterns_overlap, refs_in, sites_in, FailName};
+use quasar_lint::source::collect_workspace;
+use quasar_lint::source::lexer::lex;
+use quasar_lint::source::rules::failpoints::{patterns_overlap, refs_in, sites_in, FailName};
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {

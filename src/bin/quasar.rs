@@ -91,6 +91,7 @@
 
 use quasar::bgpsim::types::Asn;
 use quasar::diversity::prelude::*;
+use quasar::lint::{Report, Severity};
 use quasar::model::prelude::*;
 use quasar::netgen::prelude::*;
 use quasar::serve::prelude::*;
@@ -183,6 +184,8 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The first argument that is neither a flag nor a flag's value (every
+/// `--flag` but the boolean ones takes a value).
 fn positional(args: &[String]) -> Option<String> {
     let mut skip = false;
     for a in args {
@@ -191,7 +194,7 @@ fn positional(args: &[String]) -> Option<String> {
             continue;
         }
         if a.starts_with("--") {
-            skip = true;
+            skip = !matches!(a.as_str(), "--json" | "--resume" | "--prewarm" | "--follow");
             continue;
         }
         return Some(a.clone());
@@ -381,17 +384,58 @@ fn cmd_train(args: &[String]) {
 }
 
 fn cmd_lint(args: &[String]) {
-    let path = positional(args).unwrap_or_else(|| usage("lint requires MODEL.json"));
-    let as_json = args.iter().any(|a| a == "--json");
-    let deny = match flag(args, "--deny").as_deref() {
-        None => quasar::lint::Severity::Error,
-        Some("info") => usage("--deny info would reject every model with an Info note; use warn"),
-        Some(s) => quasar::lint::Severity::parse(s)
-            .unwrap_or_else(|| usage(&format!("bad --deny `{s}`, want warn|error"))),
-    };
-    let model = load_model(&path);
-    let report = quasar::lint::audit(&model);
-    if as_json {
+    let (path, json, deny) = audit_args(args, None);
+    let path = path.unwrap_or_else(|| usage("lint requires MODEL.json"));
+    finish_audit(&quasar::lint::audit(&load_model(&path)), json, deny)
+}
+
+fn cmd_sast(args: &[String]) {
+    let (root, json, deny) = audit_args(args, Some("--root"));
+    let root = root.unwrap_or_else(|| ".".to_string());
+    let report = quasar::lint::source::analyze_workspace(std::path::Path::new(&root))
+        .unwrap_or_else(|e| die(format!("cannot scan {root}: {e}")));
+    finish_audit(&report, json, deny)
+}
+
+/// Parses the arguments `lint` and `sast` share, strictly: `--json`,
+/// `--deny warn|error` (default error), and one operand — the value of
+/// `operand_flag`, or a positional when there is none. Anything else is a
+/// usage error. Returns `(operand, json, deny)`.
+fn audit_args(args: &[String], operand_flag: Option<&str>) -> (Option<String>, bool, Severity) {
+    let (mut operand, mut json, mut deny) = (None, false, Severity::Error);
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--json" => json = true,
+            "--deny" => {
+                deny = match it.next().map(String::as_str) {
+                    Some("info") => {
+                        usage("--deny info would reject every informational note; use warn")
+                    }
+                    s => s
+                        .and_then(Severity::parse)
+                        .unwrap_or_else(|| usage("--deny wants warn|error")),
+                }
+            }
+            f if Some(f) == operand_flag => {
+                operand = Some(
+                    it.next()
+                        .cloned()
+                        .unwrap_or_else(|| usage(&format!("{f} requires a value"))),
+                )
+            }
+            f if f.starts_with("--") => usage(&format!("unknown flag {f}")),
+            p if operand_flag.is_none() && operand.is_none() => operand = Some(p.to_string()),
+            p => usage(&format!("unexpected argument {p}")),
+        }
+    }
+    (operand, json, deny)
+}
+
+/// Prints an audit report and exits: 1 when a finding reaches `deny`,
+/// else 0.
+fn finish_audit(report: &Report, json: bool, deny: Severity) -> ! {
+    if json {
         let line = report
             .to_json()
             .unwrap_or_else(|e| die(format!("cannot serialize report: {e}")));
@@ -399,30 +443,7 @@ fn cmd_lint(args: &[String]) {
     } else {
         print!("{}", report.render_text());
     }
-    if report.denies(deny) {
-        exit(1)
-    }
-}
-
-fn cmd_sast(args: &[String]) {
-    let root = flag(args, "--root").unwrap_or_else(|| ".".to_string());
-    let as_json = args.iter().any(|a| a == "--json");
-    let deny = match flag(args, "--deny").as_deref() {
-        None => quasar_sast::Severity::Error,
-        Some("info") => usage("--deny info would reject every informational note; use warn"),
-        Some(s) => quasar_sast::Severity::parse(s)
-            .unwrap_or_else(|| usage(&format!("bad --deny `{s}`, want warn|error"))),
-    };
-    let report = quasar_sast::analyze_workspace(std::path::Path::new(&root))
-        .unwrap_or_else(|e| die(format!("cannot scan {root}: {e}")));
-    if as_json {
-        println!("{}", report.to_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.denies(deny) {
-        exit(1)
-    }
+    exit(i32::from(report.denies(deny)))
 }
 
 fn load_model(path: &str) -> AsRoutingModel {

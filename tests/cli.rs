@@ -1,6 +1,9 @@
 //! End-to-end CLI test: generate → analyze → train → whatif → stable, all
-//! through the real binary, exchanging real files.
+//! through the real binary, exchanging real files; plus the exit-code
+//! contract of `lint` and `sast` and the repository's own source audit.
 
+use quasar::model::persist::{load_model, save_model};
+use quasar_testkit::defects::DefectClass;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -332,4 +335,126 @@ fn retired_scale_aliases_are_usage_errors() {
         assert!(stderr.contains("bad --scale"), "{stderr}");
         assert!(!feeds.exists(), "--scale {alias} must write nothing");
     }
+}
+
+/// The parts of a `lint`/`sast --json` report these tests read.
+#[derive(serde::Deserialize)]
+struct JsonReport {
+    errors: usize,
+    diagnostics: Vec<JsonFinding>,
+}
+
+#[derive(serde::Deserialize)]
+struct JsonFinding {
+    rule: String,
+    file: String,
+    line: u32,
+}
+
+fn run(args: &[&str]) -> std::process::Output {
+    quasar().args(args).output().expect("binary runs")
+}
+
+/// Trains the seed-13 `tiny` model through the CLI and saves one copy
+/// per defect class with that defect injected; returns the clean path
+/// and the defective ones.
+fn lint_models(tag: &str, defects: &[DefectClass]) -> (PathBuf, Vec<PathBuf>) {
+    let clean = tmp(&format!("{tag}-clean.model"));
+    let path = clean.to_str().unwrap();
+    let out = run(&["train", "--scale", "tiny", "--seed", "13", "--out", path]);
+    assert!(out.status.success(), "{out:?}");
+    let broken = defects
+        .iter()
+        .map(|class| {
+            let mut model = load_model(&clean).unwrap();
+            class.inject(&mut model, 13).unwrap();
+            let p = tmp(&format!("{tag}-{class:?}.model"));
+            save_model(&p, &model).unwrap();
+            p
+        })
+        .collect();
+    (clean, broken)
+}
+
+#[test]
+fn lint_accepts_json_before_the_model_path() {
+    let (model, _) = lint_models("json-first", &[]);
+    let out = run(&["lint", "--json", model.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let report: JsonReport = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(report.errors, 0);
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn lint_rejects_unknown_flags_and_a_bare_deny() {
+    let (model, _) = lint_models("strict", &[]);
+    let path = model.to_str().unwrap();
+    for args in [
+        vec!["lint", path, "--dny", "warn"],
+        vec!["lint", path, "--deny"],
+        vec!["lint", path, path],
+    ] {
+        assert_eq!(run(&args).status.code(), Some(2), "{args:?}");
+    }
+    let _ = std::fs::remove_file(&model);
+}
+
+#[test]
+fn sast_rejects_a_positional_argument() {
+    let out = run(&["sast", "--json", "extra"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+}
+
+#[test]
+fn repository_passes_its_own_source_audit() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let out = run(&["sast", "--root", root, "--deny", "error"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+#[test]
+fn lint_exit_codes_follow_the_deny_threshold() {
+    // QL0004 is Warn-level, QL0001 Error-level.
+    let (clean, broken) = lint_models(
+        "deny",
+        &[DefectClass::DeadFilter, DefectClass::DanglingPrefixRanking],
+    );
+    let code = |model: &PathBuf, extra: &[&str]| {
+        let mut args = vec!["lint", model.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        run(&args).status.code()
+    };
+    assert_eq!(code(&clean, &[]), Some(0));
+    assert_eq!(code(&clean, &["--deny", "warn"]), Some(0));
+    assert_eq!(code(&broken[0], &[]), Some(0));
+    assert_eq!(code(&broken[0], &["--deny", "warn"]), Some(1));
+    assert_eq!(code(&broken[1], &[]), Some(1));
+    assert_eq!(code(&clean, &["--deny", "info"]), Some(2));
+    for p in std::iter::once(&clean).chain(&broken) {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn sast_fails_on_a_tree_with_a_finding() {
+    let root = tmp("sast-tree");
+    let src = root.join("crates/fx/src");
+    std::fs::create_dir_all(&src).unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn quit() {\n    std::process::exit(3);\n}\n",
+    )
+    .unwrap();
+    let dir = root.to_str().unwrap();
+    assert_eq!(run(&["sast", "--root", dir]).status.code(), Some(1));
+    let out = run(&["sast", "--root", dir, "--json"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let report: JsonReport = serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    assert_eq!(report.errors, 1);
+    let finding = &report.diagnostics[0];
+    assert_eq!(finding.rule, "QS0005");
+    assert_eq!(finding.file, "crates/fx/src/lib.rs");
+    assert_eq!(finding.line, 2);
+    let _ = std::fs::remove_dir_all(&root);
 }
