@@ -1,11 +1,11 @@
 //! Seeded, capped, jittered exponential backoff.
 //!
-//! Every retry loop in the workspace — the `quasar query` CLI retrying
-//! overloaded replies, the streaming [`ServeClient`] riding out a serve
-//! outage, the ingest tail retrying transient reads — wants the same
-//! policy: delays that double from a base, are capped, and carry up to
-//! +50% deterministic jitter so a fleet of clients does not retry in
-//! lockstep. This module is the one implementation they all share.
+//! Every retry loop in the workspace — the [`ServeClient`] (behind the
+//! streaming pipeline and `quasar query`) riding out overloaded replies
+//! and serve outages, the ingest tail retrying transient reads — wants
+//! the same policy: delays that double from a base, are capped, and carry
+//! up to +50% deterministic jitter so a fleet of clients does not retry
+//! in lockstep. This module is the one implementation they all share.
 //!
 //! Determinism is deliberate: the jitter stream is a [SplitMix64]
 //! sequence derived from a caller-supplied seed, so tests can assert

@@ -126,7 +126,7 @@ impl ServeClient {
     /// transport faults and `overloaded` replies within the configured
     /// budget. An overloaded reply that survives every retry is returned
     /// as-is for the caller to classify.
-    fn exchange(&self, request: &Request) -> Result<Response, StreamError> {
+    pub fn request(&self, request: &Request) -> Result<Response, StreamError> {
         let json = serde_json::to_string(request)
             .map_err(|e| StreamError::Serve(format!("cannot encode request: {e}")))?;
         // sast: relaxed-ok backoff jitter draw; uniqueness per attempt is all that is needed
@@ -163,7 +163,7 @@ impl ServeClient {
         let request = Request::Reload {
             path: path.display().to_string(),
         };
-        match self.exchange(&request)? {
+        match self.request(&request)? {
             Response::Reload(r) => Ok(SwapOutcome::Swapped(r)),
             Response::Error(e) => Ok(SwapOutcome::Rejected(e.message)),
             Response::Overloaded(o) => Ok(SwapOutcome::Rejected(format!(
@@ -182,7 +182,7 @@ impl ServeClient {
         let request = Request::StreamReport {
             report: report.clone(),
         };
-        match self.exchange(&request)? {
+        match self.request(&request)? {
             Response::StreamReport(r) => Ok(r.accepted),
             Response::Error(_) | Response::Overloaded(_) => Ok(false),
             other => Err(StreamError::Serve(format!(
@@ -194,7 +194,7 @@ impl ServeClient {
     /// Fetches the server's metrics snapshot (which carries the last
     /// accepted stream status — this is what `quasar stream-stats` prints).
     pub fn metrics(&self) -> Result<MetricsSnapshot, StreamError> {
-        match self.exchange(&Request::Metrics)? {
+        match self.request(&Request::Metrics)? {
             Response::Metrics(m) => Ok(*m),
             Response::Error(e) => Err(StreamError::Serve(format!(
                 "metrics request failed: {}",
@@ -209,7 +209,7 @@ impl ServeClient {
     /// Probes the server's readiness: fleet status, per-shard states, and
     /// the last stream heartbeat (this is what `quasar health` prints).
     pub fn health(&self) -> Result<HealthReply, StreamError> {
-        match self.exchange(&Request::Health)? {
+        match self.request(&Request::Health)? {
             Response::Health(h) => Ok(h),
             Response::Error(e) => Err(StreamError::Serve(format!(
                 "health request failed: {}",

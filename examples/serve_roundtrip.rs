@@ -42,7 +42,7 @@ fn main() {
         std::thread::spawn(move || serve(state, listener))
     };
 
-    // One lockstep connection, like `quasar query`.
+    // One lockstep connection: a request line, then its reply line.
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
     let mut writer = stream.try_clone().expect("clone stream");

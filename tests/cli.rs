@@ -1,6 +1,7 @@
 //! End-to-end CLI test: generate → analyze → train → whatif → stable, all
-//! through the real binary, exchanging real files; plus the exit-code
-//! contract of `lint` and `sast` and the repository's own source audit.
+//! through the real binary, exchanging real files; plus the strict
+//! argument parser's exit-2 contract, the exit-code contract of `lint`
+//! and `sast`, and the repository's own source audit.
 
 use quasar::model::persist::{load_model, save_model};
 use quasar_testkit::defects::DefectClass;
@@ -73,24 +74,35 @@ fn full_cli_workflow() {
     assert!(text.contains("converged=true"), "{text}");
     assert!(model.exists());
 
-    // whatif using the persisted model
+    // whatif on a model trained from the feeds, then on the persisted one
+    for source in [
+        vec![feeds.to_str().unwrap()],
+        vec!["--model", model.to_str().unwrap()],
+    ] {
+        let out = quasar()
+            .arg("whatif")
+            .args(source)
+            .args(["--depeer", "10:101"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("unchanged"));
+    }
     let out = quasar()
-        .args([
-            "whatif",
-            feeds.to_str().unwrap(),
-            "--depeer",
-            "10:101",
-            "--model",
-            model.to_str().unwrap(),
-        ])
+        .args(["whatif", "--model", model.to_str().unwrap()])
+        .args(["--depeer", "10:99999"])
         .output()
         .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        err.contains("no sessions between AS10 and AS99999"),
+        "{err}"
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("de-peering"));
 
     // stable snapshot reconstruction from the update archive
     let out = quasar()
@@ -264,8 +276,8 @@ fn train_killed_and_resumed_is_byte_identical() {
     }
 }
 
-/// `serve` on a corrupt model must exit with the typed persist error and
-/// the checkpoint-recovery hint, not a raw parse error.
+/// `serve` and `lint` on a corrupt model must exit with the typed persist
+/// error and the checkpoint-recovery hint, not a raw parse error.
 #[test]
 fn serve_on_corrupt_model_names_offset_and_hint() {
     let feeds = tmp("corrupt-feeds.mrt");
@@ -297,6 +309,22 @@ fn serve_on_corrupt_model_names_offset_and_hint() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+
+    // `lint` on a copy with one payload byte flipped names the checksum
+    // mismatch and the recovery hint.
+    let flipped = tmp("corrupt-flipped.model");
+    let mut bytes = std::fs::read(&model).unwrap();
+    bytes[100] = 0xff;
+    std::fs::write(&flipped, &bytes).unwrap();
+    let out = quasar()
+        .args(["lint", flipped.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("checksum mismatch"), "{err}");
+    assert!(err.contains("hint:"), "{err}");
+    let _ = std::fs::remove_file(&flipped);
 
     // Truncate the framed artifact mid-payload.
     let bytes = std::fs::read(&model).unwrap();
@@ -457,4 +485,84 @@ fn sast_fails_on_a_tree_with_a_finding() {
     assert_eq!(finding.file, "crates/fx/src/lib.rs");
     assert_eq!(finding.line, 2);
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The subcommand names in the usage text `quasar` prints with no
+/// arguments (one synopsis line per form).
+fn subcommands() -> Vec<String> {
+    let out = run(&[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let mut names: Vec<String> = String::from_utf8_lossy(&out.stderr)
+        .lines()
+        .filter_map(|l| {
+            l.split_once("quasar ")?
+                .1
+                .split(' ')
+                .next()
+                .map(String::from)
+        })
+        .collect();
+    names.dedup();
+    names
+}
+
+#[test]
+fn every_subcommand_rejects_bad_arguments_before_touching_files() {
+    let file = tmp("strict.out");
+    let f = file.to_str().unwrap();
+    let unknown: &[&[&str]] = &[
+        &["generate", "--out", f],
+        &["train", "--scale", "tiny", "--out", f],
+        &["analyze", f],
+        &["predict", f],
+        &[
+            "predict",
+            "--model",
+            f,
+            "--prefix",
+            "0.0.80.0/24",
+            "--observer",
+            "1",
+        ],
+        &["diagnose", f],
+        &["stable", f],
+        &["whatif", "--model", f, "--depeer", "1:2"],
+        &["serve", f],
+        &["query", "127.0.0.1:9", r#"{"type":"stats"}"#],
+        &["health", "127.0.0.1:9"],
+        &["stream", "--updates", f, "--model", f],
+        &["stream-stats", "127.0.0.1:9"],
+        &["lint", f],
+        &["sast"],
+    ];
+    let covered: Vec<&str> = unknown.iter().map(|args| args[0]).collect();
+    for name in subcommands() {
+        assert!(covered.contains(&name.as_str()), "no case for `{name}`");
+    }
+    for args in unknown {
+        let out = run(&[args, &["--no-such-flag"][..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--no-such-flag"), "{args:?}: {stderr}");
+    }
+    for args in [
+        // a misspelled flag (`--thread` for `--threads`)
+        &["train", "--scale", "tiny", "--thread", "1", "--out", f][..],
+        // an unparsable value
+        &["generate", "--out", f, "--seed", "abc"],
+        &["serve", f, "--workers", "two"],
+        // a flag of the other form
+        &["predict", f, "--prefix", "0.0.80.0/24"],
+        &["whatif", f, "--model", f, "--depeer", "1:2"],
+        &["train", f, "--seed", "3", "--out", f],
+        // a value flag given last with no value
+        &["generate", "--out", f, "--seed"],
+        // a stray or missing positional
+        &["analyze", f, f],
+        &["query", "127.0.0.1:9"],
+        &["serve"],
+    ] {
+        assert_eq!(run(args).status.code(), Some(2), "{args:?}");
+    }
+    assert!(!file.exists(), "a usage error must touch no file");
 }

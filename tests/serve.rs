@@ -241,14 +241,20 @@ fn serve_flow(model: &Path, extra: &[&str], shards: usize) {
     );
     assert!(m.for_kind("predict").unwrap().count >= 3);
 
-    // `quasar query` speaks the same protocol.
+    // `quasar query` speaks the same protocol and prints each reply as
+    // the server sent it.
     let out = quasar_bin()
-        .args(["query", &addr, r#"{"type":"stats"}"#])
+        .args(["query", &addr, r#"{"type":"stats"}"#, &predict_req])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains(r#""type":"stats""#), "{text}");
+    let (stats, predict) = text.split_at(text.find('\n').map_or(0, |i| i + 1));
+    assert!(stats.contains(r#""type":"stats""#), "{text}");
+    assert_eq!(
+        predict, served_predict,
+        "query output differs from the raw reply"
+    );
 
     // Graceful shutdown: the request is acknowledged and the process
     // exits cleanly (drained workers, released port).
