@@ -135,18 +135,16 @@ pub struct TrainResult {
     pub training_eval: Evaluation,
 }
 
-/// Trains a model on `training` (graph from the full dataset, §4.5).
-pub fn train_model(
-    ctx: &Context,
+/// Refines `model` on `training` and sums the run up: the one place a
+/// [`TrainResult`] is built.
+fn refine_from(
+    mut model: AsRoutingModel,
     training: &Dataset,
     cfg: &RefineConfig,
-) -> (AsRoutingModel, TrainResult) {
-    let graph = ctx.dataset.as_graph();
-    let mut model = AsRoutingModel::initial(&graph, &ctx.dataset.prefixes());
+) -> (AsRoutingModel, RefineReport, TrainResult) {
     let before = model.stats().quasi_routers;
     let report = refine(&mut model, training, cfg).expect("refinement simulations run");
     let stats = model.stats();
-    let training_eval = evaluate(&model, training);
     let result = TrainResult {
         training_routes: training.len(),
         converged: report.converged(),
@@ -154,8 +152,19 @@ pub fn train_model(
         iterations: (report.total_iterations(), report.max_iterations()),
         quasi_routers: (before, stats.quasi_routers),
         rules: stats.policy_rules,
-        training_eval,
+        training_eval: evaluate(&model, training),
     };
+    (model, report, result)
+}
+
+/// Trains a model on `training` (graph from the full dataset, §4.5).
+pub fn train_model(
+    ctx: &Context,
+    training: &Dataset,
+    cfg: &RefineConfig,
+) -> (AsRoutingModel, TrainResult) {
+    let model = AsRoutingModel::initial(&ctx.dataset.as_graph(), &ctx.dataset.prefixes());
+    let (model, _, result) = refine_from(model, training, cfg);
     (model, result)
 }
 
@@ -173,22 +182,29 @@ pub struct PredResult {
     pub train: TrainResult,
 }
 
+impl PredResult {
+    /// Scores `model` and the shortest-path baseline on `validation`.
+    fn new(
+        ctx: &Context,
+        model: &AsRoutingModel,
+        validation: &Dataset,
+        train: TrainResult,
+    ) -> Self {
+        let base = shortest_path_model(&ctx.dataset.as_graph(), &ctx.dataset.prefixes());
+        PredResult {
+            validation_routes: validation.len(),
+            refined: evaluate(model, validation),
+            baseline: evaluate(&base, validation),
+            train,
+        }
+    }
+}
+
 /// E-pred-*: train on one side of a split, predict the other.
 pub fn exp_predict(ctx: &Context, kind: SplitKind) -> PredResult {
     let (training, validation) = kind.split(&ctx.dataset, ctx.seed);
     let (model, train) = train_model(ctx, &training, &RefineConfig::default());
-    let refined = evaluate(&model, &validation);
-
-    let graph = ctx.dataset.as_graph();
-    let base = shortest_path_model(&graph, &ctx.dataset.prefixes());
-    let baseline = evaluate(&base, &validation);
-
-    PredResult {
-        validation_routes: validation.len(),
-        refined,
-        baseline,
-        train,
-    }
+    PredResult::new(ctx, &model, &validation, train)
 }
 
 /// E-qr: quasi-router count distribution after training.
@@ -229,18 +245,9 @@ pub fn exp_ablate_single_router(ctx: &Context) -> (TrainResult, PredResult) {
         ..RefineConfig::default()
     };
     let (model, train) = train_model(ctx, &training, &cfg);
-    let refined = evaluate(&model, &validation);
-    let graph = ctx.dataset.as_graph();
-    let base = shortest_path_model(&graph, &ctx.dataset.prefixes());
-    let baseline = evaluate(&base, &validation);
     (
         train.clone(),
-        PredResult {
-            validation_routes: validation.len(),
-            refined,
-            baseline,
-            train,
-        },
+        PredResult::new(ctx, &model, &validation, train),
     )
 }
 
@@ -253,25 +260,10 @@ pub fn exp_ablate_localpref(ctx: &Context) -> (TrainResult, usize) {
         ranking: RankingAttr::LocalPref,
         ..RefineConfig::default()
     };
-    let graph = ctx.dataset.as_graph();
-    let mut model = AsRoutingModel::initial(&graph, &ctx.dataset.prefixes());
-    let before = model.stats().quasi_routers;
-    let report = refine(&mut model, &training, &cfg).expect("only divergence is tolerated");
+    let model = AsRoutingModel::initial(&ctx.dataset.as_graph(), &ctx.dataset.prefixes());
+    let (_, report, train) = refine_from(model, &training, &cfg);
     let diverged = report.prefixes.iter().filter(|p| p.diverged).count();
-    let stats = model.stats();
-    let training_eval = evaluate(&model, &training);
-    (
-        TrainResult {
-            training_routes: training.len(),
-            converged: report.converged(),
-            prefixes: report.prefixes.len(),
-            iterations: (report.total_iterations(), report.max_iterations()),
-            quasi_routers: (before, stats.quasi_routers),
-            rules: stats.policy_rules,
-            training_eval,
-        },
-        diverged,
-    )
+    (train, diverged)
 }
 
 /// A-agnostic: seed the model with inferred-relationship policies before
@@ -283,31 +275,11 @@ pub fn exp_ablate_relationship_seed(ctx: &Context) -> (TrainResult, PredResult) 
     let level1 = tier1_clique(&graph, &ctx.tier1_seeds());
     let rels = infer_relationships(&graph, &paths, &level1, &InferenceConfig::default());
 
-    let mut model = relationship_model(&graph, &ctx.dataset.prefixes(), &rels);
-    let before = model.stats().quasi_routers;
-    let report = refine(&mut model, &training, &RefineConfig::default()).expect("refinement runs");
-    let stats = model.stats();
-    let training_eval = evaluate(&model, &training);
-    let train = TrainResult {
-        training_routes: training.len(),
-        converged: report.converged(),
-        prefixes: report.prefixes.len(),
-        iterations: (report.total_iterations(), report.max_iterations()),
-        quasi_routers: (before, stats.quasi_routers),
-        rules: stats.policy_rules,
-        training_eval,
-    };
-    let refined = evaluate(&model, &validation);
-    let base = shortest_path_model(&graph, &ctx.dataset.prefixes());
-    let baseline = evaluate(&base, &validation);
+    let model = relationship_model(&graph, &ctx.dataset.prefixes(), &rels);
+    let (model, _, train) = refine_from(model, &training, &RefineConfig::default());
     (
         train.clone(),
-        PredResult {
-            validation_routes: validation.len(),
-            refined,
-            baseline,
-            train,
-        },
+        PredResult::new(ctx, &model, &validation, train),
     )
 }
 

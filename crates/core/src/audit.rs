@@ -3,8 +3,9 @@
 //! The static analyzer lives in `quasar-lint`, which depends on this crate
 //! — so `refine` cannot call it directly. Instead the binary (or any other
 //! top-level consumer) installs an auditor function here once at startup,
-//! and refinement / checkpoint recovery run it on every model they
-//! produce, logging findings without ever invoking the simulator.
+//! and the training recipe ([`crate::train()`]) and checkpoint recovery
+//! run it on every model they produce, logging findings without ever
+//! invoking the simulator.
 
 use crate::model::AsRoutingModel;
 use std::sync::OnceLock;

@@ -6,8 +6,8 @@
 //! re-refines every prefix; this module reuses the sharded-refinement
 //! machinery of [`crate::refine`] to skip the untouched ones while keeping
 //! the **incremental-equals-full contract**: the model produced here is
-//! byte-identical to a from-scratch [`refine`](crate::refine::refine) on
-//! the same final path set.
+//! byte-identical to a from-scratch [`train`](crate::train()) on the same
+//! final path set.
 //!
 //! ## Why reuse is sound
 //!
@@ -58,8 +58,9 @@ use crate::persist::{self, PersistError};
 use crate::refine::{
     build_jobs, domain_ranges, merge_domains, merge_duplication_schedule, prepare_repair,
     run_domains, run_repair_traced, DomainDelta, PrefixJob, RankingAttr, RefineConfig, RefineError,
-    RefineReport, RepairTrace,
+    RepairTrace,
 };
+use crate::train::{finish, lap, PhaseTimes, TrainConfig, TrainReport};
 use quasar_bgpsim::types::{Asn, Prefix};
 use quasar_topology::graph::AsGraph;
 use serde::{Deserialize, Serialize};
@@ -68,6 +69,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
+use std::time::Instant;
 
 use crate::model::AsRoutingModel;
 
@@ -95,35 +97,28 @@ pub enum TrainMode {
 }
 
 impl fmt::Display for TrainMode {
+    /// The mode's name in stream window reports.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrainMode::Initial => write!(f, "initial"),
-            TrainMode::FullRetrain { reason } => write!(f, "full-retrain ({reason})"),
-            TrainMode::Incremental { repair_replayed } => {
-                write!(
-                    f,
-                    "incremental ({})",
-                    if *repair_replayed {
-                        "repair trace replayed"
-                    } else {
-                        "all prefixes re-verified"
-                    }
-                )
-            }
-        }
+        f.write_str(match self {
+            TrainMode::Initial => "initial",
+            TrainMode::FullRetrain { .. } => "full_retrain",
+            TrainMode::Incremental {
+                repair_replayed: true,
+            } => "incremental_replay",
+            TrainMode::Incremental {
+                repair_replayed: false,
+            } => "incremental",
+        })
     }
 }
 
-/// What one [`IncrementalTrainer::train`] call did and reused.
+/// What one [`IncrementalTrainer::train`] call reused. Its refinement
+/// report is [`TrainReport::refine`] (repair-phase view; skipped prefixes
+/// keep their cached domain-phase outcomes).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IncrementalReport {
     /// Reuse mode of this run.
     pub mode: TrainMode,
-    /// The underlying refinement report (repair-phase view; skipped
-    /// prefixes keep their cached domain-phase outcomes).
-    pub refine: RefineReport,
-    /// Total refinement domains in the partition.
-    pub domains_total: usize,
     /// Domains whose cached delta was replayed instead of re-refined.
     pub domains_reused: usize,
     /// Prefixes whose repair steps were replayed from the recorded trace
@@ -167,7 +162,7 @@ struct TrainerCache {
 
 /// A trainer that remembers enough about its last run to retrain only the
 /// prefixes a dataset revision actually changed — while producing models
-/// byte-identical to a from-scratch [`refine`](crate::refine::refine).
+/// byte-identical to a from-scratch [`train`](crate::train()).
 ///
 /// The state survives process restarts through the same `QUASAR1`
 /// checkpoint frames as [`refine_checkpointed`](crate::refine::refine_checkpointed):
@@ -233,14 +228,20 @@ impl IncrementalTrainer {
     }
 
     /// Trains a model on `training`, reusing as much of the previous run
-    /// as is provably identical. Returns the refined model (the same
-    /// model [`refine`](crate::refine::refine) would produce on this
-    /// dataset, byte for byte) and a report of what was reused.
+    /// as is provably identical, and finishes it like
+    /// [`train`](crate::train()): the model is the one `train(training,
+    /// training, cfg)` returns, byte for byte. Beside the training report
+    /// comes what was reused.
+    /// `cfg.checkpoint` and `cfg.resume` do not apply: the trainer's cache
+    /// ([`save`](Self::save) / [`load`](Self::load)) is its resume state.
     pub fn train(
         &mut self,
         training: &Dataset,
-        cfg: &RefineConfig,
-    ) -> Result<(AsRoutingModel, IncrementalReport), RefineError> {
+        train_cfg: &TrainConfig,
+    ) -> Result<(AsRoutingModel, TrainReport, IncrementalReport), RefineError> {
+        let cfg = &train_cfg.refine;
+        let mut clock = Instant::now();
+        let mut phases = PhaseTimes::default();
         let graph = training.as_graph();
         let origins = training.prefixes();
         let mut model = AsRoutingModel::initial(&graph, &origins);
@@ -249,10 +250,12 @@ impl IncrementalTrainer {
         let fps = domain_fingerprints(&jobs, &ranges);
         let sig = GraphSig::of(&graph, &origins);
 
-        let mode_plan = self.plan(cfg, &sig, jobs.len(), &ranges);
+        // `repair_replayed` is settled once the repair ran.
+        let mut mode = self.plan(cfg, &sig, jobs.len(), &ranges);
+        let incremental = matches!(mode, TrainMode::Incremental { .. });
         let mut done: BTreeMap<usize, DomainDelta> = BTreeMap::new();
         let mut reused: Vec<usize> = Vec::new();
-        if matches!(mode_plan, Plan::Incremental) {
+        if incremental {
             // `plan` only returns Incremental with a cache present.
             if let Some(cache) = &self.cache {
                 for (id, fp) in fps.iter().enumerate() {
@@ -273,6 +276,7 @@ impl IncrementalTrainer {
             .sum();
 
         run_domains(&model, cfg, &mut jobs, &ranges, &mut done, 0, None)?;
+        phases.domains = lap(&mut clock);
 
         // Structure shifted iff the merge would now *allocate* a
         // different duplicate set than the cached run's. Dirty domains
@@ -286,7 +290,7 @@ impl IncrementalTrainer {
         // is its claimants' own re-applied projections (see
         // `merge_domains`), not a clone of creation-time state.
         let structural = match &self.cache {
-            Some(cache) if matches!(mode_plan, Plan::Incremental) => {
+            Some(cache) if incremental => {
                 let mut old = merge_duplication_schedule(cache.deltas.iter());
                 let mut new = merge_duplication_schedule(done.values());
                 old.sort_unstable();
@@ -298,6 +302,7 @@ impl IncrementalTrainer {
 
         merge_domains(&mut model, cfg, &ranges, &done, &mut jobs);
         prepare_repair(&mut jobs, cfg);
+        phases.merge = lap(&mut clock);
 
         // When the merged structure provably equals the recorded epoch's,
         // replay the recorded repair trace: untouched prefixes re-apply
@@ -316,20 +321,18 @@ impl IncrementalTrainer {
             }
             v
         };
-        let replay = match (&self.cache, &mode_plan) {
-            (Some(cache), Plan::Incremental) if !structural => {
-                Some((live.as_slice(), &cache.repair))
-            }
+        let replay = match &self.cache {
+            Some(cache) if incremental && !structural => Some((live.as_slice(), &cache.repair)),
             _ => None,
         };
         let (report, repair_trace, replayed) =
             run_repair_traced(&mut model, cfg, &mut jobs, ranges.len(), replay)?;
+        phases.repair = lap(&mut clock);
         let skipped = if replayed {
             live.iter().filter(|&&l| !l).count()
         } else {
             0
         };
-        crate::audit::log_audit("post-incremental", &model);
 
         self.cache = Some(TrainerCache {
             epoch: self.epoch() + 1,
@@ -345,59 +348,46 @@ impl IncrementalTrainer {
             repair: repair_trace,
         });
 
-        let mode = match mode_plan {
-            Plan::Initial => TrainMode::Initial,
-            Plan::FullRetrain(reason) => TrainMode::FullRetrain { reason },
-            Plan::Incremental => TrainMode::Incremental {
-                repair_replayed: replayed,
-            },
+        if let TrainMode::Incremental { repair_replayed } = &mut mode {
+            *repair_replayed = replayed;
+        }
+        let reuse = IncrementalReport {
+            mode,
+            domains_reused: reused.len(),
+            prefixes_skipped: skipped,
+            dirty_prefixes,
         };
-        let domains_reused = reused.len();
-        Ok((
-            model,
-            IncrementalReport {
-                mode,
-                refine: report,
-                domains_total: ranges.len(),
-                domains_reused,
-                prefixes_skipped: skipped,
-                dirty_prefixes,
-            },
-        ))
+        let (model, report) = finish(model, report, phases, false, train_cfg);
+        Ok((model, report, reuse))
     }
 
-    /// Decides the reuse mode for this revision against the cache.
+    /// Decides the reuse mode for this revision against the cache, before
+    /// domain reuse and repair-trace replay.
     fn plan(
         &self,
         cfg: &RefineConfig,
         sig: &GraphSig,
         num_jobs: usize,
         ranges: &[Range<usize>],
-    ) -> Plan {
+    ) -> TrainMode {
         let Some(cache) = &self.cache else {
-            return Plan::Initial;
+            return TrainMode::Initial;
         };
-        if let Some(reason) = cfg_mismatch(cache, cfg) {
-            return Plan::FullRetrain(reason);
-        }
-        if cache.graph_nodes != sig.nodes || cache.graph_edges != sig.edges {
-            return Plan::FullRetrain("AS graph changed".into());
-        }
-        if cache.origins != sig.origins {
-            return Plan::FullRetrain("prefix origins changed".into());
-        }
-        if cache.num_jobs != num_jobs || cache.domain_fps.len() != ranges.len() {
-            return Plan::FullRetrain("domain partition changed".into());
-        }
-        Plan::Incremental
+        let reason = if let Some(reason) = cfg_mismatch(cache, cfg) {
+            reason
+        } else if cache.graph_nodes != sig.nodes || cache.graph_edges != sig.edges {
+            "AS graph changed".into()
+        } else if cache.origins != sig.origins {
+            "prefix origins changed".into()
+        } else if cache.num_jobs != num_jobs || cache.domain_fps.len() != ranges.len() {
+            "domain partition changed".into()
+        } else {
+            return TrainMode::Incremental {
+                repair_replayed: false,
+            };
+        };
+        TrainMode::FullRetrain { reason }
     }
-}
-
-/// The reuse decision, before domain reuse and repair-trace replay.
-enum Plan {
-    Initial,
-    FullRetrain(String),
-    Incremental,
 }
 
 /// Canonical signature of the base-model inputs.
@@ -481,7 +471,7 @@ pub fn load_or_new(
 mod tests {
     use super::*;
     use crate::observed::ObservedRoute;
-    use crate::refine::{refine, RefineOp};
+    use crate::refine::RefineOp;
     use quasar_bgpsim::aspath::AsPath;
     use quasar_bgpsim::types::RouterId;
 
@@ -519,21 +509,27 @@ mod tests {
         dataset(&borrowed)
     }
 
-    fn full_json(training: &Dataset, cfg: &RefineConfig) -> String {
-        let mut model = AsRoutingModel::initial(&training.as_graph(), &training.prefixes());
-        refine(&mut model, training, cfg).expect("full refine");
+    fn full_json(training: &Dataset, cfg: &TrainConfig) -> String {
+        let (model, _) = crate::train(training, training, cfg).expect("full train");
         model.to_json().expect("model serializes")
+    }
+
+    fn threads(threads: usize) -> TrainConfig {
+        TrainConfig {
+            refine: RefineConfig {
+                threads,
+                ..RefineConfig::default()
+            },
+            ..TrainConfig::default()
+        }
     }
 
     #[test]
     fn initial_train_matches_full_refine() {
         let training = to_dataset(&base_paths());
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut trainer = IncrementalTrainer::new();
-        let (model, report) = trainer.train(&training, &cfg).expect("train");
+        let (model, _, report) = trainer.train(&training, &cfg).expect("train");
         assert_eq!(report.mode, TrainMode::Initial);
         assert_eq!(model.to_json().expect("json"), full_json(&training, &cfg));
         assert!(trainer.has_cache());
@@ -543,13 +539,10 @@ mod tests {
     #[test]
     fn unchanged_dataset_skips_everything_and_stays_identical() {
         let training = to_dataset(&base_paths());
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut trainer = IncrementalTrainer::new();
-        let (m1, _) = trainer.train(&training, &cfg).expect("first");
-        let (m2, report) = trainer.train(&training, &cfg).expect("second");
+        let (m1, ..) = trainer.train(&training, &cfg).expect("first");
+        let (m2, trained, report) = trainer.train(&training, &cfg).expect("second");
         assert_eq!(
             report.mode,
             TrainMode::Incremental {
@@ -557,11 +550,11 @@ mod tests {
             },
             "an unchanged dataset must replay the whole repair trace"
         );
-        assert_eq!(report.domains_reused, report.domains_total);
+        assert_eq!(report.domains_reused, trained.refine.domains);
         assert_eq!(report.dirty_prefixes, 0);
         assert_eq!(
             report.prefixes_skipped,
-            report.refine.prefixes.len(),
+            trained.refine.prefixes.len(),
             "every prefix must be replayed without re-simulation"
         );
         assert_eq!(
@@ -573,10 +566,7 @@ mod tests {
 
     #[test]
     fn single_path_change_matches_full_retrain() {
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut paths = base_paths();
         let mut trainer = IncrementalTrainer::new();
         trainer.train(&to_dataset(&paths), &cfg).expect("first");
@@ -585,7 +575,7 @@ mod tests {
         // edges already exist, so the AS graph is unchanged).
         paths[0].1 = vec![1, 11, 10, paths[0].0];
         let training = to_dataset(&paths);
-        let (model, report) = trainer.train(&training, &cfg).expect("second");
+        let (model, _, report) = trainer.train(&training, &cfg).expect("second");
         assert!(
             matches!(report.mode, TrainMode::Incremental { .. }),
             "graph-preserving path change must stay incremental, got {}",
@@ -605,10 +595,7 @@ mod tests {
     #[test]
     fn stale_repair_trace_falls_back_to_full_repair() {
         let training = to_dataset(&base_paths());
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut trainer = IncrementalTrainer::new();
         trainer.train(&training, &cfg).expect("first");
 
@@ -621,7 +608,7 @@ mod tests {
             src: RouterId::new(Asn(10), 0),
             copy: RouterId::new(Asn(10), 999),
         });
-        let (model, report) = trainer.train(&training, &cfg).expect("second");
+        let (model, _, report) = trainer.train(&training, &cfg).expect("second");
         assert_eq!(
             report.mode,
             TrainMode::Incremental {
@@ -637,7 +624,7 @@ mod tests {
         );
 
         // The fallback recorded a fresh, usable trace.
-        let (_, report) = trainer.train(&training, &cfg).expect("third");
+        let (.., report) = trainer.train(&training, &cfg).expect("third");
         assert_eq!(
             report.mode,
             TrainMode::Incremental {
@@ -648,10 +635,7 @@ mod tests {
 
     #[test]
     fn origin_change_falls_back_to_full_retrain() {
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut paths = base_paths();
         let mut trainer = IncrementalTrainer::new();
         trainer.train(&to_dataset(&paths), &cfg).expect("first");
@@ -660,7 +644,7 @@ mod tests {
         paths.push((99, vec![1, 10, 99]));
         paths.push((99, vec![2, 10, 99]));
         let training = to_dataset(&paths);
-        let (model, report) = trainer.train(&training, &cfg).expect("second");
+        let (model, _, report) = trainer.train(&training, &cfg).expect("second");
         assert!(
             matches!(report.mode, TrainMode::FullRetrain { .. }),
             "a new origin must force a full retrain, got {}",
@@ -671,14 +655,7 @@ mod tests {
 
     #[test]
     fn incremental_is_thread_invariant() {
-        let cfg1 = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
-        let cfg4 = RefineConfig {
-            threads: 4,
-            ..RefineConfig::default()
-        };
+        let (cfg1, cfg4) = (threads(1), threads(4));
         let mut paths = base_paths();
         let mut t1 = IncrementalTrainer::new();
         let mut t4 = IncrementalTrainer::new();
@@ -686,8 +663,8 @@ mod tests {
         t4.train(&to_dataset(&paths), &cfg4).expect("seed 4t");
         paths[2].1 = vec![1, 11, 10, paths[2].0];
         let training = to_dataset(&paths);
-        let (m1, _) = t1.train(&training, &cfg1).expect("inc 1t");
-        let (m4, _) = t4.train(&training, &cfg4).expect("inc 4t");
+        let (m1, ..) = t1.train(&training, &cfg1).expect("inc 1t");
+        let (m4, ..) = t4.train(&training, &cfg4).expect("inc 4t");
         assert_eq!(m1.to_json().expect("json"), m4.to_json().expect("json"));
     }
 
@@ -696,20 +673,17 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("quasar-inc-{}-{}", std::process::id(), line!()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cfg = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
-        };
+        let cfg = threads(1);
         let mut paths = base_paths();
         let mut trainer = IncrementalTrainer::new();
         trainer.train(&to_dataset(&paths), &cfg).expect("first");
         trainer.save(&dir).expect("save");
 
-        let mut restored = IncrementalTrainer::load(&dir, &cfg).expect("load");
+        let mut restored = IncrementalTrainer::load(&dir, &cfg.refine).expect("load");
         assert_eq!(restored.epoch(), 1);
         paths[0].1 = vec![1, 11, 10, paths[0].0];
         let training = to_dataset(&paths);
-        let (model, report) = restored.train(&training, &cfg).expect("train");
+        let (model, _, report) = restored.train(&training, &cfg).expect("train");
         assert!(matches!(report.mode, TrainMode::Incremental { .. }));
         assert_eq!(model.to_json().expect("json"), full_json(&training, &cfg));
 
@@ -725,7 +699,7 @@ mod tests {
         ));
         // load_or_new degrades a *missing* cache to a fresh trainer but
         // still surfaces the config mismatch.
-        assert!(load_or_new(dir.join("nope"), &cfg)
+        assert!(load_or_new(dir.join("nope"), &cfg.refine)
             .map(|t| !t.has_cache())
             .unwrap_or(false));
         assert!(load_or_new(&dir, &other).is_err());

@@ -13,6 +13,8 @@
 //!   `ASN << 16 | index` router-id scheme (§4.1/§4.5);
 //! * [`refine`] — the iterative refinement heuristic that makes the model
 //!   reproduce every training path exactly (§4.4–§4.6);
+//! * [`train()`] — the recipe behind every shipped model: refine, §4.7
+//!   generalisation, audit, timing phases A/B/C ([`train::PhaseTimes`]);
 //! * [`metrics`] — RIB-In / potential RIB-Out / RIB-Out match levels and
 //!   per-prefix coverage (§4.2);
 //! * [`predict`] — parallel evaluation of predictions on held-out data
@@ -42,9 +44,10 @@
 //!     },
 //! ];
 //! let dataset = Dataset::new(routes);
-//! let mut model = AsRoutingModel::initial(&dataset.as_graph(), &dataset.prefixes());
-//! let report = refine(&mut model, &dataset, &RefineConfig::default()).unwrap();
-//! assert!(report.converged());
+//! // The recipe `quasar train` runs: refinement (§4.4–§4.6), then §4.7.
+//! let (model, report) = train(&dataset, &dataset, &TrainConfig::default()).unwrap();
+//! assert!(report.refine.converged());
+//! println!("{}", report.phases); // A domains … | B merge … | C repair … | generalize …
 //! let ev = evaluate(&model, &dataset);
 //! assert_eq!(ev.counts.rib_out, ev.counts.total); // exact reproduction
 //! ```
@@ -68,7 +71,10 @@ pub mod persist;
 pub mod predict;
 pub mod prep;
 pub mod refine;
+pub mod train;
 pub mod whatif;
+
+pub use train::train;
 
 /// Commonly used names.
 pub mod prelude {
@@ -91,5 +97,6 @@ pub mod prelude {
         refine, refine_checkpointed, refine_prefix, resume_refine, CheckpointPolicy, PrefixOutcome,
         RankingAttr, RefineConfig, RefineError, RefineReport,
     };
+    pub use crate::train::{train, PhaseTimes, TrainConfig, TrainReport};
     pub use crate::whatif::{apply_change, Change, Impact, RoutingDiff, Scenario};
 }

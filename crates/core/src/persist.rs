@@ -381,14 +381,16 @@ pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usi
 }
 
 /// Serializes `model` and writes it as a framed `model` artifact.
-pub fn save_model(path: impl AsRef<Path>, model: &AsRoutingModel) -> Result<(), PersistError> {
+/// Returns the payload's length in bytes.
+pub fn save_model(path: impl AsRef<Path>, model: &AsRoutingModel) -> Result<usize, PersistError> {
     let path = path.as_ref();
     let json = model.to_json().map_err(|e| PersistError::Json {
         path: path.to_path_buf(),
         offset: 0,
         detail: e.to_string(),
     })?;
-    save_artifact(path, KIND_MODEL, json.as_bytes())
+    save_artifact(path, KIND_MODEL, json.as_bytes())?;
+    Ok(json.len())
 }
 
 /// Loads a model written by [`save_model`] — or a legacy bare-JSON model

@@ -63,6 +63,7 @@
 use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use crate::persist::{self, PersistError};
+use crate::train::{lap, PhaseTimes};
 use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::engine::{SimScratch, SimulationResult};
 use quasar_bgpsim::error::SimError;
@@ -73,6 +74,7 @@ use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::Instant;
 
 /// Which attribute the heuristic uses to rank the wanted route at a
 /// quasi-router.
@@ -731,6 +733,18 @@ pub fn refine_checkpointed(
     cfg: &RefineConfig,
     policy: Option<&CheckpointPolicy>,
 ) -> Result<RefineReport, RefineError> {
+    refine_timed(model, training, cfg, policy).map(|(report, _)| report)
+}
+
+/// [`refine_checkpointed`] with the wall time of phases A, B and C.
+pub(crate) fn refine_timed(
+    model: &mut AsRoutingModel,
+    training: &Dataset,
+    cfg: &RefineConfig,
+    policy: Option<&CheckpointPolicy>,
+) -> Result<(RefineReport, PhaseTimes), RefineError> {
+    let mut clock = Instant::now();
+    let mut phases = PhaseTimes::default();
     let mut jobs = build_jobs(model, training);
     let ranges = domain_ranges(jobs.len());
     let fingerprint = policy.map(|_| dataset_fingerprint(training)).unwrap_or(0);
@@ -744,13 +758,15 @@ pub fn refine_checkpointed(
         fingerprint,
         policy,
     )?;
+    phases.domains = lap(&mut clock);
     merge_domains(model, cfg, &ranges, &done, &mut jobs);
     prepare_repair(&mut jobs, cfg);
+    phases.merge = lap(&mut clock);
     let checkpoint = policy.map(|p| (p, fingerprint));
     let (report, _) = run_repair(model, cfg, &mut jobs, 0, ranges.len(), None, checkpoint)
         .map_err(HybridError::into_refine)?;
-    crate::audit::log_audit("post-train", model);
-    Ok(report)
+    phases.repair = lap(&mut clock);
+    Ok((report, phases))
 }
 
 /// Continues an interrupted [`refine_checkpointed`] run from the newest
@@ -764,6 +780,18 @@ pub fn resume_refine(
     cfg: &RefineConfig,
     policy: &CheckpointPolicy,
 ) -> Result<(AsRoutingModel, RefineReport), RefineError> {
+    resume_timed(training, cfg, policy).map(|(model, report, _)| (model, report))
+}
+
+/// [`resume_refine`] with the wall time of phases A (restoring the
+/// checkpoint and refining the domains it lacks), B and C.
+pub(crate) fn resume_timed(
+    training: &Dataset,
+    cfg: &RefineConfig,
+    policy: &CheckpointPolicy,
+) -> Result<(AsRoutingModel, RefineReport, PhaseTimes), RefineError> {
+    let mut clock = Instant::now();
+    let mut phases = PhaseTimes::default();
     let (file_seq, payload) = persist::load_latest_checkpoint_payload(&policy.dir)?;
     let text = std::str::from_utf8(&payload)
         .map_err(|_| RefineError::CheckpointMismatch("checkpoint payload is not UTF-8".into()))?;
@@ -854,8 +882,10 @@ pub fn resume_refine(
                 fingerprint,
                 Some(policy),
             )?;
+            phases.domains = lap(&mut clock);
             merge_domains(&mut model, cfg, &ranges, &done_map, &mut jobs);
             prepare_repair(&mut jobs, cfg);
+            phases.merge = lap(&mut clock);
             0
         }
         StageCheckpoint::Repair { round, jobs: jcs } => {
@@ -884,6 +914,7 @@ pub fn resume_refine(
                 job.done = jc.done;
                 job.max_iter = jc.max_iter;
             }
+            phases.domains = lap(&mut clock);
             round
         }
     };
@@ -898,8 +929,8 @@ pub fn resume_refine(
         checkpoint,
     )
     .map_err(HybridError::into_refine)?;
-    crate::audit::log_audit("post-resume", &model);
-    Ok((model, report))
+    phases.repair = lap(&mut clock);
+    Ok((model, report, phases))
 }
 
 /// Builds the per-prefix jobs in ascending prefix order — this is also

@@ -514,7 +514,7 @@ pub fn audit(model: &AsRoutingModel) -> Report {
 }
 
 /// Adapter with the [`quasar_core::audit::Auditor`] signature, so the
-/// binary can register the analyzer as the post-train / post-resume hook.
+/// binary can register the analyzer as the post-training audit hook.
 pub fn core_auditor(model: &AsRoutingModel) -> AuditSummary {
     let report = audit(model);
     AuditSummary {

@@ -70,8 +70,6 @@ pub enum StreamError {
     Refine(RefineError),
     /// Persisting an epoch artifact failed.
     Persist(PersistError),
-    /// The trained model could not be rendered to the artifact format.
-    Encode(String),
     /// Talking to the query server failed (transport level — a reload
     /// *rejection* is not an error; the pipeline keeps going).
     Serve(String),
@@ -84,7 +82,6 @@ impl fmt::Display for StreamError {
             StreamError::Mrt(e) => write!(f, "undecodable MRT frame: {e}"),
             StreamError::Refine(e) => write!(f, "incremental refinement failed: {e}"),
             StreamError::Persist(e) => write!(f, "cannot persist epoch artifact: {e}"),
-            StreamError::Encode(msg) => write!(f, "cannot encode model artifact: {msg}"),
             StreamError::Serve(msg) => write!(f, "query-server transport failed: {msg}"),
         }
     }

@@ -13,14 +13,14 @@
 //!    dirty-prefix set — an all-clean window with a warm trainer skips
 //!    everything below (`mode = "no_change"`);
 //! 2. retrain through [`IncrementalTrainer`], which reuses cached domain
-//!    deltas for untouched domains yet produces a model byte-identical to
-//!    a from-scratch retrain;
-//! 3. persist the epoch with the *same* artifact recipe as `quasar train`
-//!    (MED generalization → JSON → `save_artifact`), so a streamed epoch
-//!    and an offline retrain of the same path set are interchangeable
-//!    files; the trainer cache is saved **after** the artifact, so a crash
-//!    between the two leaves a servable artifact and a cache that merely
-//!    redoes one window's work on resume;
+//!    deltas for untouched domains and finishes the model with the
+//!    library's training recipe ([`quasar_core::train()`]: §4.7
+//!    generalisation, then the audit), so the epoch is byte-identical to a
+//!    from-scratch `quasar train` of the same path set;
+//! 3. persist the epoch with [`persist::save_model`]; the trainer cache
+//!    is saved **after** the artifact, so a crash between the two leaves
+//!    a servable artifact and a cache that merely redoes one window's
+//!    work on resume;
 //! 4. push the epoch into `quasar-serve` via the validated atomic reload:
 //!    a rejection is recorded and the old model keeps serving — the
 //!    pipeline never stops because one epoch failed validation.
@@ -50,9 +50,10 @@ use crate::client::{ServeClient, SwapOutcome};
 use crate::delta::PathState;
 use crate::ingest::{TailDecoder, UpdateWindow, Windower};
 use crate::StreamError;
-use quasar_core::incremental::{self, IncrementalTrainer, TrainMode};
+use quasar_core::incremental::{self, IncrementalTrainer};
 use quasar_core::persist;
 use quasar_core::refine::RefineConfig;
+use quasar_core::train::TrainConfig;
 use quasar_serve::metrics::{StreamStatusReport, StreamWindowReport};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -140,7 +141,7 @@ enum Feed {
 /// client), usable window-by-window or over a whole file.
 pub struct Pipeline {
     cfg: StreamConfig,
-    refine_cfg: RefineConfig,
+    train_cfg: TrainConfig,
     state: PathState,
     trainer: IncrementalTrainer,
     client: Option<ServeClient>,
@@ -157,30 +158,20 @@ pub struct Pipeline {
     swap_pending: bool,
 }
 
-fn mode_str(mode: &TrainMode) -> &'static str {
-    match mode {
-        TrainMode::Initial => "initial",
-        TrainMode::FullRetrain { .. } => "full_retrain",
-        TrainMode::Incremental {
-            repair_replayed: true,
-        } => "incremental_replay",
-        TrainMode::Incremental {
-            repair_replayed: false,
-        } => "incremental",
-    }
-}
-
 impl Pipeline {
     /// Builds a pipeline, resuming the trainer cache from
     /// `cfg.state_dir` when one is there (a missing cache is a fresh
     /// start, not an error — a corrupt one is surfaced).
     pub fn new(cfg: StreamConfig) -> Result<Self, StreamError> {
-        let refine_cfg = RefineConfig {
-            threads: cfg.threads,
-            ..RefineConfig::default()
+        let train_cfg = TrainConfig {
+            refine: RefineConfig {
+                threads: cfg.threads,
+                ..RefineConfig::default()
+            },
+            ..TrainConfig::default()
         };
         let trainer = match &cfg.state_dir {
-            Some(dir) => incremental::load_or_new(dir, &refine_cfg)?,
+            Some(dir) => incremental::load_or_new(dir, &train_cfg.refine)?,
             None => IncrementalTrainer::new(),
         };
         let client = cfg.serve_addr.clone().map(|addr| {
@@ -191,7 +182,7 @@ impl Pipeline {
         });
         Ok(Pipeline {
             cfg,
-            refine_cfg,
+            train_cfg,
             state: PathState::new(),
             trainer,
             client,
@@ -248,16 +239,9 @@ impl Pipeline {
             "no_change".into()
         } else {
             let dataset = self.state.dataset();
-            let t0 = Instant::now();
-            let (mut model, report) = self.trainer.train(&dataset, &self.refine_cfg)?;
-            refine_ms = t0.elapsed().as_millis() as u64;
-            // Mirror `quasar train` exactly so a streamed epoch is
-            // byte-identical to an offline retrain of the same path set.
-            model.generalize_med_preferences();
-            let json = model
-                .to_json()
-                .map_err(|e| StreamError::Encode(e.to_string()))?;
-            persist::save_artifact(&self.cfg.model_out, persist::KIND_MODEL, json.as_bytes())?;
+            let (model, report, reuse) = self.trainer.train(&dataset, &self.train_cfg)?;
+            refine_ms = report.phases.refine().as_millis() as u64;
+            persist::save_model(&self.cfg.model_out, &model)?;
             // Artifact first, cache second: a crash between the two
             // leaves a servable epoch plus a cache that merely redoes
             // this window on resume.
@@ -265,7 +249,7 @@ impl Pipeline {
                 self.trainer.save(dir)?;
             }
             freshly_persisted = true;
-            mode_str(&report.mode).into()
+            reuse.mode.to_string()
         };
         // Swap on a fresh epoch, or probe for catch-up while the breaker
         // is open — even an all-clean window is a chance to recover.
@@ -564,8 +548,6 @@ fn ingest_source(cfg: &StreamConfig, tx: mpsc::SyncSender<Feed>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quasar_core::model::AsRoutingModel;
-    use quasar_core::refine::refine;
     use quasar_mrt::prelude::*;
     use quasar_netgen::prelude::*;
 
@@ -614,21 +596,21 @@ mod tests {
         assert_eq!(report.status.swaps, 0, "no server attached");
         assert!(report.status.source_done);
 
-        // The final artifact must be byte-identical to an offline retrain
-        // of the final path set — the streamed epoch and `quasar train`
-        // are interchangeable files.
+        // The final artifact must be byte-identical to a fresh training
+        // run on the final path set — the streamed epoch and `quasar
+        // train` are interchangeable files.
         let streamed = std::fs::read(&model_out).unwrap();
         let dataset = pipeline.state().dataset();
-        let rc = RefineConfig {
-            threads: 1,
-            ..RefineConfig::default()
+        let cfg = TrainConfig {
+            refine: RefineConfig {
+                threads: 1,
+                ..RefineConfig::default()
+            },
+            ..TrainConfig::default()
         };
-        let mut model = AsRoutingModel::initial(&dataset.as_graph(), &dataset.prefixes());
-        refine(&mut model, &dataset, &rc).unwrap();
-        model.generalize_med_preferences();
-        let offline = model.to_json().unwrap();
+        let (model, _) = quasar_core::train(&dataset, &dataset, &cfg).unwrap();
         let offline_path = dir.join("offline.quasar");
-        persist::save_artifact(&offline_path, persist::KIND_MODEL, offline.as_bytes()).unwrap();
+        persist::save_model(&offline_path, &model).unwrap();
         assert_eq!(streamed, std::fs::read(&offline_path).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,10 +3,10 @@
 //! after-set) and the offline full-retrain baseline every incremental
 //! replay must be byte-identical to.
 
-use quasar_core::model::AsRoutingModel;
 use quasar_core::observed::{Dataset, ObservedRoute};
 use quasar_core::persist;
-use quasar_core::refine::{refine, RefineConfig};
+use quasar_core::refine::RefineConfig;
+use quasar_core::train::{train, TrainConfig};
 use quasar_mrt::prelude::*;
 use quasar_netgen::prelude::*;
 use std::path::{Path, PathBuf};
@@ -72,20 +72,20 @@ pub fn archive_bytes(records: &[MrtRecord]) -> Vec<u8> {
     w.finish().expect("finish archive")
 }
 
-/// The offline baseline: a from-scratch retrain of `dataset` persisted
-/// with the exact `quasar train` artifact recipe, returned as the
+/// The offline baseline: a from-scratch run of the training recipe on
+/// `dataset`, persisted like `quasar train` persists it, returned as the
 /// artifact's bytes. Every streamed epoch of the same path set must equal
 /// this byte for byte.
 pub fn full_retrain_artifact(dataset: &Dataset, threads: usize, scratch: &Path) -> Vec<u8> {
-    let cfg = RefineConfig {
-        threads,
-        ..RefineConfig::default()
+    let cfg = TrainConfig {
+        refine: RefineConfig {
+            threads,
+            ..RefineConfig::default()
+        },
+        ..TrainConfig::default()
     };
-    let mut model = AsRoutingModel::initial(&dataset.as_graph(), &dataset.prefixes());
-    refine(&mut model, dataset, &cfg).expect("offline retrain");
-    model.generalize_med_preferences();
-    let json = model.to_json().expect("serialize model");
-    persist::save_artifact(scratch, persist::KIND_MODEL, json.as_bytes()).expect("write baseline");
+    let (model, _) = train(dataset, dataset, &cfg).expect("offline retrain");
+    persist::save_model(scratch, &model).expect("write baseline");
     std::fs::read(scratch).expect("read baseline back")
 }
 

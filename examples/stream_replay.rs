@@ -13,11 +13,12 @@
 //!    fresh epoch is swapped into the server atomically — queries never
 //!    stall and never see a half-loaded model;
 //! 4. the final streamed epoch is byte-identical to what `quasar train`
-//!    would produce from scratch on the final path set.
+//!    would produce from scratch on the final path set: both come from the
+//!    library's one training recipe, `quasar::model::train`.
 //!
 //! Run: `cargo run --release --example stream_replay`
 
-use quasar::model::persist::{self, load_model};
+use quasar::model::persist::{load_model, save_model};
 use quasar::model::prelude::*;
 use quasar::mrt::prelude::*;
 use quasar::netgen::prelude::*;
@@ -64,9 +65,7 @@ fn main() {
     // A server on the before model (what `quasar train` on the dump
     // would have produced).
     let before = quasar::dataset_from(&net);
-    let mut model = AsRoutingModel::initial(&before.as_graph(), &before.prefixes());
-    refine(&mut model, &before, &RefineConfig::default()).expect("refinement converges");
-    model.generalize_med_preferences();
+    let (model, _) = train(&before, &before, &TrainConfig::default()).expect("training runs");
     let state = Arc::new(ShardedState::new(model, ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
@@ -105,12 +104,9 @@ fn main() {
     // The streamed epoch is interchangeable with an offline retrain of
     // the final path set — byte for byte.
     let after = quasar::dataset_from_observations(&perturbation.after);
-    let mut offline = AsRoutingModel::initial(&after.as_graph(), &after.prefixes());
-    refine(&mut offline, &after, &RefineConfig::default()).expect("offline retrain");
-    offline.generalize_med_preferences();
-    let json = offline.to_json().expect("serialize");
+    let (offline, _) = train(&after, &after, &TrainConfig::default()).expect("offline retrain");
     let offline_path = dir.join("offline.quasar");
-    persist::save_artifact(&offline_path, persist::KIND_MODEL, json.as_bytes()).expect("persist");
+    save_model(&offline_path, &offline).expect("persist");
     assert_eq!(
         std::fs::read(&model_out).expect("streamed"),
         std::fs::read(&offline_path).expect("offline"),

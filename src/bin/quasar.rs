@@ -6,9 +6,10 @@
 //! prints every synopsis. Parsing is strict and finishes before any file
 //! is read or written: an unknown flag, a flag without its value, an
 //! unparsable value, a stray or missing positional argument, or a flag of
-//! the subcommand's other form is a usage error (exit 2). I/O and runtime
-//! failures exit 1. What each subcommand does is documented on its
-//! handler.
+//! the subcommand's other form is a usage error (exit 2), and so is a
+//! flag that takes a value given twice (only whatif's changes repeat).
+//! I/O and runtime failures exit 1. What each subcommand does is
+//! documented on its handler.
 
 use quasar::bgpsim::types::Asn;
 use quasar::diversity::prelude::*;
@@ -46,6 +47,10 @@ struct Command {
 }
 
 use Operands::{AddrAndLines, Optional, Required, Zero};
+
+/// The value flags that may be given more than once: whatif's changes,
+/// applied in the order given.
+const REPEATABLE: &[&str] = &["--depeer", "--add-peering", "--filter"];
 
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
@@ -124,6 +129,9 @@ impl Args {
             if let Some(&flag) = row.switches.iter().find(|f| *f == arg) {
                 flags.push((flag, None));
             } else if let Some(&flag) = row.values.iter().find(|f| *f == arg) {
+                if flags.iter().any(|(f, _)| *f == flag) && !REPEATABLE.contains(&flag) {
+                    usage(&format!("{flag} given twice"))
+                }
                 let value = it.next().filter(|v| !v.starts_with("--"));
                 let value = value.unwrap_or_else(|| usage(&format!("{flag} requires a value")));
                 flags.push((flag, Some(value.clone())));
@@ -185,8 +193,8 @@ impl Args {
 }
 
 fn main() {
-    // Register the static analyzer with the core audit hook so train /
-    // resume runs log a post-training audit summary to stderr.
+    // Register the static analyzer with the core audit hook so every
+    // training run logs its post-training audit summary to stderr.
     quasar::lint::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&args);
@@ -259,12 +267,34 @@ fn synthesize(scale: &str, a: &Args) -> (SyntheticInternet, u64) {
     (SyntheticInternet::generate(cfg), seed)
 }
 
-/// A model refined against `training` from the initial model of `all`.
-fn refined(all: &Dataset, training: &Dataset) -> (AsRoutingModel, RefineReport) {
-    let mut model = AsRoutingModel::initial(&all.as_graph(), &all.prefixes());
-    let report = refine(&mut model, training, &RefineConfig::default())
-        .unwrap_or_else(|e| die(format!("refinement failed: {e}")));
-    (model, report)
+/// Runs the library's training recipe, exiting 1 when it fails.
+fn trained(
+    universe: &Dataset,
+    training: &Dataset,
+    cfg: &TrainConfig,
+) -> (AsRoutingModel, TrainReport) {
+    train(universe, training, cfg).unwrap_or_else(|e| die(format!("training failed: {e}")))
+}
+
+/// Splits the feeds of FILE in half with `split` and the `--seed`,
+/// trains on one half (from the initial model of all feeds, §4.5) and
+/// returns the model, its report and the held-out half.
+fn train_on_half(
+    a: &Args,
+    split: fn(&Dataset, f64, u64) -> (Dataset, Dataset),
+    generalize: bool,
+) -> (AsRoutingModel, TrainReport, Dataset) {
+    let seed = a.get("--seed").unwrap_or(7);
+    let (_, dataset) = load_dataset(&a.operands[0]);
+    let (training, validation) = split(&dataset, 0.5, seed);
+    let (n, m) = (training.len(), validation.len());
+    eprintln!("training on {n} routes, validating on {m} ...");
+    let cfg = TrainConfig {
+        generalize,
+        ..TrainConfig::default()
+    };
+    let (model, report) = trained(&dataset, &training, &cfg);
+    (model, report, validation)
 }
 
 /// `generate`: synthesizes an Internet and writes its feeds to FILE as
@@ -300,21 +330,33 @@ fn cmd_generate(a: &Args) {
     );
 }
 
-/// `train`: refines a model against all feeds of FILE, or of an Internet
-/// generated at a `--scale` preset, and persists it. `--threads 0` (the
-/// default) uses every core; the model is byte-identical at every thread
-/// count. With `--checkpoint-dir` the refinement state is checkpointed
-/// every N rounds (default 1), and `--resume` continues an interrupted
-/// run from the newest checkpoint into a byte-identical model.
+/// `train`: runs the library's training recipe (refinement, then the
+/// §4.7 generalisation) against all feeds of FILE, or of an Internet
+/// generated at a `--scale` preset, persists the model and prints the
+/// wall time of each phase. `--threads 0` (the default) uses every core;
+/// the model is byte-identical at every thread count. With
+/// `--checkpoint-dir` the refinement state is checkpointed every N rounds
+/// (default 1), and `--resume` continues an interrupted run from the
+/// newest checkpoint into a byte-identical model.
 fn cmd_train(a: &Args) {
     let out = a.need("--out");
-    let threads = a.get("--threads").unwrap_or(0);
-    let checkpoint_every: u64 = a.get("--checkpoint-every").unwrap_or(1);
     let checkpoint_dir = a.value("--checkpoint-dir");
-    let resume = a.has("--resume");
-    if (resume || a.has("--checkpoint-every")) && checkpoint_dir.is_none() {
+    if (a.has("--resume") || a.has("--checkpoint-every")) && checkpoint_dir.is_none() {
         usage("--resume and --checkpoint-every require --checkpoint-dir");
     }
+    let cfg = TrainConfig {
+        refine: RefineConfig {
+            threads: a.get("--threads").unwrap_or(0),
+            ..RefineConfig::default()
+        },
+        checkpoint: checkpoint_dir.map(|d| CheckpointPolicy {
+            dir: d.into(),
+            every: a.get("--checkpoint-every").unwrap_or(1u64).max(1),
+            keep: 2,
+        }),
+        resume: a.has("--resume"),
+        generalize: true,
+    };
     let dataset = match (a.operands.first(), a.value("--scale")) {
         (Some(path), None) if !a.has("--seed") => load_dataset(path).1,
         (None, Some(scale)) => {
@@ -322,65 +364,36 @@ fn cmd_train(a: &Args) {
         }
         _ => usage("train takes FILE or --scale NAME [--seed N]"),
     };
-    let cfg = RefineConfig {
-        threads,
-        ..RefineConfig::default()
-    };
     eprintln!(
         "refining against all {} routes on {} thread(s) ...",
         dataset.len(),
-        cfg.effective_threads()
+        cfg.refine.effective_threads()
     );
-    let policy = checkpoint_dir.map(|d| CheckpointPolicy {
-        dir: std::path::PathBuf::from(d),
-        every: checkpoint_every.max(1),
-        keep: 2,
-    });
-    let fresh = |policy: Option<&CheckpointPolicy>| -> (AsRoutingModel, RefineReport) {
-        let mut model = AsRoutingModel::initial(&dataset.as_graph(), &dataset.prefixes());
-        let report = refine_checkpointed(&mut model, &dataset, &cfg, policy)
-            .unwrap_or_else(|e| die(format!("refinement failed: {e}")));
-        (model, report)
-    };
-    let (mut model, report) = match (&policy, resume) {
-        (Some(p), true) => match resume_refine(&dataset, &cfg, p) {
-            Ok(resumed) => {
-                eprintln!("resumed refinement from checkpoints in {}", p.dir.display());
-                resumed
-            }
-            // No usable checkpoint is the expected state on a first run
-            // (or after a crash before round 1); start fresh rather than
-            // forcing callers to know whether a prior attempt got far
-            // enough to write state.
-            Err(RefineError::Persist(PersistError::NoCheckpoint { .. })) => {
-                eprintln!("no checkpoint found in {}; starting fresh", p.dir.display());
-                fresh(Some(p))
-            }
-            Err(e) => die(format!("cannot resume refinement: {e}")),
-        },
-        _ => fresh(policy.as_ref()),
-    };
-    model.generalize_med_preferences();
-    let json = model
-        .to_json()
-        .unwrap_or_else(|e| die(format!("cannot serialize model: {e}")));
-    quasar::model::persist::save_artifact(out, quasar::model::persist::KIND_MODEL, json.as_bytes())
-        .unwrap_or_else(|e| die(format!("cannot write {out}: {e}")));
+    let (model, report) = trained(&dataset, &dataset, &cfg);
+    if let Some(p) = cfg.checkpoint.as_ref().filter(|_| cfg.resume) {
+        let dir = p.dir.display();
+        if report.resumed {
+            eprintln!("resumed refinement from checkpoints in {dir}");
+        } else {
+            eprintln!("no checkpoint found in {dir}; starting fresh");
+        }
+    }
+    let bytes = save_model(out, &model).unwrap_or_else(|e| die(format!("cannot write {out}: {e}")));
     // The final model is durably on disk; the intermediate state has
     // served its purpose and would only confuse a later --resume.
-    if let Some(p) = &policy {
+    if let Some(p) = &cfg.checkpoint {
         for (_, ckpt) in quasar::model::persist::list_checkpoints(&p.dir) {
             std::fs::remove_file(&ckpt).ok();
         }
     }
     let stats = model.stats();
     println!(
-        "wrote {out}: converged={} | {} quasi-routers | {} rules | {} bytes",
-        report.converged(),
+        "wrote {out}: converged={} | {} quasi-routers | {} rules | {bytes} bytes",
+        report.refine.converged(),
         stats.quasi_routers,
         stats.policy_rules,
-        json.len()
     );
+    println!("phases: {}", report.phases);
     // Attribute any residual training mismatches to the AS where
     // reproduction first breaks — the same §5 diagnostic `quasar
     // diagnose` runs on a held-out split.
@@ -473,7 +486,6 @@ fn cmd_analyze(a: &Args) {
 
 /// `predict FILE`: trains on half the feeds and predicts the other half.
 fn cmd_predict(a: &Args) {
-    let seed = a.get("--seed").unwrap_or(7);
     let split = a.value("--split").unwrap_or("point");
     let split_fn = match split {
         "point" => Dataset::split_by_point,
@@ -481,22 +493,12 @@ fn cmd_predict(a: &Args) {
         "both" => Dataset::split_combined,
         _ => usage("bad --split, want point|origin|both"),
     };
-    let (_, dataset) = load_dataset(&a.operands[0]);
-    let (training, validation) = split_fn(&dataset, 0.5, seed);
-    eprintln!(
-        "training on {} routes, validating on {} ...",
-        training.len(),
-        validation.len()
-    );
-    let (mut model, report) = refined(&dataset, &training);
-    if split != "point" {
-        // Unseen prefixes benefit from the §4.7 generalization.
-        model.generalize_med_preferences();
-    }
+    // Unseen prefixes benefit from the §4.7 generalization.
+    let (model, report, validation) = train_on_half(a, split_fn, split != "point");
     let stats = model.stats();
     println!(
         "model: converged={} | {} quasi-routers over {} ASes | {} rules",
-        report.converged(),
+        report.refine.converged(),
         stats.quasi_routers,
         stats.ases,
         stats.policy_rules
@@ -513,15 +515,7 @@ fn cmd_predict(a: &Args) {
 /// `diagnose`: trains on half the feeds and attributes validation
 /// mismatches to the AS where reproduction first breaks.
 fn cmd_diagnose(a: &Args) {
-    let seed = a.get("--seed").unwrap_or(7);
-    let (_, dataset) = load_dataset(&a.operands[0]);
-    let (training, validation) = dataset.split_by_point(0.5, seed);
-    eprintln!(
-        "training on {} routes, diagnosing {} ...",
-        training.len(),
-        validation.len()
-    );
-    let (model, _) = refined(&dataset, &training);
+    let (model, _, validation) = train_on_half(a, Dataset::split_by_point, false);
     let diag = diagnose(&model, &validation);
     println!(
         "{} of {} validation routes fully reproduced",
@@ -594,12 +588,12 @@ fn change_specs(a: &Args) -> Vec<ChangeSpec> {
 }
 
 /// `whatif`: applies the changes to a model trained on all feeds of FILE
-/// or loaded from `--model`, and answers them with the served `diff` over
-/// every quasi-router and prefix (through a one-shard state, so `--json`
-/// prints the server's reply byte for byte). Without `--json` it prints
-/// the reply's counts on one line. A `--depeer` of two ASes that have no
-/// session in the model, and that no earlier `--add-peering` joins, is an
-/// error.
+/// (by the same recipe as `train`) or loaded from `--model`, and answers
+/// them with the served `diff` over every quasi-router and prefix
+/// (through a one-shard state, so `--json` prints the server's reply byte
+/// for byte). Without `--json` it prints the reply's counts on one line.
+/// A `--depeer` of two ASes that have no session in the model, and that
+/// no earlier `--add-peering` joins, is an error.
 fn cmd_whatif(a: &Args) {
     let changes = change_specs(a);
     if changes.is_empty() {
@@ -608,7 +602,7 @@ fn cmd_whatif(a: &Args) {
     let model = match (a.operands.first(), a.value("--model")) {
         (Some(path), None) => {
             let (_, dataset) = load_dataset(path);
-            refined(&dataset, &dataset).0
+            trained(&dataset, &dataset, &TrainConfig::default()).0
         }
         (None, Some(path)) => load_model(path),
         _ => usage("whatif takes FILE or --model MODEL.json"),

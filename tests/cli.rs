@@ -72,13 +72,23 @@ fn full_cli_workflow() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("converged=true"), "{text}");
+    assert!(
+        text.lines().any(|l| l.starts_with("phases: A domains ")
+            && l.contains(" | B merge ")
+            && l.contains(" | C repair ")
+            && l.contains(" | generalize ")),
+        "train must print its phase timings: {text}"
+    );
     assert!(model.exists());
 
-    // whatif on a model trained from the feeds, then on the persisted one
-    for source in [
+    // whatif on a model trained from the feeds, then on the persisted one:
+    // both come from the same training recipe, so they answer alike
+    let answers: Vec<String> = [
         vec![feeds.to_str().unwrap()],
         vec!["--model", model.to_str().unwrap()],
-    ] {
+    ]
+    .into_iter()
+    .map(|source| {
         let out = quasar()
             .arg("whatif")
             .args(source)
@@ -90,8 +100,22 @@ fn full_cli_workflow() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("unchanged"));
-    }
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    })
+    .collect();
+    assert!(answers[0].contains("unchanged"), "{}", answers[0]);
+    assert_eq!(
+        answers[0], answers[1],
+        "whatif FILE and whatif --model differ"
+    );
+    // the change flags, and only they, may repeat
+    let out = quasar()
+        .args(["whatif", "--model", model.to_str().unwrap()])
+        .args(["--depeer", "10:101", "--depeer", "10:11"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("2 change(s)"));
     let out = quasar()
         .args(["whatif", "--model", model.to_str().unwrap()])
         .args(["--depeer", "10:99999"])
@@ -510,6 +534,8 @@ fn subcommands() -> Vec<String> {
 fn every_subcommand_rejects_bad_arguments_before_touching_files() {
     let file = tmp("strict.out");
     let f = file.to_str().unwrap();
+    let second = tmp("strict-second.out");
+    let g = second.to_str().unwrap();
     let unknown: &[&[&str]] = &[
         &["generate", "--out", f],
         &["train", "--scale", "tiny", "--out", f],
@@ -557,6 +583,8 @@ fn every_subcommand_rejects_bad_arguments_before_touching_files() {
         &["train", f, "--seed", "3", "--out", f],
         // a value flag given last with no value
         &["generate", "--out", f, "--seed"],
+        // a value flag given twice
+        &["generate", "--out", f, "--out", g, "--scale", "tiny"],
         // a stray or missing positional
         &["analyze", f, f],
         &["query", "127.0.0.1:9"],
@@ -564,5 +592,8 @@ fn every_subcommand_rejects_bad_arguments_before_touching_files() {
     ] {
         assert_eq!(run(args).status.code(), Some(2), "{args:?}");
     }
-    assert!(!file.exists(), "a usage error must touch no file");
+    assert!(
+        !file.exists() && !second.exists(),
+        "a usage error must touch no file"
+    );
 }

@@ -7,7 +7,7 @@
 //! prefix per training step. Every step must re-refine at most a fifth
 //! of the prefixes; a step that replays the recorded repair trace must
 //! simulate exactly the re-refined ones; and the last model must be
-//! byte-identical to a from-scratch `refine` of the final path set.
+//! byte-identical to a from-scratch `train` of the final path set.
 
 use quasar::dataset_from_observations;
 use quasar::model::prelude::*;
@@ -59,9 +59,12 @@ fn one_dirty_prefix_per_step_rerefines_one_domain() {
         dataset_from_observations(&obs)
     };
 
-    let cfg = RefineConfig {
-        threads: 1,
-        ..RefineConfig::default()
+    let cfg = TrainConfig {
+        refine: RefineConfig {
+            threads: 1,
+            ..RefineConfig::default()
+        },
+        ..TrainConfig::default()
     };
     let mut trainer = IncrementalTrainer::new();
     trainer.train(&step(0), &cfg).expect("train the before-set");
@@ -69,7 +72,7 @@ fn one_dirty_prefix_per_step_rerefines_one_domain() {
     let mut replays = 0;
     let mut model = None;
     for k in 1..=dirty.len() {
-        let (m, report) = trainer.train(&step(k), &cfg).expect("incremental step");
+        let (m, _, report) = trainer.train(&step(k), &cfg).expect("incremental step");
         let seen = format!(
             "step {k}: {}, {} of {n} prefixes re-refined, {} skipped",
             report.mode, report.dirty_prefixes, report.prefixes_skipped
@@ -87,10 +90,9 @@ fn one_dirty_prefix_per_step_rerefines_one_domain() {
     assert!(replays >= 1, "no step replayed the repair trace");
 
     let after = dataset_from_observations(&perturbation.after);
-    let mut full = AsRoutingModel::initial(&after.as_graph(), &after.prefixes());
-    refine(&mut full, &after, &cfg).expect("from-scratch refine");
+    let (full, _) = train(&after, &after, &cfg).expect("from-scratch train");
     assert!(
         model.expect("at least one step").to_json().unwrap() == full.to_json().unwrap(),
-        "incremental model differs from a from-scratch refine of the after-set"
+        "incremental model differs from a from-scratch train of the after-set"
     );
 }
