@@ -99,14 +99,26 @@ pub enum PathAttribute {
 }
 
 impl PathAttribute {
-    /// Flattens AS_PATH/AS4_PATH segments into a linear ASN sequence,
-    /// expanding AS_SETs in order (good enough for topology work; the paper
-    /// drops set-bearing paths anyway).
-    pub fn flatten_as_path(segments: &[AsPathSegment]) -> Vec<u32> {
-        segments
+    /// The paper's §3.1 cleaning of an attribute list's AS_PATH: its
+    /// segments flattened with prepending collapsed (fn. 1), or `None` when
+    /// the list has no AS_PATH or any segment is not an AS_SEQUENCE (an
+    /// AS_SET or confederation segment gives no usable AS chain, so the
+    /// route is dropped). Every MRT reader in the workspace cleans through
+    /// this one function.
+    pub fn cleaned_as_path(attrs: &[PathAttribute]) -> Option<Vec<u32>> {
+        let segments = attrs.iter().find_map(|a| match a {
+            PathAttribute::AsPath(s) => Some(s),
+            _ => None,
+        })?;
+        if segments.iter().any(|s| s.seg_type != 2) {
+            return None;
+        }
+        let mut path: Vec<u32> = segments
             .iter()
             .flat_map(|s| s.asns.iter().copied())
-            .collect()
+            .collect();
+        path.dedup();
+        Some(path)
     }
 
     fn flags_for(&self) -> u8 {
@@ -387,12 +399,12 @@ mod tests {
         assert!(decode_attributes(cut, AsWidth::Four).is_err());
     }
 
+    include!("../tests/fixtures/as_path_cases.rs");
+
     #[test]
-    fn flatten_expands_sets_in_order() {
-        let segs = vec![
-            AsPathSegment::sequence(vec![1, 2]),
-            AsPathSegment::set(vec![9, 8]),
-        ];
-        assert_eq!(PathAttribute::flatten_as_path(&segs), vec![1, 2, 9, 8]);
+    fn cleaned_as_path_follows_the_cleaning_table() {
+        for (case, attrs, want) in as_path_cases() {
+            assert_eq!(PathAttribute::cleaned_as_path(&attrs), want, "{case}");
+        }
     }
 }

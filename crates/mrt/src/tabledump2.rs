@@ -7,6 +7,7 @@ use crate::attributes::{decode_attributes, encode_attributes, AsWidth, PathAttri
 use crate::error::{MrtError, Result};
 use crate::nlri::{decode_prefix, encode_prefix, NlriPrefix};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::collections::BTreeMap;
 
 /// Subtype constants within MRT type 13 (TABLE_DUMP_V2).
 pub mod subtype {
@@ -50,6 +51,20 @@ pub struct PeerIndexTable {
 }
 
 impl PeerIndexTable {
+    /// The peer directory BGP4MP messages are resolved against: each
+    /// peer's key — its v4 address, or its BGP id for a v6 peer — mapped
+    /// to its index. A key shared by two peers maps to the later one.
+    pub fn index_by_key(&self) -> BTreeMap<u32, u32> {
+        self.peers
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match p.address {
+                PeerAddress::V4(ip) => (ip, i as u32),
+                PeerAddress::V6(_) => (p.bgp_id, i as u32),
+            })
+            .collect()
+    }
+
     /// Serializes the body.
     pub fn encode(&self) -> Bytes {
         let mut out = BytesMut::new();
@@ -257,6 +272,17 @@ mod tests {
         let t = sample_peers();
         let dec = PeerIndexTable::decode(t.encode()).unwrap();
         assert_eq!(dec, t);
+    }
+
+    #[test]
+    fn index_by_key_uses_the_v4_address_or_the_v6_bgp_id() {
+        let mut t = sample_peers();
+        let dup = t.peers[0].clone();
+        t.peers.push(dup);
+        let index = t.index_by_key();
+        assert_eq!(index.len(), 2);
+        assert_eq!(index[&0xC0000201], 2, "a shared key maps to the later peer");
+        assert_eq!(index[&2], 1, "a v6 peer is keyed by its BGP id");
     }
 
     #[test]

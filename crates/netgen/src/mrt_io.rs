@@ -1,9 +1,14 @@
 //! Export/import of observation feeds in RouteViews' MRT TABLE_DUMP_V2
-//! format.
+//! format, and the archive layout every netgen writer shares.
 //!
 //! Writing the synthetic feeds in the real archive format keeps the whole
 //! downstream pipeline format-compatible with actual RouteViews/RIPE data:
-//! swap the file, keep the code.
+//! swap the file, keep the code. The peer table + prefix-grouped RIB dump,
+//! the route attributes and the BGP4MP UPDATE record are each built once
+//! here, for [`export_table_dump_v2`], `generate_update_stream` and
+//! `transition_stream`. Every reader cleans AS_PATHs (§3.1) through
+//! [`PathAttribute::cleaned_as_path`] and resolves BGP4MP peers through
+//! [`PeerIndexTable::index_by_key`].
 
 use crate::observe::{ObservationPoint, RouteObservation};
 use quasar_bgpsim::aspath::AsPath;
@@ -15,13 +20,37 @@ use std::collections::BTreeMap;
 /// the paper's snapshot instant (§3.1).
 pub const SNAPSHOT_TIME: u32 = 1_131_867_000;
 
-/// Serializes feeds as one PEER_INDEX_TABLE followed by one
-/// RIB_IPV4_UNICAST record per prefix.
-pub fn export_table_dump_v2(
+/// The collector's BGP id, and its local address in BGP4MP records.
+const COLLECTOR: u32 = 0x7F000001;
+
+fn nlri(prefix: Prefix) -> NlriPrefix {
+    NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix")
+}
+
+/// A route's attributes as every netgen archive writes them.
+fn path_attrs(path: &AsPath, next_hop: u32) -> Vec<PathAttribute> {
+    vec![
+        PathAttribute::Origin(0),
+        PathAttribute::AsPath(vec![AsPathSegment::sequence(
+            path.iter().map(|a| a.0).collect(),
+        )]),
+        PathAttribute::NextHop(next_hop),
+    ]
+}
+
+/// Hands `emit` the PEER_INDEX_TABLE of `points` and then one
+/// RIB_IPV4_UNICAST record per prefix of `observations`, in ascending
+/// prefix order: every record stamped `timestamp`, every entry
+/// `originated_time`.
+pub(crate) fn write_rib_dump(
     points: &[ObservationPoint],
     observations: &[RouteObservation],
-) -> Vec<u8> {
-    let peers: Vec<PeerEntry> = points
+    view_name: &str,
+    timestamp: u32,
+    originated_time: u32,
+    mut emit: impl FnMut(MrtRecord),
+) {
+    let peers = points
         .iter()
         .map(|p| PeerEntry {
             bgp_id: p.router.0,
@@ -30,60 +59,120 @@ pub fn export_table_dump_v2(
             as4: true,
         })
         .collect();
+    emit(MrtRecord {
+        timestamp,
+        body: MrtBody::PeerIndexTable(PeerIndexTable {
+            collector_id: COLLECTOR,
+            view_name: view_name.into(),
+            peers,
+        }),
+    });
     let index: BTreeMap<u32, u16> = points
         .iter()
         .enumerate()
         .map(|(i, p)| (p.id, i as u16))
         .collect();
-
-    let mut w = MrtWriter::new(Vec::new());
-    w.write_record(&MrtRecord {
-        timestamp: SNAPSHOT_TIME,
-        body: MrtBody::PeerIndexTable(PeerIndexTable {
-            collector_id: 0x7F000001,
-            view_name: "quasar".into(),
-            peers,
-        }),
-    })
-    .expect("in-memory write");
-
-    // Group observations by prefix, preserving first-seen order.
     let mut by_prefix: BTreeMap<Prefix, Vec<&RouteObservation>> = BTreeMap::new();
     for o in observations {
         by_prefix.entry(o.prefix).or_default().push(o);
     }
     for (seq, (prefix, group)) in by_prefix.into_iter().enumerate() {
-        let entries: Vec<RibEntry> = group
+        let entries = group
             .iter()
             .map(|o| RibEntry {
                 peer_index: index[&o.point],
-                // One hour of stability before the snapshot (§3.1).
-                originated_time: SNAPSHOT_TIME - 3_600,
-                attributes: vec![
-                    PathAttribute::Origin(0),
-                    PathAttribute::AsPath(vec![AsPathSegment::sequence(
-                        o.as_path.iter().map(|a| a.0).collect(),
-                    )]),
-                    PathAttribute::NextHop(o.point),
-                ],
+                originated_time,
+                attributes: path_attrs(&o.as_path, o.point),
             })
             .collect();
-        w.write_record(&MrtRecord {
-            timestamp: SNAPSHOT_TIME,
+        emit(MrtRecord {
+            timestamp,
             body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
                 sequence: seq as u32,
-                prefix: NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix"),
+                prefix: nlri(prefix),
                 entries,
             }),
-        })
-        .expect("in-memory write");
+        });
     }
+}
+
+/// One BGP4MP UPDATE from `point`'s feed at `timestamp`: an announcement
+/// of `prefix` over `path`, or its withdrawal when `path` is `None`.
+pub(crate) fn update_record(
+    timestamp: u32,
+    point: &ObservationPoint,
+    prefix: Prefix,
+    path: Option<&AsPath>,
+) -> MrtRecord {
+    let prefixes = vec![nlri(prefix)];
+    let update = match path {
+        Some(path) => BgpUpdate {
+            withdrawn: Vec::new(),
+            attributes: path_attrs(path, point.id),
+            announced: prefixes,
+        },
+        None => BgpUpdate {
+            withdrawn: prefixes,
+            attributes: Vec::new(),
+            announced: Vec::new(),
+        },
+    };
+    MrtRecord {
+        timestamp,
+        body: MrtBody::Bgp4mp(Bgp4mpMessage {
+            peer_asn: point.observer_as().0,
+            local_asn: 65_000,
+            interface: 0,
+            peer_ip: point.router.0,
+            local_ip: COLLECTOR,
+            as4: true,
+            message: BgpMessage::Update(update),
+        }),
+    }
+}
+
+/// The feed directory a PEER_INDEX_TABLE describes: feed `i` is peer `i`.
+pub(crate) fn feed_points(table: &PeerIndexTable) -> Vec<ObservationPoint> {
+    table
+        .peers
+        .iter()
+        .enumerate()
+        .map(|(i, p)| ObservationPoint {
+            id: i as u32,
+            router: RouterId(p.bgp_id),
+        })
+        .collect()
+}
+
+/// The AS hosting feed `point`, or [`Asn::RESERVED`] for an unknown feed.
+pub(crate) fn observer_of(points: &[ObservationPoint], point: u32) -> Asn {
+    points
+        .get(point as usize)
+        .map_or(Asn::RESERVED, |p| p.observer_as())
+}
+
+/// Serializes feeds as one PEER_INDEX_TABLE followed by one
+/// RIB_IPV4_UNICAST record per prefix, written record by record.
+pub fn export_table_dump_v2(
+    points: &[ObservationPoint],
+    observations: &[RouteObservation],
+) -> Vec<u8> {
+    let mut w = MrtWriter::new(Vec::new());
+    // One hour of stability before the snapshot (§3.1).
+    write_rib_dump(
+        points,
+        observations,
+        "quasar",
+        SNAPSHOT_TIME,
+        SNAPSHOT_TIME - 3_600,
+        |r| w.write_record(&r).expect("in-memory write"),
+    );
     w.finish().expect("in-memory flush")
 }
 
-/// Parses a TABLE_DUMP_V2 dump back into feeds. Routes whose attributes
-/// lack an AS_PATH, or whose paths contain AS_SETs, are skipped — matching
-/// the paper's data cleaning. Prepending is stripped (§3.1 fn. 1).
+/// Parses a TABLE_DUMP_V2 dump back into feeds, keeping the routes whose
+/// AS_PATH survives [`PathAttribute::cleaned_as_path`] (§3.1: no AS_SETs,
+/// prepending stripped).
 pub fn import_table_dump_v2(data: &[u8]) -> Result<(Vec<ObservationPoint>, Vec<RouteObservation>)> {
     let mut reader = MrtReader::new(data);
     let mut points: Vec<ObservationPoint> = Vec::new();
@@ -91,42 +180,19 @@ pub fn import_table_dump_v2(data: &[u8]) -> Result<(Vec<ObservationPoint>, Vec<R
 
     while let Some(rec) = reader.next_record()? {
         match rec.body {
-            MrtBody::PeerIndexTable(t) => {
-                points = t
-                    .peers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| ObservationPoint {
-                        id: i as u32,
-                        router: RouterId(p.bgp_id),
-                    })
-                    .collect();
-            }
+            MrtBody::PeerIndexTable(t) => points = feed_points(&t),
             MrtBody::RibIpv4Unicast(rib) => {
                 let prefix = Prefix::new(rib.prefix.base, rib.prefix.len);
                 for e in rib.entries {
-                    let Some(segments) = e.attributes.iter().find_map(|a| match a {
-                        PathAttribute::AsPath(s) => Some(s),
-                        _ => None,
-                    }) else {
+                    let Some(path) = PathAttribute::cleaned_as_path(&e.attributes) else {
                         continue;
                     };
-                    if segments.iter().any(|s| s.seg_type != 2) {
-                        continue; // AS_SET-bearing path: dropped
-                    }
-                    let flat = PathAttribute::flatten_as_path(segments);
-                    let as_path =
-                        AsPath::new(flat.into_iter().map(Asn).collect()).strip_prepending();
                     let point = e.peer_index as u32;
-                    let observer_as = points
-                        .get(e.peer_index as usize)
-                        .map(|p| p.observer_as())
-                        .unwrap_or(Asn::RESERVED);
                     observations.push(RouteObservation {
                         point,
-                        observer_as,
+                        observer_as: observer_of(&points, point),
                         prefix,
-                        as_path,
+                        as_path: AsPath::from_u32s(&path),
                     });
                 }
             }
@@ -140,7 +206,7 @@ pub fn import_table_dump_v2(data: &[u8]) -> Result<(Vec<ObservationPoint>, Vec<R
 /// November 2005, when the paper's snapshot was taken). Each record is one
 /// (prefix, peer) route; peers are identified by their IP and assigned
 /// feed ids in order of first appearance. AS-paths are cleaned like the
-/// V2 importer (sets dropped, prepending stripped).
+/// V2 importer's, by [`PathAttribute::cleaned_as_path`].
 pub fn import_table_dump(data: &[u8]) -> Result<(Vec<ObservationPoint>, Vec<RouteObservation>)> {
     let mut reader = MrtReader::new(data);
     let mut peer_ids: BTreeMap<u32, (u32, Asn)> = BTreeMap::new(); // ip -> (id, asn)
@@ -154,22 +220,14 @@ pub fn import_table_dump(data: &[u8]) -> Result<(Vec<ObservationPoint>, Vec<Rout
         let (point, observer_as) = *peer_ids
             .entry(entry.peer_ip)
             .or_insert((next_id, Asn(entry.peer_asn as u32)));
-        let Some(segments) = entry.attributes.iter().find_map(|a| match a {
-            PathAttribute::AsPath(s) => Some(s),
-            _ => None,
-        }) else {
+        let Some(path) = PathAttribute::cleaned_as_path(&entry.attributes) else {
             continue;
         };
-        if segments.iter().any(|s| s.seg_type != 2) {
-            continue; // AS_SET-bearing path: dropped
-        }
-        let flat = PathAttribute::flatten_as_path(segments);
-        let as_path = AsPath::new(flat.into_iter().map(Asn).collect()).strip_prepending();
         observations.push(RouteObservation {
             point,
             observer_as,
             prefix: Prefix::new(entry.prefix.base, entry.prefix.len),
-            as_path,
+            as_path: AsPath::from_u32s(&path),
         });
     }
     let points = peer_ids
@@ -208,26 +266,6 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn import_strips_prepending() {
-        let points = vec![ObservationPoint {
-            id: 0,
-            router: RouterId::new(Asn(10), 0),
-        }];
-        let obs = vec![RouteObservation {
-            point: 0,
-            observer_as: Asn(10),
-            prefix: Prefix::for_origin(Asn(20)),
-            as_path: AsPath::from_u32s(&[10, 20]),
-        }];
-        let mut bytes = export_table_dump_v2(&points, &obs);
-        // Re-export with artificial prepending by round-tripping through a
-        // hand-built record is overkill; instead check idempotence here.
-        let (_, back) = import_table_dump_v2(&bytes).unwrap();
-        assert_eq!(back[0].as_path, obs[0].as_path);
-        bytes.clear();
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   moves to a different origin AS), and new announcements;
 //! * [`transition_stream`] renders the before→after difference as a valid
 //!   MRT archive: the before-RIB as a TABLE_DUMP_V2 dump plus one BGP4MP
-//!   UPDATE per changed `(feed, prefix)` route, timestamp-ordered.
+//!   UPDATE per changed `(feed, prefix)` route, timestamp-ordered, both
+//!   built by the shared writers in [`crate::mrt_io`].
 //!
 //! Replaying the stream through [`crate::updates::reconstruct_stable`]
 //! (or the live pipeline) recovers exactly the after set.
@@ -25,6 +26,7 @@
 //! deliberately change the origin map and exercise its full-retrain
 //! fallback.
 
+use crate::mrt_io::{update_record, write_rib_dump};
 use crate::observe::{ObservationPoint, RouteObservation};
 use crate::updates::UpdateStreamConfig;
 use quasar_bgpsim::aspath::AsPath;
@@ -348,16 +350,6 @@ fn perturb_at(
     }
 }
 
-fn path_attrs(path: &AsPath, next_hop: u32) -> Vec<PathAttribute> {
-    vec![
-        PathAttribute::Origin(0),
-        PathAttribute::AsPath(vec![AsPathSegment::sequence(
-            path.iter().map(|a| a.0).collect(),
-        )]),
-        PathAttribute::NextHop(next_hop),
-    ]
-}
-
 /// Renders the before→after transition as an MRT archive: the peer table
 /// and the *before* RIB at `cfg.dump_time`, then one BGP4MP UPDATE per
 /// changed `(feed, prefix)` route — withdrawals for routes that vanish,
@@ -379,111 +371,43 @@ pub fn transition_stream(
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut records = Vec::new();
-
-    records.push(MrtRecord {
-        timestamp: cfg.dump_time,
-        body: MrtBody::PeerIndexTable(PeerIndexTable {
-            collector_id: 0x7F000001,
-            view_name: "quasar-transition".into(),
-            peers: points
-                .iter()
-                .map(|p| PeerEntry {
-                    bgp_id: p.router.0,
-                    address: PeerAddress::V4(p.router.0),
-                    asn: p.observer_as().0,
-                    as4: true,
-                })
-                .collect(),
-        }),
-    });
-
-    // The before-RIB, grouped by prefix.
-    let index: BTreeMap<u32, u16> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.id, i as u16))
-        .collect();
-    let mut by_prefix: BTreeMap<Prefix, Vec<&RouteObservation>> = BTreeMap::new();
-    for o in before {
-        by_prefix.entry(o.prefix).or_default().push(o);
-    }
-    for (seq, (prefix, group)) in by_prefix.iter().enumerate() {
-        records.push(MrtRecord {
-            timestamp: cfg.dump_time,
-            body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
-                sequence: seq as u32,
-                prefix: NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix"),
-                entries: group
-                    .iter()
-                    .map(|o| RibEntry {
-                        peer_index: index[&o.point],
-                        originated_time: cfg.dump_time,
-                        attributes: path_attrs(&o.as_path, o.point),
-                    })
-                    .collect(),
-            }),
-        });
-    }
+    write_rib_dump(
+        points,
+        before,
+        "quasar-transition",
+        cfg.dump_time,
+        cfg.dump_time,
+        |r| records.push(r),
+    );
 
     // The diff, one update per changed route, inside the stable window.
     let before_map: BTreeMap<(u32, Prefix), &AsPath> = before
         .iter()
         .map(|o| ((o.point, o.prefix), &o.as_path))
         .collect();
-    let after_map: BTreeMap<(u32, Prefix), &RouteObservation> =
-        after.iter().map(|o| ((o.point, o.prefix), o)).collect();
+    let after_map: BTreeMap<(u32, Prefix), &AsPath> = after
+        .iter()
+        .map(|o| ((o.point, o.prefix), &o.as_path))
+        .collect();
     let cutoff = cfg.snapshot_time.saturating_sub(cfg.stability_window);
     assert!(cfg.dump_time + 1 < cutoff, "no room inside stable window");
     let point_by_id: BTreeMap<u32, &ObservationPoint> = points.iter().map(|p| (p.id, p)).collect();
     let mut updates: Vec<MrtRecord> = Vec::new();
-    let push_update = |rng: &mut StdRng, feed: u32, update: BgpUpdate, out: &mut Vec<MrtRecord>| {
-        let Some(p) = point_by_id.get(&feed) else {
-            return;
-        };
-        out.push(MrtRecord {
-            timestamp: rng.gen_range(cfg.dump_time + 1..cutoff),
-            body: MrtBody::Bgp4mp(Bgp4mpMessage {
-                peer_asn: p.observer_as().0,
-                local_asn: 65_000,
-                interface: 0,
-                peer_ip: p.router.0,
-                local_ip: 0x7F000001,
-                as4: true,
-                message: BgpMessage::Update(update),
-            }),
-        });
+    let mut push_update = |(feed, prefix): (u32, Prefix), path: Option<&AsPath>| {
+        if let Some(p) = point_by_id.get(&feed) {
+            let t = rng.gen_range(cfg.dump_time + 1..cutoff);
+            updates.push(update_record(t, p, prefix, path));
+        }
     };
-    for &(feed, prefix) in before_map.keys() {
-        if after_map.contains_key(&(feed, prefix)) {
-            continue;
+    for &key in before_map.keys() {
+        if !after_map.contains_key(&key) {
+            push_update(key, None);
         }
-        let nlri = NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix");
-        push_update(
-            &mut rng,
-            feed,
-            BgpUpdate {
-                withdrawn: vec![nlri],
-                attributes: Vec::new(),
-                announced: Vec::new(),
-            },
-            &mut updates,
-        );
     }
-    for (&(feed, prefix), o) in &after_map {
-        if before_map.get(&(feed, prefix)) == Some(&&o.as_path) {
-            continue; // unchanged
+    for (&key, &path) in &after_map {
+        if before_map.get(&key) != Some(&path) {
+            push_update(key, Some(path));
         }
-        let nlri = NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix");
-        push_update(
-            &mut rng,
-            feed,
-            BgpUpdate {
-                withdrawn: Vec::new(),
-                attributes: path_attrs(&o.as_path, o.point),
-                announced: vec![nlri],
-            },
-            &mut updates,
-        );
     }
     updates.sort_by_key(|r| r.timestamp);
     records.extend(updates);

@@ -8,15 +8,17 @@
 //!
 //! * [`generate_update_stream`] renders a synthetic Internet's feeds as an
 //!   MRT archive — a RIB dump taken *before* the snapshot instant plus a
-//!   BGP4MP UPDATE stream with configurable route flapping;
+//!   BGP4MP UPDATE stream with configurable route flapping, both built by
+//!   the shared writers in [`crate::mrt_io`];
 //! * [`reconstruct_stable`] replays such an archive (real or synthetic)
 //!   and recovers exactly the stable snapshot routes the paper's pipeline
-//!   uses.
+//!   uses, cleaning paths and resolving peers with the same `quasar-mrt`
+//!   functions as every other reader.
 
-use crate::mrt_io::SNAPSHOT_TIME;
+use crate::mrt_io::{feed_points, observer_of, update_record, write_rib_dump, SNAPSHOT_TIME};
 use crate::observe::{ObservationPoint, RouteObservation};
 use quasar_bgpsim::aspath::AsPath;
-use quasar_bgpsim::types::{Asn, Prefix, RouterId};
+use quasar_bgpsim::types::Prefix;
 use quasar_mrt::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -50,16 +52,6 @@ impl Default for UpdateStreamConfig {
     }
 }
 
-fn path_attrs(path: &AsPath, next_hop: u32) -> Vec<PathAttribute> {
-    vec![
-        PathAttribute::Origin(0),
-        PathAttribute::AsPath(vec![AsPathSegment::sequence(
-            path.iter().map(|a| a.0).collect(),
-        )]),
-        PathAttribute::NextHop(next_hop),
-    ]
-}
-
 /// Renders feeds as a base RIB dump plus a BGP4MP UPDATE stream.
 ///
 /// Every observation becomes a RIB entry at `cfg.dump_time`. A
@@ -79,52 +71,14 @@ pub fn generate_update_stream(
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut records = Vec::new();
-
-    // Peer table.
-    records.push(MrtRecord {
-        timestamp: cfg.dump_time,
-        body: MrtBody::PeerIndexTable(PeerIndexTable {
-            collector_id: 0x7F000001,
-            view_name: "quasar-updates".into(),
-            peers: points
-                .iter()
-                .map(|p| PeerEntry {
-                    bgp_id: p.router.0,
-                    address: PeerAddress::V4(p.router.0),
-                    asn: p.observer_as().0,
-                    as4: true,
-                })
-                .collect(),
-        }),
-    });
-
-    // Base RIB, grouped by prefix.
-    let index: BTreeMap<u32, u16> = points
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.id, i as u16))
-        .collect();
-    let mut by_prefix: BTreeMap<Prefix, Vec<&RouteObservation>> = BTreeMap::new();
-    for o in observations {
-        by_prefix.entry(o.prefix).or_default().push(o);
-    }
-    for (seq, (prefix, group)) in by_prefix.iter().enumerate() {
-        records.push(MrtRecord {
-            timestamp: cfg.dump_time,
-            body: MrtBody::RibIpv4Unicast(RibIpv4Unicast {
-                sequence: seq as u32,
-                prefix: NlriPrefix::new(prefix.base, prefix.len).expect("valid prefix"),
-                entries: group
-                    .iter()
-                    .map(|o| RibEntry {
-                        peer_index: index[&o.point],
-                        originated_time: cfg.dump_time,
-                        attributes: path_attrs(&o.as_path, o.point),
-                    })
-                    .collect(),
-            }),
-        });
-    }
+    write_rib_dump(
+        points,
+        observations,
+        "quasar-updates",
+        cfg.dump_time,
+        cfg.dump_time,
+        |r| records.push(r),
+    );
 
     // Flaps.
     let point_by_id: BTreeMap<u32, &ObservationPoint> = points.iter().map(|p| (p.id, p)).collect();
@@ -135,33 +89,9 @@ pub fn generate_update_stream(
         }
         let p = point_by_id[&o.point];
         let t = rng.gen_range(cfg.dump_time + 1..cfg.snapshot_time);
-        let nlri = NlriPrefix::new(o.prefix.base, o.prefix.len).expect("valid prefix");
         let withdraw_finally = rng.gen_bool(cfg.withdraw_fraction);
-        let update = if withdraw_finally {
-            BgpUpdate {
-                withdrawn: vec![nlri],
-                attributes: Vec::new(),
-                announced: Vec::new(),
-            }
-        } else {
-            BgpUpdate {
-                withdrawn: Vec::new(),
-                attributes: path_attrs(&o.as_path, o.point),
-                announced: vec![nlri],
-            }
-        };
-        updates.push(MrtRecord {
-            timestamp: t,
-            body: MrtBody::Bgp4mp(Bgp4mpMessage {
-                peer_asn: p.observer_as().0,
-                local_asn: 65_000,
-                interface: 0,
-                peer_ip: p.router.0,
-                local_ip: 0x7F000001,
-                as4: true,
-                message: BgpMessage::Update(update),
-            }),
-        });
+        let path = (!withdraw_finally).then_some(&o.as_path);
+        updates.push(update_record(t, p, o.prefix, path));
     }
     updates.sort_by_key(|r| r.timestamp);
     records.extend(updates);
@@ -180,24 +110,8 @@ pub fn reconstruct_stable(
     let mut peer_by_ip: BTreeMap<u32, u32> = BTreeMap::new(); // ip -> point id
                                                               // (point, prefix) -> (path, last-changed)
     let mut state: BTreeMap<(u32, Prefix), (AsPath, u32)> = BTreeMap::new();
-
-    let flatten = |attrs: &[PathAttribute]| -> Option<AsPath> {
-        let segments = attrs.iter().find_map(|a| match a {
-            PathAttribute::AsPath(s) => Some(s),
-            _ => None,
-        })?;
-        if segments.iter().any(|s| s.seg_type != 2) {
-            return None;
-        }
-        Some(
-            AsPath::new(
-                PathAttribute::flatten_as_path(segments)
-                    .into_iter()
-                    .map(Asn)
-                    .collect(),
-            )
-            .strip_prepending(),
-        )
+    let flatten = |attrs: &[PathAttribute]| {
+        PathAttribute::cleaned_as_path(attrs).map(|p| AsPath::from_u32s(&p))
     };
 
     for rec in records {
@@ -206,27 +120,8 @@ pub fn reconstruct_stable(
         }
         match &rec.body {
             MrtBody::PeerIndexTable(t) => {
-                points = t
-                    .peers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| ObservationPoint {
-                        id: i as u32,
-                        router: RouterId(p.bgp_id),
-                    })
-                    .collect();
-                peer_by_ip = t
-                    .peers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let ip = match p.address {
-                            PeerAddress::V4(ip) => ip,
-                            PeerAddress::V6(_) => p.bgp_id,
-                        };
-                        (ip, i as u32)
-                    })
-                    .collect();
+                points = feed_points(t);
+                peer_by_ip = t.index_by_key();
             }
             MrtBody::RibIpv4Unicast(rib) => {
                 let prefix = Prefix::new(rib.prefix.base, rib.prefix.len);
@@ -264,10 +159,7 @@ pub fn reconstruct_stable(
         .filter(|(_, (_, changed))| *changed <= cutoff)
         .map(|((point, prefix), (as_path, _))| RouteObservation {
             point,
-            observer_as: points
-                .get(point as usize)
-                .map(|p| p.observer_as())
-                .unwrap_or(Asn::RESERVED),
+            observer_as: observer_of(&points, point),
             prefix,
             as_path,
         })

@@ -2,12 +2,16 @@
 //! extraction.
 //!
 //! [`PathState`] is the streaming mirror of the collector state machine in
-//! `quasar_netgen::updates::reconstruct_stable`: the same peer directory,
-//! the same AS-path flattening rules (AS_SET-bearing paths rejected,
-//! prepending stripped), the same (feed, prefix) keyed map. The one
-//! deliberate difference is that there is no stability window — a live
-//! pipeline maintains the *current* path set, and "stable for an hour" is
-//! meaningless for a model that refreshes every window.
+//! `quasar_netgen::updates::reconstruct_stable` and calls the same two
+//! `quasar-mrt` functions, so their rules cannot drift apart: the peer
+//! directory is
+//! [`PeerIndexTable::index_by_key`](quasar_mrt::tabledump2::PeerIndexTable::index_by_key),
+//! and each AS_PATH is cleaned by [`PathAttribute::cleaned_as_path`]
+//! (AS_SET-bearing paths rejected, prepending stripped). Routes are keyed
+//! by (feed, prefix). The one deliberate difference is that there is no
+//! stability window — a live pipeline maintains the *current* path set,
+//! and "stable for an hour" is meaningless for a model that refreshes
+//! every window.
 //!
 //! Applying a window yields an [`AppliedWindow`]: per-window counts plus
 //! the **exact** set of prefixes whose path set changed. An announcement
@@ -21,7 +25,6 @@ use quasar_core::observed::{Dataset, ObservedRoute};
 use quasar_mrt::attributes::PathAttribute;
 use quasar_mrt::bgp4mp::{Bgp4mpMessage, BgpMessage};
 use quasar_mrt::record::{MrtBody, MrtRecord};
-use quasar_mrt::tabledump2::PeerAddress;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What one window of updates did to the path state.
@@ -52,26 +55,10 @@ pub struct PathState {
     state: BTreeMap<(u32, Prefix), AsPath>,
 }
 
-/// Flattens an AS_PATH attribute exactly like `reconstruct_stable`:
-/// reject any path carrying a non-SEQUENCE segment (AS_SETs do not give a
-/// usable customer chain), then strip prepending.
+/// The §3.1-cleaned AS_PATH of an attribute list, as `reconstruct_stable`
+/// reads it.
 fn flatten(attrs: &[PathAttribute]) -> Option<AsPath> {
-    let segments = attrs.iter().find_map(|a| match a {
-        PathAttribute::AsPath(s) => Some(s),
-        _ => None,
-    })?;
-    if segments.iter().any(|s| s.seg_type != 2) {
-        return None;
-    }
-    Some(
-        AsPath::new(
-            PathAttribute::flatten_as_path(segments)
-                .into_iter()
-                .map(Asn)
-                .collect(),
-        )
-        .strip_prepending(),
-    )
+    PathAttribute::cleaned_as_path(attrs).map(|p| AsPath::from_u32s(&p))
 }
 
 impl PathState {
@@ -134,18 +121,7 @@ impl PathState {
         match &rec.body {
             MrtBody::PeerIndexTable(t) => {
                 let routers: Vec<RouterId> = t.peers.iter().map(|p| RouterId(p.bgp_id)).collect();
-                let peer_by_ip: BTreeMap<u32, u32> = t
-                    .peers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let ip = match p.address {
-                            PeerAddress::V4(ip) => ip,
-                            PeerAddress::V6(_) => p.bgp_id,
-                        };
-                        (ip, i as u32)
-                    })
-                    .collect();
+                let peer_by_ip = t.index_by_key();
                 // A *changed* directory reshuffles what every held route
                 // means; be conservative and dirty everything held. The
                 // common case — the table arriving once up front, or

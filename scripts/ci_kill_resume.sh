@@ -12,7 +12,9 @@ BIN=${QUASAR_BIN:-target/release/quasar}
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-"$BIN" generate --out "$WORK/feeds.mrt" --scale tiny --seed 13
+# The small preset: refinement runs for tens of seconds, long enough for
+# a SIGKILL to land between checkpoints (tiny finishes inside 0.3 s).
+"$BIN" generate --out "$WORK/feeds.mrt" --scale small --seed 3
 
 echo "# uninterrupted reference run"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" \
@@ -21,8 +23,8 @@ echo "# uninterrupted reference run"
 # SIGKILL the victim at increasing grace periods until an attempt dies
 # with a checkpoint on disk. A too-early kill leaves no checkpoint (the
 # --resume fallback covers that path, but it is not what this script
-# proves); a too-late kill lets the run finish, which degenerates into a
-# second reference run — both retry with a longer/shorter window.
+# proves), so it retries with a longer window; a run that finishes before
+# its kill never takes --resume, so it fails the script.
 outcome=none
 for grace in 0.3 0.6 1.2 2.5 5 10; do
     rm -rf "$WORK/ckpt-victim" "$WORK/victim.model"
@@ -30,9 +32,8 @@ for grace in 0.3 0.6 1.2 2.5 5 10; do
     if timeout -s KILL "$grace" \
         "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
         --checkpoint-dir "$WORK/ckpt-victim" >/dev/null 2>&1; then
-        echo "# run finished within ${grace}s — still checking equivalence"
-        outcome=finished
-        break
+        echo "FAIL: run finished within ${grace}s, before it could be killed" >&2
+        exit 1
     fi
     if ls "$WORK/ckpt-victim"/ckpt-*.qck >/dev/null 2>&1; then
         outcome=killed
@@ -46,11 +47,9 @@ if [ "$outcome" = none ]; then
     exit 1
 fi
 
-if [ "$outcome" = killed ]; then
-    echo "# resuming from $(ls "$WORK/ckpt-victim"/ckpt-*.qck | tail -1)"
-    "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
-        --checkpoint-dir "$WORK/ckpt-victim" --resume
-fi
+echo "# resuming from $(ls "$WORK/ckpt-victim"/ckpt-*.qck | tail -1)"
+"$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
+    --checkpoint-dir "$WORK/ckpt-victim" --resume
 
 cmp "$WORK/ref.model" "$WORK/victim.model"
 if ls "$WORK/ckpt-victim"/ckpt-*.qck >/dev/null 2>&1; then
