@@ -5,36 +5,11 @@
 //!
 //! Experiment ids (see DESIGN.md): t0, fig2, t1, spread, t2, degrees,
 //! train, pred-op, pred-origin, pred-both, gen, qr, cov, scale, density,
-//! atoms, prune, ablate-single, ablate-lp, ablate-rel; comma-separated
-//! lists allowed; `all` (default) runs everything except `density`.
+//! seeds, ablate-single, ablate-lp, ablate-rel; comma-separated lists
+//! allowed; `all` (default) runs everything except `density` and `seeds`.
 
 use quasar_bench::*;
 use quasar_core::prelude::*;
-
-/// The ids `--exp` accepts besides `all`.
-const EXPERIMENTS: [&str; 21] = [
-    "t0",
-    "fig2",
-    "t1",
-    "spread",
-    "t2",
-    "degrees",
-    "train",
-    "pred-op",
-    "pred-origin",
-    "pred-both",
-    "gen",
-    "qr",
-    "cov",
-    "scale",
-    "density",
-    "seeds",
-    "atoms",
-    "prune",
-    "ablate-single",
-    "ablate-lp",
-    "ablate-rel",
-];
 
 fn main() {
     let mut exp = "all".to_string();
@@ -51,7 +26,7 @@ fn main() {
             "--exp" => {
                 exp = args.get(i + 1).cloned().unwrap_or_default();
                 if exp != "all" {
-                    if let Some(bad) = exp.split(',').find(|id| !EXPERIMENTS.contains(id)) {
+                    if let Some(bad) = exp.split(',').find(|id| !EXPERIMENT_IDS.contains(id)) {
                         usage(&format!("unknown experiment {bad:?}"));
                     }
                 }
@@ -111,8 +86,8 @@ fn main() {
 
     let all = exp == "all";
     let wanted: std::collections::BTreeSet<&str> = exp.split(',').collect();
-    // `density` re-trains several full models; it is opt-in even under
-    // `all`.
+    // `density` and `seeds` each re-train several full models; they are
+    // opt-in even under `all`.
     let want = |id: &str| (all && id != "density" && id != "seeds") || wanted.contains(id);
 
     if want("t0") {
@@ -289,34 +264,6 @@ fn main() {
             100.0 * r.baseline_mean_std.1
         );
     }
-    if want("prune") {
-        let r = exp_prune(&ctx);
-        println!("\n== E-prune: §4.1 single-homed-stub exclusion ==");
-        println!("ASes {} -> {} after pruning", r.ases.0, r.ases.1);
-        println!(
-            "training wall time {:.1}s -> {:.1}s | validation tie-break {:.1}% -> {:.1}% | both converged: {}",
-            r.train_secs.0,
-            r.train_secs.1,
-            100.0 * r.tie_break.0,
-            100.0 * r.tie_break.1,
-            r.converged
-        );
-    }
-    if want("atoms") {
-        let a = exp_atoms(&ctx);
-        println!("\n== E-atoms: policy atoms (shared-routing prefix groups) ==");
-        println!(
-            "prefixes {} -> atoms {} (compression {:.2}x)",
-            a.prefixes, a.atoms, a.compression
-        );
-        println!(
-            "refinement wall time: per-prefix {:.1}s vs atoms {:.1}s ({:.2}x speedup) | training-equivalent: {}",
-            a.per_prefix_secs,
-            a.atom_secs,
-            a.per_prefix_secs / a.atom_secs.max(1e-9),
-            a.equivalent
-        );
-    }
     if want("ablate-single") {
         let (train, pred) = exp_ablate_single_router(&ctx);
         println!("\n== A-1router: refinement without quasi-router duplication ==");
@@ -374,7 +321,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: repro [--exp {}|all] [--scale tiny|small|medium|large] [--seed N] [--obs N] [--counts N,N,...] [--csv DIR]",
-        EXPERIMENTS.join("|")
+        EXPERIMENT_IDS.join("|")
     );
     std::process::exit(2)
 }

@@ -309,101 +309,6 @@ pub fn exp_generalize(ctx: &Context) -> GeneralizationResult {
     }
 }
 
-/// E-atoms: atom-accelerated refinement vs per-prefix refinement.
-#[derive(Debug, Clone, Serialize)]
-pub struct AtomsResult {
-    /// Training prefixes.
-    pub prefixes: usize,
-    /// Policy atoms found.
-    pub atoms: usize,
-    /// Prefixes per atom.
-    pub compression: f64,
-    /// Wall seconds of per-prefix refinement.
-    pub per_prefix_secs: f64,
-    /// Wall seconds of atom refinement.
-    pub atom_secs: f64,
-    /// Training evaluations identical?
-    pub equivalent: bool,
-}
-
-/// Runs both refinement strategies on the same training split and compares
-/// cost and outcome.
-pub fn exp_atoms(ctx: &Context) -> AtomsResult {
-    use quasar_core::atoms::refine_with_atoms;
-    use std::time::Instant;
-    let (training, _) = SplitKind::ByPoint.split(&ctx.dataset, ctx.seed);
-    let graph = ctx.dataset.as_graph();
-
-    let t0 = Instant::now();
-    let mut per_prefix = AsRoutingModel::initial(&graph, &ctx.dataset.prefixes());
-    refine(&mut per_prefix, &training, &RefineConfig::default()).expect("refinement runs");
-    let per_prefix_secs = t0.elapsed().as_secs_f64();
-    let ev_pp = evaluate(&per_prefix, &training);
-
-    let t1 = Instant::now();
-    let mut atomized = AsRoutingModel::initial(&graph, &ctx.dataset.prefixes());
-    let (_, atoms) = refine_with_atoms(&mut atomized, &training, &RefineConfig::default())
-        .expect("refinement runs");
-    let atom_secs = t1.elapsed().as_secs_f64();
-    let ev_at = evaluate(&atomized, &training);
-
-    AtomsResult {
-        prefixes: training.prefixes().len(),
-        atoms: atoms.len(),
-        compression: atoms.compression(),
-        per_prefix_secs,
-        atom_secs,
-        equivalent: ev_pp.counts == ev_at.counts,
-    }
-}
-
-/// E-prune: the paper's §4.1 stub exclusion — model quality and cost with
-/// and without pruning single-homed stubs (path info transferred to the
-/// provider's prefix).
-#[derive(Debug, Clone, Serialize)]
-pub struct PruneResultExp {
-    /// ASes before/after pruning.
-    pub ases: (usize, usize),
-    /// Wall seconds to train, unpruned vs pruned.
-    pub train_secs: (f64, f64),
-    /// Validation tie-break rates, unpruned vs pruned.
-    pub tie_break: (f64, f64),
-    /// Both trainings converged.
-    pub converged: bool,
-}
-
-/// Trains and evaluates with and without §4.1 stub pruning.
-pub fn exp_prune(ctx: &Context) -> PruneResultExp {
-    use quasar_core::prep::prune_stub_ases;
-    use std::time::Instant;
-
-    // Unpruned pipeline.
-    let (training, validation) = SplitKind::ByPoint.split(&ctx.dataset, ctx.seed);
-    let t0 = Instant::now();
-    let (model_u, train_u) = train_model(ctx, &training, &RefineConfig::default());
-    let secs_u = t0.elapsed().as_secs_f64();
-    let ev_u = evaluate(&model_u, &validation);
-
-    // Pruned pipeline: prune the FULL dataset (graph and paths), re-split
-    // with the same seed, train, and evaluate on the pruned validation
-    // routes (stub announcements now attributed to their providers).
-    let pruned = prune_stub_ases(&ctx.dataset, &ctx.tier1_seeds());
-    let (ptraining, pvalidation) = SplitKind::ByPoint.split(&pruned.dataset, ctx.seed);
-    let t1 = Instant::now();
-    let mut model_p = AsRoutingModel::initial(&pruned.graph, &pruned.dataset.prefixes());
-    let report_p =
-        refine(&mut model_p, &ptraining, &RefineConfig::default()).expect("refinement runs");
-    let secs_p = t1.elapsed().as_secs_f64();
-    let ev_p = evaluate(&model_p, &pvalidation);
-
-    PruneResultExp {
-        ases: (ctx.dataset.as_graph().num_nodes(), pruned.graph.num_nodes()),
-        train_secs: (secs_u, secs_p),
-        tie_break: (ev_u.counts.tie_break_rate(), ev_p.counts.tie_break_rate()),
-        converged: train_u.converged && report_p.converged(),
-    }
-}
-
 /// E-seeds: robustness of the headline result across independently
 /// generated topologies.
 #[derive(Debug, Clone, Serialize)]

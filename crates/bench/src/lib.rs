@@ -13,6 +13,29 @@ pub mod scale;
 pub use experiments::*;
 pub use scale::*;
 
+/// The ids `repro --exp` accepts besides `all`.
+pub const EXPERIMENT_IDS: &[&str] = &[
+    "t0",
+    "fig2",
+    "t1",
+    "spread",
+    "t2",
+    "degrees",
+    "train",
+    "pred-op",
+    "pred-origin",
+    "pred-both",
+    "gen",
+    "qr",
+    "cov",
+    "scale",
+    "density",
+    "seeds",
+    "ablate-single",
+    "ablate-lp",
+    "ablate-rel",
+];
+
 use quasar_core::observed::{Dataset, ObservedRoute};
 use quasar_netgen::config::NetGenConfig;
 use quasar_netgen::observe::SyntheticInternet;

@@ -6,7 +6,6 @@
 //!
 //! * [`observed`] — observation-point datasets with the paper's cleaning
 //!   and training/validation splits (by point, by origin, combined; §4.2);
-//! * [`prep`] — single-homed-stub pruning with path transfer (§3.1);
 //! * [`model`] — the [`model::AsRoutingModel`]: multiple **quasi-routers**
 //!   per AS (logical partitions of its route selection, not physical
 //!   routers), per-prefix MED rankings and filters, the paper's
@@ -58,7 +57,6 @@
 // invariant message, annotated at the use site); unit tests are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod atoms;
 pub mod audit;
 pub mod backoff;
 pub mod baseline;
@@ -69,7 +67,6 @@ pub mod model;
 pub mod observed;
 pub mod persist;
 pub mod predict;
-pub mod prep;
 pub mod refine;
 pub mod train;
 pub mod whatif;
@@ -78,7 +75,6 @@ pub use train::train;
 
 /// Commonly used names.
 pub mod prelude {
-    pub use crate::atoms::{refine_with_atoms, PolicyAtoms};
     pub use crate::backoff::{splitmix64, Backoff};
     pub use crate::baseline::{relationship_model, shortest_path_model, table2_row, Table2Row};
     pub use crate::diagnostics::{diagnose, MismatchDiagnostics};
@@ -92,7 +88,6 @@ pub mod prelude {
     pub use crate::predict::{
         evaluate, evaluate_prefix, predict_route, Evaluation, RoutePrediction,
     };
-    pub use crate::prep::{prune_stub_ases, PrunedDataset};
     pub use crate::refine::{
         refine, refine_checkpointed, refine_prefix, resume_refine, CheckpointPolicy, PrefixOutcome,
         RankingAttr, RefineConfig, RefineError, RefineReport,

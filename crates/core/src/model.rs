@@ -426,52 +426,6 @@ impl AsRoutingModel {
         installed
     }
 
-    /// Clones every per-prefix policy rule for `from` into an equivalent
-    /// rule for `to` across all sessions of the network (replacing any
-    /// prior rules for `to`). Used by atom-accelerated refinement: prefixes
-    /// with identical observed routing can share the learned rules.
-    /// Returns the number of rules replicated.
-    #[allow(clippy::expect_used)] // sessions come from the adjacency walk
-    pub fn replicate_prefix_policies(&mut self, from: Prefix, to: Prefix) -> usize {
-        let routers: Vec<RouterId> = self.net.routers().to_vec();
-        let mut replicated = 0usize;
-        let mut seen_sessions: std::collections::BTreeSet<(RouterId, RouterId)> =
-            std::collections::BTreeSet::new();
-        for r in routers {
-            for peer in self.net.peers_of(r) {
-                if !seen_sessions.insert((r, peer)) {
-                    continue; // each direction once
-                }
-                // Import at r from peer + export at r towards peer.
-                for import in [true, false] {
-                    let policy = if import {
-                        self.net.import_policy_mut(r, peer)
-                    } else {
-                        self.net.export_policy_mut(r, peer)
-                    }
-                    .expect("session exists");
-                    policy.remove_rules(|rule| rule.matcher.prefix == Some(to));
-                    let clones: Vec<PolicyRule> = policy
-                        .rules()
-                        .iter()
-                        .filter(|rule| rule.matcher.prefix == Some(from))
-                        .map(|rule| {
-                            let mut m = rule.matcher.clone();
-                            m.prefix = Some(to);
-                            PolicyRule::new(m, rule.action)
-                        })
-                        .collect();
-                    replicated += clones.len();
-                    for c in clones {
-                        policy.push(c);
-                    }
-                }
-            }
-        }
-        self.rules_added += replicated;
-        replicated
-    }
-
     /// What-if support (paper §1: "what if a certain peering link was
     /// removed, or what-if we change policies thus?"): silences every
     /// session between the two ASes by denying all exports in both

@@ -87,19 +87,6 @@ fn origin_split_prediction() {
 }
 
 #[test]
-fn pruning_keeps_training_convergent() {
-    let net = SyntheticInternet::generate(NetGenConfig::tiny(404));
-    let full = dataset_from(&net);
-    let pruned = prune_stub_ases(&full, &[]);
-    assert!(!pruned.dataset.is_empty());
-
-    let (training, _validation) = pruned.dataset.split_by_point(0.5, 5);
-    let mut model = AsRoutingModel::initial(&pruned.graph, &pruned.dataset.prefixes());
-    let report = refine(&mut model, &training, &RefineConfig::default()).unwrap();
-    assert!(report.converged());
-}
-
-#[test]
 fn quasi_router_growth_is_bounded_by_diversity() {
     let net = SyntheticInternet::generate(NetGenConfig::tiny(505));
     let full = dataset_from(&net);

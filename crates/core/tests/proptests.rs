@@ -136,29 +136,6 @@ proptest! {
         prop_assert_eq!(e1, e2);
     }
 
-    /// Atom-accelerated refinement is behaviourally identical to
-    /// per-prefix refinement on the training set.
-    #[test]
-    fn atom_refinement_equivalent(routes in arb_routes()) {
-        use quasar_core::atoms::refine_with_atoms;
-        let d = Dataset::new(routes);
-        prop_assume!(!d.is_empty());
-        let graph = d.as_graph();
-
-        let mut a = AsRoutingModel::initial(&graph, &d.prefixes());
-        refine(&mut a, &d, &RefineConfig::default()).unwrap();
-        let ev_a = evaluate(&a, &d);
-
-        let mut b = AsRoutingModel::initial(&graph, &d.prefixes());
-        let (report, atoms) = refine_with_atoms(&mut b, &d, &RefineConfig::default()).unwrap();
-        let ev_b = evaluate(&b, &d);
-
-        prop_assert!(report.converged());
-        prop_assert!(atoms.compression() >= 1.0);
-        prop_assert_eq!(ev_a.counts, ev_b.counts);
-        prop_assert_eq!(ev_b.counts.rib_out, ev_b.counts.total);
-    }
-
     /// The batched parallel path converges exactly where the sequential
     /// path converges, with identical models, and per-prefix iteration
     /// counts stay within the paper's §4.6 bound (a small multiple of the

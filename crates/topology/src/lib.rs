@@ -4,7 +4,7 @@
 //! route diversity"* (SIGCOMM 2006): deriving the AS graph from observed
 //! AS-paths, locating the tier-1 clique, classifying ASes (level-1/2/other,
 //! transit vs stub, single- vs multi-homed), pruning single-homed stubs
-//! with path transfer, and inferring customer-provider / peer / sibling
+//! from the graph, and inferring customer-provider / peer / sibling
 //! relationships under the valley-free assumption together with their
 //! local-pref + export-filter realization.
 //!

@@ -6,95 +6,43 @@
 //! prefix originated at its AS neighbor. Removing single-homed stub-ASes
 //! and AS-paths with loops from the AS-topology results in a graph with
 //! 14,563 nodes and 52,288 edges."
+//!
+//! Only the graph half is implemented: T0 reports the pruned graph's size.
+//! The model is refined over the unpruned graph.
 
 use crate::classify::Classification;
 use crate::graph::AsGraph;
-use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::types::Asn;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-/// Result of pruning single-homed stubs from a graph + path set.
+/// Result of pruning single-homed stubs from a graph.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PruneResult {
     /// The pruned AS graph.
     pub graph: AsGraph,
     /// Removed single-homed stub ASes.
     pub removed: BTreeSet<Asn>,
-    /// For each removed stub, the neighbor its path information is
-    /// transferred to.
-    pub transferred_to: BTreeMap<Asn, Asn>,
-    /// Number of input paths dropped because they contained a loop.
-    pub looped_paths_dropped: usize,
 }
 
-/// Removes single-homed stub ASes from `graph`, recording where their path
-/// information transfers (their unique provider).
+/// Removes single-homed stub ASes from `graph`.
 pub fn prune_single_homed_stubs(graph: &AsGraph, class: &Classification) -> PruneResult {
     let mut out = PruneResult {
         graph: graph.clone(),
         ..Default::default()
     };
     for &stub in &class.single_homed_stubs {
-        if let Some(provider) = graph.neighbors(stub).next() {
-            out.transferred_to.insert(stub, provider);
-        }
         out.graph.remove_node(stub);
         out.removed.insert(stub);
     }
     out
 }
 
-impl PruneResult {
-    /// Rewrites an observed path for the pruned topology:
-    /// * paths with loops are dropped (`None`);
-    /// * a path originated at a removed stub is shortened by one hop — its
-    ///   information now belongs to the stub's provider's prefix (§3.1);
-    /// * paths traversing a removed AS anywhere else are dropped (cannot
-    ///   happen for true single-homed stubs, which never transit, but
-    ///   guards against inconsistent inputs);
-    /// * a path that becomes empty (it was the stub announcing itself)
-    ///   is dropped.
-    pub fn rewrite_path(&self, path: &AsPath) -> Option<AsPath> {
-        if path.has_loop() {
-            return None;
-        }
-        let s = path.as_slice();
-        let cut = match s.last() {
-            Some(origin) if self.removed.contains(origin) => s.len() - 1,
-            _ => s.len(),
-        };
-        let kept = &s[..cut];
-        if kept.is_empty() || kept.iter().any(|a| self.removed.contains(a)) {
-            return None;
-        }
-        Some(AsPath::new(kept.to_vec()))
-    }
-
-    /// Applies [`Self::rewrite_path`] to a whole set, also counting loop
-    /// drops.
-    pub fn rewrite_paths<'a>(
-        &mut self,
-        paths: impl IntoIterator<Item = &'a AsPath>,
-    ) -> Vec<AsPath> {
-        let mut out = Vec::new();
-        for p in paths {
-            if p.has_loop() {
-                self.looped_paths_dropped += 1;
-                continue;
-            }
-            if let Some(q) = self.rewrite_path(p) {
-                out.push(q);
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::classify::classify;
+    use quasar_bgpsim::aspath::AsPath;
 
     fn path(v: &[u32]) -> AsPath {
         AsPath::from_u32s(v)
@@ -116,41 +64,12 @@ mod tests {
     }
 
     #[test]
-    fn stub_removed_and_transfer_recorded() {
+    fn single_homed_stub_removed() {
         let (g, _p, c) = setup();
         let pr = prune_single_homed_stubs(&g, &c);
-        assert!(pr.removed.contains(&Asn(4)));
-        assert_eq!(pr.transferred_to.get(&Asn(4)), Some(&Asn(3)));
+        assert_eq!(pr.removed, BTreeSet::from([Asn(4)]));
         assert!(!pr.graph.contains(Asn(4)));
         assert!(pr.graph.contains(Asn(5)));
-    }
-
-    #[test]
-    fn paths_rewritten_to_provider() {
-        let (g, _p, c) = setup();
-        let pr = prune_single_homed_stubs(&g, &c);
-        assert_eq!(
-            pr.rewrite_path(&path(&[2, 1, 3, 4])),
-            Some(path(&[2, 1, 3]))
-        );
-        assert_eq!(pr.rewrite_path(&path(&[1, 5])), Some(path(&[1, 5])));
-    }
-
-    #[test]
-    fn looped_paths_dropped() {
-        let (g, _p, c) = setup();
-        let mut pr = prune_single_homed_stubs(&g, &c);
-        assert_eq!(pr.rewrite_path(&path(&[1, 2, 1])), None);
-        let kept = pr.rewrite_paths(&[path(&[1, 2, 1]), path(&[1, 2])]);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(pr.looped_paths_dropped, 1);
-    }
-
-    #[test]
-    fn stub_self_announcement_dropped() {
-        let (g, _p, c) = setup();
-        let pr = prune_single_homed_stubs(&g, &c);
-        assert_eq!(pr.rewrite_path(&path(&[4])), None);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 # Kill-and-resume durability check, at process level: a `quasar train
 # --checkpoint-dir` run is killed with SIGKILL mid-refinement, resumed
 # with `--resume`, and the final model must be byte-identical to an
-# uninterrupted run's. Run from the repo root after a release build:
+# uninterrupted run's. Two victims: one killed early (a domain-phase
+# checkpoint on disk), one killed once a repair-phase checkpoint exists.
+# Run from the repo root after a release build:
 #
 #   cargo build --release --bin quasar
 #   bash scripts/ci_kill_resume.sh
@@ -10,7 +12,8 @@ set -euo pipefail
 
 BIN=${QUASAR_BIN:-target/release/quasar}
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT
+victim_pid=
+trap '[ -n "$victim_pid" ] && kill -KILL "$victim_pid" 2>/dev/null; rm -rf "$WORK"' EXIT
 
 # The small preset: refinement runs for tens of seconds, long enough for
 # a SIGKILL to land between checkpoints (tiny finishes inside 0.3 s).
@@ -20,40 +23,73 @@ echo "# uninterrupted reference run"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" \
     --checkpoint-dir "$WORK/ckpt-ref"
 
-# SIGKILL the victim at increasing grace periods until an attempt dies
+# Prints the stage of the newest checkpoint in directory $1 (`Domains`
+# or `Repair`, the tag the framed JSON payload opens its `stage` with),
+# or nothing when there is none.
+newest_stage() {
+    local newest
+    newest=$(ls "$1"/ckpt-*.qck 2>/dev/null | tail -1)
+    [ -n "$newest" ] || return 0
+    head -c 4096 "$newest" | grep -ao '"stage":{"[A-Za-z]*"' | cut -d'"' -f4
+}
+
+# Resumes the victim whose checkpoints are in directory $1 and checks
+# its model against the reference.
+resume_and_compare() {
+    echo "# resuming from $(ls "$1"/ckpt-*.qck | tail -1), a $(newest_stage "$1")-stage checkpoint"
+    "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
+        --checkpoint-dir "$1" --resume
+    cmp "$WORK/ref.model" "$WORK/victim.model"
+    if ls "$1"/ckpt-*.qck >/dev/null 2>&1; then
+        echo "FAIL: checkpoints not cleaned up after success" >&2
+        exit 1
+    fi
+    rm -f "$WORK/victim.model"
+}
+
+# Victim 1: SIGKILL at increasing grace periods until an attempt dies
 # with a checkpoint on disk. A too-early kill leaves no checkpoint (the
 # --resume fallback covers that path, but it is not what this script
 # proves), so it retries with a longer window; a run that finishes before
 # its kill never takes --resume, so it fails the script.
 outcome=none
 for grace in 0.3 0.6 1.2 2.5 5 10; do
-    rm -rf "$WORK/ckpt-victim" "$WORK/victim.model"
-    echo "# victim run, SIGKILL after ${grace}s"
+    rm -rf "$WORK/ckpt-early" "$WORK/victim.model"
+    echo "# early victim, SIGKILL after ${grace}s"
     if timeout -s KILL "$grace" \
         "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
-        --checkpoint-dir "$WORK/ckpt-victim" >/dev/null 2>&1; then
+        --checkpoint-dir "$WORK/ckpt-early" >/dev/null 2>&1; then
         echo "FAIL: run finished within ${grace}s, before it could be killed" >&2
         exit 1
     fi
-    if ls "$WORK/ckpt-victim"/ckpt-*.qck >/dev/null 2>&1; then
+    if ls "$WORK/ckpt-early"/ckpt-*.qck >/dev/null 2>&1; then
         outcome=killed
         break
     fi
     echo "# died before the first checkpoint landed; retrying"
 done
-
 if [ "$outcome" = none ]; then
     echo "FAIL: never killed the run with a checkpoint on disk" >&2
     exit 1
 fi
+resume_and_compare "$WORK/ckpt-early"
 
-echo "# resuming from $(ls "$WORK/ckpt-victim"/ckpt-*.qck | tail -1)"
+# Victim 2: SIGKILL as soon as the newest checkpoint is a repair-phase
+# one. Checkpoints land by atomic rename, so a listed file is complete.
+echo "# repair-phase victim, SIGKILL once a Repair checkpoint exists"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
-    --checkpoint-dir "$WORK/ckpt-victim" --resume
+    --checkpoint-dir "$WORK/ckpt-repair" >/dev/null 2>&1 &
+victim_pid=$!
+while [ "$(newest_stage "$WORK/ckpt-repair")" != Repair ]; do
+    if ! kill -0 "$victim_pid" 2>/dev/null; then
+        echo "FAIL: run finished before a repair-phase checkpoint appeared" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+kill -KILL "$victim_pid"
+wait "$victim_pid" 2>/dev/null || true
+victim_pid=
+resume_and_compare "$WORK/ckpt-repair"
 
-cmp "$WORK/ref.model" "$WORK/victim.model"
-if ls "$WORK/ckpt-victim"/ckpt-*.qck >/dev/null 2>&1; then
-    echo "FAIL: checkpoints not cleaned up after success" >&2
-    exit 1
-fi
-echo "OK: killed-and-resumed model is byte-identical to the uninterrupted run"
+echo "OK: killed-and-resumed models (domain and repair stage) are byte-identical to the uninterrupted run"

@@ -129,17 +129,3 @@ fn what_if_depeering_changes_routing_but_stays_convergent() {
     }
     assert!(changed > 0, "de-peering the busiest edge changed nothing");
 }
-
-#[test]
-fn stub_pruning_then_training_still_exact() {
-    let net = internet();
-    let dataset = quasar::dataset_from(&net);
-    let pruned = prune_stub_ases(&dataset, &net.as_topology.tier1());
-    let (training, _) = pruned.dataset.split_by_point(0.5, 11);
-
-    let mut model = AsRoutingModel::initial(&pruned.graph, &pruned.dataset.prefixes());
-    let report = refine(&mut model, &training, &RefineConfig::default()).unwrap();
-    assert!(report.converged());
-    let ev = evaluate(&model, &training);
-    assert_eq!(ev.counts.rib_out, ev.counts.total);
-}
