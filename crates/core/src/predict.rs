@@ -12,9 +12,8 @@ use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::engine::SimulationResult;
-use quasar_bgpsim::types::{Asn, Prefix, RouterId};
+use quasar_bgpsim::types::{Asn, RouterId};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Full evaluation of a model against a dataset.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -145,44 +144,29 @@ pub fn evaluate_prefix(
 /// `dataset`, one simulation per prefix, in parallel. Prefixes whose origin
 /// is unknown to the model count as unmatched (`MatchLevel::None`) — the
 /// model simply cannot predict them.
-// `expect` below: crossbeam scope errors only if a worker panicked, and a
-// panic should propagate, not be swallowed.
-#[allow(clippy::expect_used)]
 pub fn evaluate(model: &AsRoutingModel, dataset: &Dataset) -> Evaluation {
-    let by_prefix: Vec<(
-        Prefix,
-        Vec<(quasar_bgpsim::types::Asn, quasar_bgpsim::aspath::AsPath)>,
-    )> = unique_routes_by_prefix(dataset).into_iter().collect();
-
+    let by_prefix = unique_routes_by_prefix(dataset);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(4)
-        .min(by_prefix.len().max(1));
-    let next = AtomicUsize::new(0);
+        .unwrap_or(4);
     let mut partials: Vec<Evaluation> = vec![Evaluation::default(); by_prefix.len()];
-    let slots: Vec<parking_lot::Mutex<&mut Evaluation>> =
-        partials.iter_mut().map(parking_lot::Mutex::new).collect();
-
-    crossbeam::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|_| loop {
-                // sast: relaxed-ok work-claim ticket; results are published through the channel/join, only claim uniqueness matters
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= by_prefix.len() {
-                    break;
-                }
-                let (prefix, routes) = &by_prefix[i];
-                let sim = if model.prefixes().contains_key(prefix) {
-                    model.simulate(*prefix).ok()
-                } else {
-                    None
-                };
-                **slots[i].lock() = evaluate_prefix(model, sim.as_ref(), routes);
-            });
-        }
-    })
-    .expect("worker threads join");
-    drop(slots);
+    let scored: Result<(), std::convert::Infallible> = crate::pool::run(
+        threads,
+        by_prefix.iter().collect(),
+        |(prefix, routes), scratch| {
+            let sim = if model.prefixes().contains_key(prefix) {
+                model.simulate_with(*prefix, scratch).ok()
+            } else {
+                None
+            };
+            evaluate_prefix(model, sim.as_ref(), routes)
+        },
+        |i, ev| {
+            partials[i] = ev;
+            Ok(())
+        },
+    );
+    let Ok(()) = scored;
 
     let mut total = Evaluation::default();
     for p in &partials {
@@ -197,7 +181,7 @@ mod tests {
     use crate::observed::ObservedRoute;
     use crate::refine::{refine, RefineConfig};
     use quasar_bgpsim::aspath::AsPath;
-    use quasar_bgpsim::types::Asn;
+    use quasar_bgpsim::types::{Asn, Prefix};
 
     fn dataset() -> Dataset {
         let routes = vec![
