@@ -7,7 +7,7 @@ use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use crate::persist::PersistError;
 use crate::refine::{
-    refine_timed, resume_timed, CheckpointPolicy, RefineConfig, RefineError, RefineReport,
+    refine_checkpointed, resume_refine, CheckpointPolicy, RefineConfig, RefineError, RefineReport,
 };
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -96,7 +96,7 @@ pub fn train(
     cfg: &TrainConfig,
 ) -> Result<(AsRoutingModel, TrainReport), RefineError> {
     if let (Some(policy), true) = (&cfg.checkpoint, cfg.resume) {
-        match resume_timed(training, &cfg.refine, policy) {
+        match resume_refine(training, &cfg.refine, policy) {
             Ok((model, refine, phases)) => return Ok(finish(model, refine, phases, true, cfg)),
             // The expected state on a first run, or after a crash before
             // the first checkpoint landed: start fresh.
@@ -106,7 +106,7 @@ pub fn train(
     }
     let mut model = AsRoutingModel::initial(&universe.as_graph(), &universe.prefixes());
     let (refine, phases) =
-        refine_timed(&mut model, training, &cfg.refine, cfg.checkpoint.as_ref())?;
+        refine_checkpointed(&mut model, training, &cfg.refine, cfg.checkpoint.as_ref())?;
     Ok(finish(model, refine, phases, false, cfg))
 }
 
