@@ -442,17 +442,16 @@ pub fn list_checkpoints(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
+/// Checkpoints kept in a directory: the newest plus one fallback, so a
+/// damaged newest checkpoint still leaves one to resume from.
+const CHECKPOINTS_KEPT: usize = 2;
+
 /// Writes a checkpoint payload for `round` into `dir` (creating it) and
-/// prunes older checkpoints beyond the newest `keep`.
-pub fn save_checkpoint_payload(
-    dir: &Path,
-    round: u64,
-    payload: &[u8],
-    keep: usize,
-) -> Result<(), PersistError> {
+/// prunes all but the newest two checkpoints.
+pub fn save_checkpoint_payload(dir: &Path, round: u64, payload: &[u8]) -> Result<(), PersistError> {
     fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
     save_artifact(checkpoint_path(dir, round), KIND_CHECKPOINT, payload)?;
-    for (_, path) in list_checkpoints(dir).into_iter().skip(keep.max(1)) {
+    for (_, path) in list_checkpoints(dir).into_iter().skip(CHECKPOINTS_KEPT) {
         let _ = fs::remove_file(path);
     }
     Ok(())
@@ -552,9 +551,9 @@ mod tests {
     #[test]
     fn checkpoint_listing_pruning_and_fallback() {
         let dir = tmp_dir("ckpt");
-        save_checkpoint_payload(&dir, 1, b"one", 2).unwrap();
-        save_checkpoint_payload(&dir, 2, b"two", 2).unwrap();
-        save_checkpoint_payload(&dir, 3, b"three", 2).unwrap();
+        save_checkpoint_payload(&dir, 1, b"one").unwrap();
+        save_checkpoint_payload(&dir, 2, b"two").unwrap();
+        save_checkpoint_payload(&dir, 3, b"three").unwrap();
         // Round 1 pruned, 2 and 3 kept.
         let rounds: Vec<u64> = list_checkpoints(&dir).iter().map(|(r, _)| *r).collect();
         assert_eq!(rounds, vec![3, 2]);

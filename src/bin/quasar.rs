@@ -352,7 +352,6 @@ fn cmd_train(a: &Args) {
         checkpoint: checkpoint_dir.map(|d| CheckpointPolicy {
             dir: d.into(),
             every: a.get("--checkpoint-every").unwrap_or(1u64).max(1),
-            keep: 2,
         }),
         resume: a.has("--resume"),
         generalize: true,
