@@ -6,8 +6,9 @@
 //! over n/10 prefixes of the tiny seed-7 internet, applied one dirty
 //! prefix per training step. Every step must re-refine at most a fifth
 //! of the prefixes; a step that replays the recorded repair trace must
-//! simulate exactly the re-refined ones; and the last model must be
-//! byte-identical to a from-scratch `train` of the final path set.
+//! simulate exactly the re-refined ones; and the last model, trained at
+//! three threads, must be byte-identical to a sequential from-scratch
+//! `train` of the final path set.
 
 use quasar::dataset_from_observations;
 use quasar::model::prelude::*;
@@ -59,13 +60,16 @@ fn one_dirty_prefix_per_step_rerefines_one_domain() {
         dataset_from_observations(&obs)
     };
 
-    let cfg = TrainConfig {
+    // The trainer fans out over the worker pool; the from-scratch
+    // reference below trains sequentially.
+    let threads = |threads| TrainConfig {
         refine: RefineConfig {
-            threads: 1,
+            threads,
             ..RefineConfig::default()
         },
         ..TrainConfig::default()
     };
+    let cfg = threads(3);
     let mut trainer = IncrementalTrainer::new();
     trainer.train(&step(0), &cfg).expect("train the before-set");
 
@@ -90,7 +94,7 @@ fn one_dirty_prefix_per_step_rerefines_one_domain() {
     assert!(replays >= 1, "no step replayed the repair trace");
 
     let after = dataset_from_observations(&perturbation.after);
-    let (full, _) = train(&after, &after, &cfg).expect("from-scratch train");
+    let (full, _) = train(&after, &after, &threads(1)).expect("from-scratch train");
     assert!(
         model.expect("at least one step").to_json().unwrap() == full.to_json().unwrap(),
         "incremental model differs from a from-scratch train of the after-set"
