@@ -4,6 +4,9 @@
 # with `--resume`, and the final model must be byte-identical to an
 # uninterrupted run's. Two victims: one killed early (a domain-phase
 # checkpoint on disk), one killed once a repair-phase checkpoint exists.
+# The reference trains on one thread without checkpoints and the victims
+# on four threads, so every `cmp` checks thread count, checkpointing and
+# resume together.
 # Run from the repo root after a release build:
 #
 #   cargo build --release --bin quasar
@@ -19,9 +22,8 @@ trap '[ -n "$victim_pid" ] && kill -KILL "$victim_pid" 2>/dev/null; rm -rf "$WOR
 # a SIGKILL to land between checkpoints (tiny finishes inside 0.3 s).
 "$BIN" generate --out "$WORK/feeds.mrt" --scale small --seed 3
 
-echo "# uninterrupted reference run"
-"$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" \
-    --checkpoint-dir "$WORK/ckpt-ref"
+echo "# uninterrupted reference run, one thread, no checkpoints"
+"$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" --threads 1
 
 # Prints the stage of the newest checkpoint in directory $1 (`Domains`
 # or `Repair`, the tag the framed JSON payload opens its `stage` with),
@@ -37,7 +39,7 @@ newest_stage() {
 # its model against the reference.
 resume_and_compare() {
     echo "# resuming from $(ls "$1"/ckpt-*.qck | tail -1), a $(newest_stage "$1")-stage checkpoint"
-    "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
+    "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" --threads 4 \
         --checkpoint-dir "$1" --resume
     cmp "$WORK/ref.model" "$WORK/victim.model"
     if ls "$1"/ckpt-*.qck >/dev/null 2>&1; then
@@ -57,7 +59,7 @@ for grace in 0.3 0.6 1.2 2.5 5 10; do
     rm -rf "$WORK/ckpt-early" "$WORK/victim.model"
     echo "# early victim, SIGKILL after ${grace}s"
     if timeout -s KILL "$grace" \
-        "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
+        "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" --threads 4 \
         --checkpoint-dir "$WORK/ckpt-early" >/dev/null 2>&1; then
         echo "FAIL: run finished within ${grace}s, before it could be killed" >&2
         exit 1
@@ -77,7 +79,7 @@ resume_and_compare "$WORK/ckpt-early"
 # Victim 2: SIGKILL as soon as the newest checkpoint is a repair-phase
 # one. Checkpoints land by atomic rename, so a listed file is complete.
 echo "# repair-phase victim, SIGKILL once a Repair checkpoint exists"
-"$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" \
+"$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" --threads 4 \
     --checkpoint-dir "$WORK/ckpt-repair" >/dev/null 2>&1 &
 victim_pid=$!
 while [ "$(newest_stage "$WORK/ckpt-repair")" != Repair ]; do
@@ -92,4 +94,4 @@ wait "$victim_pid" 2>/dev/null || true
 victim_pid=
 resume_and_compare "$WORK/ckpt-repair"
 
-echo "OK: killed-and-resumed models (domain and repair stage) are byte-identical to the uninterrupted run"
+echo "OK: killed-and-resumed 4-thread models (domain and repair stage) are byte-identical to the uninterrupted 1-thread run"
