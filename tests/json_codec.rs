@@ -187,11 +187,15 @@ fn nesting_is_limited_with_a_typed_error() {
 }
 
 /// Writes `payload` under a valid frame header (no fsync: this is a
-/// scratch file), so it reaches the JSON parser.
+/// scratch file), so it reaches the JSON parser. The old file is removed
+/// first: ext4 starts writeback when a file truncated in place is closed
+/// (its `auto_da_alloc` heuristic), and the loops below rewrite one path
+/// thousands of times, each rewrite then waiting on the disk.
 fn write_framed(path: &Path, payload: &[u8]) {
     let mut bytes =
         format!("{MAGIC} model {} {:016x}\n", payload.len(), fnv1a(payload)).into_bytes();
     bytes.extend_from_slice(payload);
+    let _ = std::fs::remove_file(path);
     std::fs::write(path, bytes).unwrap();
 }
 
