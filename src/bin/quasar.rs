@@ -18,6 +18,7 @@ use quasar::model::prelude::*;
 use quasar::netgen::prelude::*;
 use quasar::serve::prelude::*;
 use quasar::stream::client::ServeClient;
+use quasar::{HeldOut, Scale, Split};
 use std::io::Write;
 use std::net::TcpListener;
 use std::process::exit;
@@ -103,6 +104,10 @@ const COMMANDS: &[Command] = &[
     Command { name: "sast", form: None, run: cmd_sast, operands: Zero,
         synopsis: "sast [--root DIR] [--json] [--deny warn|error]",
         switches: &["--json"], values: &["--root", "--deny"] },
+    Command { name: "repro", form: None, run: cmd_repro, operands: Zero,
+        synopsis: "repro [--exp all|ID[,ID...]] [--scale tiny|small|medium|large] [--seed N] [--obs N] \
+                   [--counts N,N,...] [--csv DIR]",
+        switches: &[], values: &["--exp", "--scale", "--seed", "--obs", "--counts", "--csv"] },
 ];
 
 /// A subcommand's arguments, checked against its row.
@@ -252,19 +257,12 @@ fn load_model(path: &str) -> AsRoutingModel {
     })
 }
 
-/// The Internet generated at the `--scale NAME [--seed N]` preset, and
+/// The Internet generated at the `--scale` preset and `--seed`, and
 /// its seed.
-fn synthesize(scale: &str, a: &Args) -> (SyntheticInternet, u64) {
+fn synthesize(scale: Scale, a: &Args) -> (SyntheticInternet, u64) {
     let seed = a.get("--seed").unwrap_or(20051113);
-    let cfg = match scale {
-        "tiny" => NetGenConfig::tiny(seed),
-        "small" => NetGenConfig::small(seed),
-        "medium" => NetGenConfig::medium(seed),
-        "large" => NetGenConfig::large(seed),
-        _ => usage("bad --scale, want tiny|small|medium|large"),
-    };
-    eprintln!("generating {scale} internet (seed {seed}) ...");
-    (SyntheticInternet::generate(cfg), seed)
+    eprintln!("generating {scale:?} internet (seed {seed}) ...");
+    (SyntheticInternet::generate(scale.config(seed)), seed)
 }
 
 /// Runs the library's training recipe, exiting 1 when it fails.
@@ -276,25 +274,14 @@ fn trained(
     train(universe, training, cfg).unwrap_or_else(|e| die(format!("training failed: {e}")))
 }
 
-/// Splits the feeds of FILE in half with `split` and the `--seed`,
-/// trains on one half (from the initial model of all feeds, §4.5) and
-/// returns the model, its report and the held-out half.
-fn train_on_half(
-    a: &Args,
-    split: fn(&Dataset, f64, u64) -> (Dataset, Dataset),
-    generalize: bool,
-) -> (AsRoutingModel, TrainReport, Dataset) {
+/// Splits the feeds of FILE in half with `split` and the `--seed` and
+/// trains on one half by the split's shipping recipe.
+fn train_on_half(a: &Args, split: Split) -> HeldOut {
     let seed = a.get("--seed").unwrap_or(7);
     let (_, dataset) = load_dataset(&a.operands[0]);
-    let (training, validation) = split(&dataset, 0.5, seed);
-    let (n, m) = (training.len(), validation.len());
-    eprintln!("training on {n} routes, validating on {m} ...");
-    let cfg = TrainConfig {
-        generalize,
-        ..TrainConfig::default()
-    };
-    let (model, report) = trained(&dataset, &training, &cfg);
-    (model, report, validation)
+    eprintln!("training on one half of {} routes ...", dataset.len());
+    quasar::train_held_out(&dataset, split, seed, &split.recipe())
+        .unwrap_or_else(|e| die(format!("training failed: {e}")))
 }
 
 /// `generate`: synthesizes an Internet and writes its feeds to FILE as
@@ -302,7 +289,7 @@ fn train_on_half(
 /// flapping UPDATE stream.
 fn cmd_generate(a: &Args) {
     let out = a.need("--out");
-    let (net, seed) = synthesize(a.value("--scale").unwrap_or("small"), a);
+    let (net, seed) = synthesize(a.get("--scale").unwrap_or(Scale::Small), a);
     let bytes = export_table_dump_v2(&net.observation_points, &net.observations);
     // Raw bytes (no persist header): the archive must stay MRT-parseable.
     atomic_write_bytes(out, &bytes).unwrap_or_else(|e| die(format!("cannot write {out}: {e}")));
@@ -356,11 +343,9 @@ fn cmd_train(a: &Args) {
         resume: a.has("--resume"),
         generalize: true,
     };
-    let dataset = match (a.operands.first(), a.value("--scale")) {
+    let dataset = match (a.operands.first(), a.get("--scale")) {
         (Some(path), None) if !a.has("--seed") => load_dataset(path).1,
-        (None, Some(scale)) => {
-            quasar::dataset_from_observations(&synthesize(scale, a).0.observations)
-        }
+        (None, Some(scale)) => quasar::dataset_from(&synthesize(scale, a).0),
         _ => usage("train takes FILE or --scale NAME [--seed N]"),
     };
     eprintln!(
@@ -484,25 +469,18 @@ fn cmd_analyze(a: &Args) {
 }
 
 /// `predict FILE`: trains on half the feeds and predicts the other half.
+/// Unseen prefixes (`--split origin|both`) get the §4.7 generalisation.
 fn cmd_predict(a: &Args) {
-    let split = a.value("--split").unwrap_or("point");
-    let split_fn = match split {
-        "point" => Dataset::split_by_point,
-        "origin" => Dataset::split_by_origin,
-        "both" => Dataset::split_combined,
-        _ => usage("bad --split, want point|origin|both"),
-    };
-    // Unseen prefixes benefit from the §4.7 generalization.
-    let (model, report, validation) = train_on_half(a, split_fn, split != "point");
-    let stats = model.stats();
+    let h = train_on_half(a, a.get("--split").unwrap_or(Split::Point));
+    let stats = h.model.stats();
     println!(
         "model: converged={} | {} quasi-routers over {} ASes | {} rules",
-        report.refine.converged(),
+        h.report.refine.converged(),
         stats.quasi_routers,
         stats.ases,
         stats.policy_rules
     );
-    let ev = evaluate(&model, &validation);
+    let ev = evaluate(&h.model, &h.validation);
     println!(
         "prediction: RIB-Out {:.1}% | down-to-tie-break {:.1}% | RIB-In bound {:.1}%",
         100.0 * ev.counts.rib_out_rate(),
@@ -514,8 +492,8 @@ fn cmd_predict(a: &Args) {
 /// `diagnose`: trains on half the feeds and attributes validation
 /// mismatches to the AS where reproduction first breaks.
 fn cmd_diagnose(a: &Args) {
-    let (model, _, validation) = train_on_half(a, Dataset::split_by_point, false);
-    let diag = diagnose(&model, &validation);
+    let h = train_on_half(a, Split::Point);
+    let diag = diagnose(&h.model, &h.validation);
     println!(
         "{} of {} validation routes fully reproduced",
         diag.matched, diag.routes
@@ -817,6 +795,30 @@ fn cmd_health(a: &Args) {
             exit(3);
         }
     }
+}
+
+/// `repro`: runs the paper's experiments (`quasar::repro`) on an Internet
+/// generated at `--scale` (default small) and `--seed` (default
+/// 20051113), printing each table; `--obs` overrides the observation-AS
+/// count, `--counts` sets the density sweep and `--csv` writes plot data
+/// to DIR. `all` (the default) runs every experiment but `density` and
+/// `seeds`.
+fn cmd_repro(a: &Args) {
+    let counts = a.value("--counts").map(|s| {
+        s.split(',')
+            .map(|n| n.parse().ok())
+            .collect::<Option<Vec<usize>>>()
+            .unwrap_or_else(|| usage(&format!("bad --counts `{s}`, want N,N,...")))
+    });
+    let opts = quasar::repro::Options {
+        exps: a.get("--exp").unwrap_or_default(),
+        scale: a.get("--scale").unwrap_or(Scale::Small),
+        seed: a.get("--seed").unwrap_or(20051113),
+        obs: a.get("--obs"),
+        counts,
+        csv: a.value("--csv").map(Into::into),
+    };
+    quasar::repro::run(&opts).unwrap_or_else(|e| die(e))
 }
 
 /// `query`: sends each JSON request to the server at ADDR and prints each

@@ -389,6 +389,28 @@ fn retired_scale_aliases_are_usage_errors() {
     }
 }
 
+#[test]
+fn repro_exits_1_when_a_csv_file_cannot_be_written() {
+    // A file where the CSV directory should be: the run must not report
+    // success after failing to write its plot data.
+    let not_a_dir = tmp("repro-csv-not-a-dir");
+    std::fs::write(&not_a_dir, b"").unwrap();
+    let out = run(&[
+        "repro",
+        "--exp",
+        "fig2",
+        "--scale",
+        "tiny",
+        "--csv",
+        not_a_dir.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("error: cannot write"), "{stderr}");
+    assert!(stderr.contains("fig2.csv"), "{stderr}");
+    let _ = std::fs::remove_file(&not_a_dir);
+}
+
 /// The parts of a `lint`/`sast --json` report these tests read.
 #[derive(serde::Deserialize)]
 struct JsonReport {
@@ -560,6 +582,7 @@ fn every_subcommand_rejects_bad_arguments_before_touching_files() {
         &["stream-stats", "127.0.0.1:9"],
         &["lint", f],
         &["sast"],
+        &["repro", "--exp", "fig2", "--scale", "tiny", "--csv", f],
     ];
     let covered: Vec<&str> = unknown.iter().map(|args| args[0]).collect();
     for name in subcommands() {
@@ -583,8 +606,13 @@ fn every_subcommand_rejects_bad_arguments_before_touching_files() {
         &["train", f, "--seed", "3", "--out", f],
         // a value flag given last with no value
         &["generate", "--out", f, "--seed"],
+        &["repro", "--scale", "huge", "--csv", f],
+        &["repro", "--exp", "t0,nosuch", "--csv", f],
         // a value flag given twice
         &["generate", "--out", f, "--out", g, "--scale", "tiny"],
+        &[
+            "repro", "--seed", "1", "--seed", "2", "--scale", "tiny", "--csv", f,
+        ],
         // a stray or missing positional
         &["analyze", f, f],
         &["query", "127.0.0.1:9"],
