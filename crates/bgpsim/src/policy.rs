@@ -141,7 +141,8 @@ impl PolicyRule {
 /// The rule chain is behind an [`Arc`]: cloning a policy (and anything
 /// containing one, like a whole network snapshot) is a refcount bump, and
 /// the chain is deep-copied only when a clone actually mutates it. The
-/// serialized form is unchanged — a plain `rules` list.
+/// serialized form is a plain `rules` list (see `arc_rules` for the
+/// element forms).
 ///
 /// A rule naming a prefix can match only routes for that prefix, and
 /// refinement leaves most chains holding rules for nearly every trained
@@ -245,19 +246,104 @@ impl std::fmt::Debug for Policy {
     }
 }
 
-/// Serializes the shared rule chain as the plain `Vec` it wraps, keeping
-/// the on-disk shape identical to the pre-Arc representation.
+/// Serializes the shared rule chain as a list with one element per rule.
+///
+/// The two shapes §4.6 refinement installs, nearly every rule of a
+/// trained model, are written as 4-tuples:
+///
+/// * `[base, len, "m", med]`: matcher exactly `{prefix}`, `SetMed(med)`;
+/// * `[base, len, "f", n]`: matcher exactly `{prefix, path_shorter_than:
+///   n}`, `Deny`.
+///
+/// Every other rule keeps the object form of [`PolicyRule`]. The reader
+/// takes either form for each element, so a chain written all in objects
+/// loads into the same rules and re-saves with its §4.6 rules as tuples.
 mod arc_rules {
-    use super::Chain;
+    use super::{Action, Chain, PolicyRule, RouteMatch};
+    use crate::types::Prefix;
     use serde::{Deserialize, Deserializer, Error, Serialize, Serializer};
     use std::sync::Arc;
 
+    /// Tag of a `SetMed` ranking tuple.
+    const MED: &str = "m";
+    /// Tag of a shorter-path `Deny` filter tuple.
+    const FLOOR: &str = "f";
+
+    /// The tuple a §4.6 rule is written as, or `None` for any other rule.
+    fn tuple(rule: &PolicyRule) -> Option<(u32, u8, &'static str, u64)> {
+        let RouteMatch {
+            prefix: Some(p),
+            from_asn: None,
+            origin_asn: None,
+            path_shorter_than,
+            local_pref_below: None,
+            has_community: None,
+            path_pattern: None,
+        } = rule.matcher
+        else {
+            return None;
+        };
+        let (tag, value) = match (rule.action, path_shorter_than) {
+            (Action::SetMed(med), None) => (MED, u64::from(med)),
+            (Action::Deny, Some(n)) => (FLOOR, u64::try_from(n).ok()?),
+            _ => return None,
+        };
+        // A prefix length the reader refuses stays in the object form.
+        (p.len <= 32).then_some((p.base, p.len, tag, value))
+    }
+
     pub fn serialize(chain: &Arc<Chain>, s: &mut Serializer) {
-        chain.list.as_slice().serialize(s);
+        s.begin_seq();
+        for rule in &chain.list {
+            s.elem();
+            match tuple(rule) {
+                Some(t) => t.serialize(s),
+                None => rule.serialize(s),
+            }
+        }
+        s.end_seq();
+    }
+
+    /// Reads one tuple element, checking its arity, tag and ranges.
+    fn read_tuple(d: &mut Deserializer<'_>) -> Result<PolicyRule, Error> {
+        d.begin_seq()?;
+        d.tuple_elem(4, 0)?;
+        let base = u32::deserialize(d)?;
+        d.tuple_elem(4, 1)?;
+        let len = u8::deserialize(d)?;
+        if len > 32 {
+            return Err(Error::msg(format!("prefix length {len} out of range")));
+        }
+        let prefix = RouteMatch::prefix(Prefix { base, len });
+        d.tuple_elem(4, 2)?;
+        let tag = d.string()?;
+        d.tuple_elem(4, 3)?;
+        let rule = match &*tag {
+            MED => PolicyRule::new(prefix, Action::SetMed(u32::deserialize(d)?)),
+            FLOOR => PolicyRule::new(
+                RouteMatch {
+                    path_shorter_than: Some(usize::deserialize(d)?),
+                    ..prefix
+                },
+                Action::Deny,
+            ),
+            other => return Err(Error::msg(format!("unknown policy rule tag `{other}`"))),
+        };
+        d.end_tuple(4)?;
+        Ok(rule)
     }
 
     pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<Chain>, Error> {
-        Vec::deserialize(d).map(|rules| Arc::new(Chain::new(rules)))
+        d.begin_seq()?;
+        let mut rules = Vec::new();
+        while d.next_elem()? {
+            rules.push(if d.peek() == Some(b'[') {
+                read_tuple(d)?
+            } else {
+                PolicyRule::deserialize(d)?
+            });
+        }
+        Ok(Arc::new(Chain::new(rules)))
     }
 }
 

@@ -8,6 +8,10 @@
 //! `has_community` matchers. Every evaluation follows mutations, so an
 //! index left stale by `push`, `push_front`, `remove_rules` or by a
 //! copy-on-write clone shows up as a differing answer.
+//!
+//! The same rules also drive a serde round trip: a chain mixing the two
+//! §4.6 shapes, written as tuples, with object-form rules must read back
+//! in order.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -214,5 +218,21 @@ proptest! {
             pairs[0].check(&route, "a")?;
             pairs[1].check(&route, "b")?;
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(500))]
+
+    /// A chain reads back as the rules it was written from, in order,
+    /// whichever element form each rule takes, and re-serializes to the
+    /// same text.
+    #[test]
+    fn serde_round_trips_every_chain(rules in proptest::collection::vec(arb_rule(), 0..16)) {
+        let policy = Policy::new(rules.clone());
+        let json = serde_json::to_string(&policy).expect("policy serializes");
+        let back: Policy = serde_json::from_str(&json).expect("policy reads back");
+        prop_assert_eq!(back.rules(), rules.as_slice());
+        prop_assert_eq!(serde_json::to_string(&back).expect("re-serializes"), json);
     }
 }

@@ -14,7 +14,7 @@
 //!   an FNV-1a checksum:
 //!
 //!   ```text
-//!   QUASAR1 model 182733 9f0e4c61b2a7d455\n
+//!   QUASAR1 model2 182733 9f0e4c61b2a7d455\n
 //!   {"net":{...}}
 //!   ```
 //!
@@ -24,8 +24,9 @@
 //!   or a misleading parse error deep inside the payload.
 //!
 //! Models written by earlier versions of `quasar train` are bare JSON
-//! with no header; [`load_model`] detects the missing magic and reads
-//! them transparently, so old artifacts keep working.
+//! with no header, or frames of the older `model` kind whose policy rules
+//! are all objects; [`load_model`] reads both transparently, so old
+//! artifacts keep working.
 
 use crate::model::AsRoutingModel;
 use std::fmt;
@@ -36,8 +37,14 @@ use std::path::{Path, PathBuf};
 /// Magic token opening every framed artifact (version 1 of the frame).
 pub const MAGIC: &str = "QUASAR1";
 
-/// Artifact kind string for trained models.
-pub const KIND_MODEL: &str = "model";
+/// Artifact kind string for trained models: JSON whose §4.6 policy rules
+/// are written as tuples (see `quasar_bgpsim::policy`). A binary that
+/// predates the tuple form refuses it as a kind mismatch.
+pub const KIND_MODEL: &str = "model2";
+
+/// Artifact kind of models written before [`KIND_MODEL`], with every
+/// policy rule an object. [`load_model`] still reads it.
+const KIND_MODEL_V1: &str = "model";
 
 /// Artifact kind string for refinement checkpoints.
 pub const KIND_CHECKPOINT: &str = "refine-checkpoint";
@@ -310,7 +317,11 @@ pub fn save_artifact(
 /// returned as-is with no integrity check, which is exactly the guarantee
 /// they were written under.
 pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usize), PersistError> {
-    let path = path.as_ref();
+    load_artifact_of(path.as_ref(), &[kind])
+}
+
+/// [`load_artifact`] accepting any of `kinds`; a mismatch names the first.
+fn load_artifact_of(path: &Path, kinds: &[&str]) -> Result<(Vec<u8>, usize), PersistError> {
     let mut bytes = fs::read(path).map_err(|e| PersistError::io(path, "read", e))?;
     let magic_prefix = format!("{MAGIC} ");
     if !bytes.starts_with(magic_prefix.as_bytes()) {
@@ -353,10 +364,10 @@ pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usi
             format!("checksum `{sum_field}` is not 16 hex digits"),
         )
     })?;
-    if found_kind != kind {
+    if !kinds.contains(&found_kind) {
         return Err(PersistError::KindMismatch {
             path: path.to_path_buf(),
-            expected: kind.to_string(),
+            expected: kinds.first().copied().unwrap_or_default().to_string(),
             found: found_kind.to_string(),
         });
     }
@@ -393,13 +404,14 @@ pub fn save_model(path: impl AsRef<Path>, model: &AsRoutingModel) -> Result<usiz
     Ok(json.len())
 }
 
-/// Loads a model written by [`save_model`] — or a legacy bare-JSON model
-/// from before the framed format existed. Frame damage and payload
-/// parse failures both come back as typed [`PersistError`]s, never a
-/// panic.
+/// Loads a model written by [`save_model`], a frame of the older `model`
+/// kind, or a legacy bare-JSON model from before the framed format
+/// existed.
+/// Frame damage and payload parse failures both come back as typed
+/// [`PersistError`]s, never a panic.
 pub fn load_model(path: impl AsRef<Path>) -> Result<AsRoutingModel, PersistError> {
     let path = path.as_ref();
-    let (payload, offset) = load_artifact(path, KIND_MODEL)?;
+    let (payload, offset) = load_artifact_of(path, &[KIND_MODEL, KIND_MODEL_V1])?;
     let json = std::str::from_utf8(&payload).map_err(|e| PersistError::Json {
         path: path.to_path_buf(),
         offset: offset + e.valid_up_to(),

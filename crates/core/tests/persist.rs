@@ -45,7 +45,7 @@ fn framed_model_round_trips() {
 
     let bytes = std::fs::read(&path).expect("read back");
     assert!(
-        bytes.starts_with(b"QUASAR1 model "),
+        bytes.starts_with(b"QUASAR1 model2 "),
         "framed file must lead with the versioned header"
     );
 

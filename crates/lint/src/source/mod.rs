@@ -202,14 +202,14 @@ mod tests {
         assert_eq!(classify("src/lib.rs"), Some(FileKind::Library));
         assert_eq!(classify("src/bin/quasar.rs"), Some(FileKind::Binary));
         assert_eq!(
-            classify("crates/bench/src/bin/repro.rs"),
+            classify("crates/serve/src/bin/loadgen.rs"),
             Some(FileKind::Binary)
         );
         assert_eq!(
             classify("crates/serve/tests/overload.rs"),
             Some(FileKind::Test)
         );
-        assert_eq!(classify("crates/bench/benches/x.rs"), Some(FileKind::Bench));
+        assert_eq!(classify("crates/serve/benches/x.rs"), Some(FileKind::Bench));
         assert_eq!(classify("vendor/serde/src/lib.rs"), None);
         assert_eq!(classify("crates/lint/tests/fixtures/bad.rs"), None);
         assert_eq!(classify("README.md"), None);

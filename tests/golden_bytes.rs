@@ -213,8 +213,8 @@ fn serialized_outputs_match_pinned_bytes() {
         ("reply script", pin(replies.as_bytes())),
     ];
     let want = [
-        ("model artifact", (0x3011_9bec_6f3d_5c8c, 2_018_208)),
-        ("checkpoint payload", (0x1ac1_c91f_7ee6_911b, 2_036_890)),
+        ("model artifact", (0x5380_8d1d_ac0c_944a, 237_009)),
+        ("checkpoint payload", (0x05c4_30f7_4b57_065d, 255_691)),
         ("pretty record", (0x2e44_288e_9f2c_b27a, 1_755)),
         ("reply script", (0x4ad2_35ff_a652_2378, 27_924)),
     ];

@@ -70,6 +70,22 @@ fn integer_extremes_roundtrip_exactly() {
 }
 
 #[test]
+fn integral_floats_beyond_the_integer_range_are_errors() {
+    // Above u64::MAX the number token is read as a float; it must not
+    // saturate into the largest integer.
+    assert!(from_str::<u64>("18446744073709551616").is_err());
+    assert!(from_str::<u64>("1.8446744073709552e19").is_err());
+    assert!(from_str::<usize>("1e30").is_err());
+    assert!(from_str::<i64>("-9.3e18").is_err());
+    assert!(from_str::<i64>("9.3e18").is_err());
+    assert_eq!(from_str::<u64>("1e19").unwrap(), 10_000_000_000_000_000_000);
+    assert_eq!(
+        from_str::<i64>("-9.2e18").unwrap(),
+        -9_200_000_000_000_000_000
+    );
+}
+
+#[test]
 fn floats_render_like_serde_json() {
     assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
     assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
