@@ -288,8 +288,7 @@ mod arc_rules {
             (Action::Deny, Some(n)) => (FLOOR, u64::try_from(n).ok()?),
             _ => return None,
         };
-        // A prefix length the reader refuses stays in the object form.
-        (p.len <= 32).then_some((p.base, p.len, tag, value))
+        Some((p.base, p.len, tag, value))
     }
 
     pub fn serialize(chain: &Arc<Chain>, s: &mut Serializer) {
@@ -311,26 +310,22 @@ mod arc_rules {
         let base = u32::deserialize(d)?;
         d.tuple_elem(4, 1)?;
         let len = u8::deserialize(d)?;
-        if len > 32 {
-            return Err(Error::msg(format!("prefix length {len} out of range")));
-        }
-        let prefix = RouteMatch::prefix(Prefix { base, len });
         d.tuple_elem(4, 2)?;
         let tag = d.string()?;
         d.tuple_elem(4, 3)?;
-        let rule = match &*tag {
-            MED => PolicyRule::new(prefix, Action::SetMed(u32::deserialize(d)?)),
-            FLOOR => PolicyRule::new(
-                RouteMatch {
-                    path_shorter_than: Some(usize::deserialize(d)?),
-                    ..prefix
-                },
-                Action::Deny,
-            ),
+        let (action, path_shorter_than) = match &*tag {
+            MED => (Action::SetMed(u32::deserialize(d)?), None),
+            FLOOR => (Action::Deny, Some(usize::deserialize(d)?)),
             other => return Err(Error::msg(format!("unknown policy rule tag `{other}`"))),
         };
         d.end_tuple(4)?;
-        Ok(rule)
+        let prefix = Prefix::exact(base, len)
+            .ok_or_else(|| Error::msg(format!("prefix {base}/{len} is not canonical")))?;
+        let matcher = RouteMatch {
+            path_shorter_than,
+            ..RouteMatch::prefix(prefix)
+        };
+        Ok(PolicyRule::new(matcher, action))
     }
 
     pub fn deserialize(d: &mut Deserializer<'_>) -> Result<Arc<Chain>, Error> {

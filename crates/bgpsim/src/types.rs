@@ -109,7 +109,7 @@ impl fmt::Display for RouterId {
 /// prefix is identified by an opaque index plus the AS that originates it;
 /// a concrete IPv4 representation (`base/len`) is kept so feeds can be
 /// exported to and imported from MRT dumps losslessly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Prefix {
     /// Network address in host byte order.
     pub base: u32,
@@ -128,6 +128,13 @@ impl Prefix {
             base: base & Self::mask(len),
             len,
         }
+    }
+
+    /// The prefix `base/len` as written: `None` unless [`Prefix::new`]
+    /// would build it unchanged, that is unless `len <= 32` and `base` has
+    /// no bits past the first `len`.
+    pub fn exact(base: u32, len: u8) -> Option<Self> {
+        (len <= 32 && base & !Self::mask(len) == 0).then_some(Prefix { base, len })
     }
 
     /// The canonical per-AS experiment prefix used by the paper's
@@ -177,6 +184,21 @@ impl fmt::Display for Prefix {
             b & 0xFF,
             self.len
         )
+    }
+}
+
+/// Reads only what [`Prefix::exact`] accepts.
+impl<'de> Deserialize<'de> for Prefix {
+    fn deserialize(d: &mut serde::Deserializer<'de>) -> Result<Self, serde::Error> {
+        // The derived reader, named so that its errors read `in Prefix`.
+        #[derive(Deserialize)]
+        struct Prefix {
+            base: u32,
+            len: u8,
+        }
+        let Prefix { base, len } = Prefix::deserialize(d)?;
+        Self::exact(base, len)
+            .ok_or_else(|| serde::Error::msg(format!("prefix {base}/{len} is not canonical")))
     }
 }
 

@@ -1,11 +1,10 @@
-//! Post-training / post-recovery audit hook.
+//! Post-training audit hook.
 //!
 //! The static analyzer lives in `quasar-lint`, which depends on this crate
 //! — so `refine` cannot call it directly. Instead the binary (or any other
 //! top-level consumer) installs an auditor function here once at startup,
-//! and the training recipe ([`crate::train()`]) and checkpoint recovery
-//! run it on every model they produce, logging findings without ever
-//! invoking the simulator.
+//! and the training recipe ([`crate::train()`]) runs it on every model it
+//! produces, logging findings without ever invoking the simulator.
 
 use crate::model::AsRoutingModel;
 use std::sync::OnceLock;
@@ -62,7 +61,7 @@ pub fn run(model: &AsRoutingModel) -> Option<AuditSummary> {
 }
 
 /// Audits `model` and logs the outcome to stderr, prefixed with
-/// `context` (e.g. `post-train`, `checkpoint-recovery`): one `clean`
+/// `context` (e.g. `post-train`): one `clean`
 /// line when there are no findings, the tally plus one line per finding
 /// otherwise. Silent only when no auditor is installed.
 pub(crate) fn log_audit(context: &str, model: &AsRoutingModel) {

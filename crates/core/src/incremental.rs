@@ -56,14 +56,13 @@
 use crate::observed::Dataset;
 use crate::persist::{self, PersistError};
 use crate::refine::{
-    build_jobs, domain_ranges, run_phases, DomainDelta, PrefixJob, RankingAttr, RecordedRepair,
-    RefineConfig, RefineError, RepairTrace,
+    build_jobs, checkpoint, domain_ranges, run_phases, DomainDelta, LogHeader, PrefixJob, Progress,
+    RecordedRepair, RefineConfig, RefineError, RepairTrace,
 };
 use crate::train::{finish, TrainConfig, TrainReport};
-use quasar_bgpsim::types::{Asn, Prefix};
-use quasar_topology::graph::AsGraph;
+use checkpoint::TrainerHeader;
+use quasar_bgpsim::types::Prefix;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -128,30 +127,19 @@ pub struct IncrementalReport {
     pub dirty_prefixes: usize,
 }
 
-/// The persisted reuse state: everything needed to decide, on the next
-/// dataset revision, which work is provably identical to last time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The reuse state: everything needed to decide, on the next dataset
+/// revision, which work is provably identical to last time. It persists
+/// as a refinement log (see [`IncrementalTrainer::save`]).
+#[derive(Debug, Clone)]
 struct TrainerCache {
-    /// Monotonic training-epoch counter (also the checkpoint sequence).
-    epoch: u64,
-    /// Guard: the cache is only valid for the configuration it was
-    /// trained under (`threads` excepted — results are thread-invariant).
-    max_iterations: usize,
-    /// Guard: see `max_iterations`.
-    allow_duplication: bool,
-    /// Guard: see `max_iterations`.
-    ranking: RankingAttr,
-    /// Sorted node ids of the AS graph the base model was built from.
-    graph_nodes: Vec<u32>,
-    /// Sorted undirected edge list of that graph.
-    graph_edges: Vec<(u32, u32)>,
-    /// The prefix→origin map, in ascending prefix order.
-    origins: Vec<(Prefix, u32)>,
-    /// Number of refinement jobs (pins the domain partition, which is a
-    /// pure function of this count).
-    num_jobs: usize,
-    /// Per-domain FNV-1a fingerprint over each `(prefix, targets)` slice.
-    domain_fps: Vec<u64>,
+    /// The last run's log header: the configuration it was trained under
+    /// (`threads` excepted — results are thread-invariant), its base
+    /// model's fingerprint (the AS graph and prefix origins) and its job
+    /// count, which pins the domain partition.
+    header: LogHeader,
+    /// Its epoch count, per-domain fingerprints over each `(prefix,
+    /// targets)` slice and repair round count.
+    trainer: TrainerHeader,
     /// Every domain's delta from the last run, indexed by domain id.
     deltas: Vec<DomainDelta>,
     /// The last run's repair phase as per-round fix-sets, replayable when
@@ -163,8 +151,8 @@ struct TrainerCache {
 /// prefixes a dataset revision actually changed — while producing models
 /// byte-identical to a from-scratch [`train`](crate::train()).
 ///
-/// The state survives process restarts through the same `QUASAR1`
-/// checkpoint frames as [`refine_checkpointed`](crate::refine::refine_checkpointed):
+/// The state survives process restarts as the same refinement log
+/// [`refine_checkpointed`](crate::refine::refine_checkpointed) keeps:
 /// [`IncrementalTrainer::save`] / [`IncrementalTrainer::load`].
 #[derive(Debug, Default)]
 pub struct IncrementalTrainer {
@@ -186,44 +174,53 @@ impl IncrementalTrainer {
 
     /// Training epochs completed so far (0 for a fresh trainer).
     pub fn epoch(&self) -> u64 {
-        self.cache.as_ref().map(|c| c.epoch).unwrap_or(0)
+        self.cache.as_ref().map(|c| c.trainer.epoch).unwrap_or(0)
     }
 
-    /// Persists the reuse state into `dir` as a checkpoint frame (kept
-    /// alongside the previous one, like refinement checkpoints). A
-    /// trainer with no cache writes nothing.
+    /// Persists the reuse state into `dir` as a refinement log whose
+    /// header also carries the epoch and the domain fingerprints, written
+    /// atomically over the previous one. A trainer with no cache writes
+    /// nothing.
     pub fn save(&self, dir: impl AsRef<Path>) -> Result<(), RefineError> {
         let Some(cache) = &self.cache else {
             return Ok(());
         };
-        let json = serde_json::to_string(cache).map_err(|e| {
-            RefineError::CheckpointMismatch(format!("trainer cache serialization: {e}"))
-        })?;
-        persist::save_checkpoint_payload(dir.as_ref(), cache.epoch, json.as_bytes())?;
+        let (header, trainer) = (&cache.header, &cache.trainer);
+        checkpoint::save(dir.as_ref(), header, trainer, &cache.deltas, &cache.repair)?;
         Ok(())
     }
 
-    /// Restores a trainer from the newest loadable checkpoint frame in
-    /// `dir`, refusing caches trained under a different configuration
-    /// (`threads` excepted — the model is thread-invariant).
+    /// Restores a trainer from the log in `dir`, refusing one that is
+    /// incomplete, is not a trainer's, or was trained under a different
+    /// configuration (`threads` excepted — the model is thread-invariant).
     pub fn load(dir: impl AsRef<Path>, cfg: &RefineConfig) -> Result<Self, RefineError> {
-        let (seq, payload) = persist::load_latest_checkpoint_payload(dir.as_ref())?;
-        let text = std::str::from_utf8(&payload).map_err(|_| {
-            RefineError::CheckpointMismatch("trainer cache payload is not UTF-8".into())
-        })?;
-        let cache: TrainerCache = serde_json::from_str(text).map_err(|e| {
-            RefineError::CheckpointMismatch(format!("trainer cache does not parse: {e}"))
-        })?;
-        if cache.epoch != seq {
+        let logged = checkpoint::read(dir.as_ref())?;
+        let mut header = logged.header;
+        let Some(trainer) = header.trainer.take() else {
+            return Err(RefineError::CheckpointMismatch(
+                "the log is a refinement checkpoint, not a trainer cache".into(),
+            ));
+        };
+        let domains = logged.done.len();
+        if domains != trainer.domain_fps.len() || logged.rounds.len() != trainer.rounds {
             return Err(RefineError::CheckpointMismatch(format!(
-                "trainer cache file is named for epoch {seq} but contains epoch {}",
-                cache.epoch
+                "trainer cache is incomplete: {domains} of {} domains and {} of {} repair rounds",
+                trainer.domain_fps.len(),
+                logged.rounds.len(),
+                trainer.rounds
             )));
         }
-        if let Some(reason) = cfg_mismatch(&cache, cfg) {
+        if let Some(reason) = header.config_mismatch(cfg) {
             return Err(RefineError::CheckpointMismatch(reason));
         }
-        Ok(IncrementalTrainer { cache: Some(cache) })
+        Ok(IncrementalTrainer {
+            cache: Some(TrainerCache {
+                header,
+                trainer,
+                deltas: logged.done.into_values().collect(),
+                repair: logged.rounds,
+            }),
+        })
     }
 
     /// Trains a model on `training`, reusing as much of the previous run
@@ -241,25 +238,24 @@ impl IncrementalTrainer {
         let cfg = &train_cfg.refine;
         let clock = Instant::now();
         let graph = training.as_graph();
-        let origins = training.prefixes();
-        let mut model = AsRoutingModel::initial(&graph, &origins);
+        let mut model = AsRoutingModel::initial(&graph, &training.prefixes());
         let mut jobs = build_jobs(&model, training);
         let ranges = domain_ranges(jobs.len());
         let fps = domain_fingerprints(&jobs, &ranges);
-        let sig = GraphSig::of(&graph, &origins);
+        let header = LogHeader::new(cfg, training, &model, jobs.len());
 
         // `repair_replayed` is settled once the repair ran.
-        let mut mode = self.plan(cfg, &sig, jobs.len(), &ranges);
-        let mut done: BTreeMap<usize, DomainDelta> = BTreeMap::new();
+        let mut mode = self.plan(&header);
+        let mut start = Progress::default();
         let mut recorded = None;
         // Per job: whether its domain is re-refined, so its repair steps
         // must be simulated live rather than replayed.
         let mut live = vec![true; jobs.len()];
         if let (TrainMode::Incremental { .. }, Some(cache)) = (&mode, &self.cache) {
             for (id, fp) in fps.iter().enumerate() {
-                if cache.domain_fps.get(id) == Some(fp) {
+                if cache.trainer.domain_fps.get(id) == Some(fp) {
                     if let Some(delta) = cache.deltas.get(id) {
-                        done.insert(id, delta.clone());
+                        start.done.insert(id, delta.clone());
                         live[ranges[id].clone()].fill(false);
                     }
                 }
@@ -274,10 +270,10 @@ impl IncrementalTrainer {
                 trace: &cache.repair,
             });
         }
-        let domains_reused = done.len();
+        let domains_reused = start.done.len();
         let dirty_prefixes = live.iter().filter(|&&l| l).count();
 
-        let refined = run_phases(&mut model, cfg, &mut jobs, done, None, recorded, clock)?;
+        let refined = run_phases(&mut model, cfg, &mut jobs, start, None, recorded, clock)?;
         let skipped = if refined.replayed {
             jobs.len() - dirty_prefixes
         } else {
@@ -285,15 +281,12 @@ impl IncrementalTrainer {
         };
 
         self.cache = Some(TrainerCache {
-            epoch: self.epoch() + 1,
-            max_iterations: cfg.max_iterations,
-            allow_duplication: cfg.allow_duplication,
-            ranking: cfg.ranking,
-            graph_nodes: sig.nodes,
-            graph_edges: sig.edges,
-            origins: sig.origins,
-            num_jobs: jobs.len(),
-            domain_fps: fps,
+            header,
+            trainer: TrainerHeader {
+                epoch: self.epoch() + 1,
+                domain_fps: fps,
+                rounds: refined.trace.len(),
+            },
             deltas: refined.deltas.into_values().collect(),
             repair: refined.trace,
         });
@@ -311,70 +304,18 @@ impl IncrementalTrainer {
         Ok((model, report, reuse))
     }
 
-    /// Decides the reuse mode for this revision against the cache, before
-    /// domain reuse and repair-trace replay.
-    fn plan(
-        &self,
-        cfg: &RefineConfig,
-        sig: &GraphSig,
-        num_jobs: usize,
-        ranges: &[Range<usize>],
-    ) -> TrainMode {
+    /// Decides the reuse mode for the run `run` heads against the cache,
+    /// before domain reuse and repair-trace replay.
+    fn plan(&self, run: &LogHeader) -> TrainMode {
         let Some(cache) = &self.cache else {
             return TrainMode::Initial;
         };
-        let reason = if let Some(reason) = cfg_mismatch(cache, cfg) {
-            reason
-        } else if cache.graph_nodes != sig.nodes || cache.graph_edges != sig.edges {
-            "AS graph changed".into()
-        } else if cache.origins != sig.origins {
-            "prefix origins changed".into()
-        } else if cache.num_jobs != num_jobs || cache.domain_fps.len() != ranges.len() {
-            "domain partition changed".into()
-        } else {
-            return TrainMode::Incremental {
+        match cache.header.mismatch(run, false) {
+            Some(reason) => TrainMode::FullRetrain { reason },
+            None => TrainMode::Incremental {
                 repair_replayed: false,
-            };
-        };
-        TrainMode::FullRetrain { reason }
-    }
-}
-
-/// Canonical signature of the base-model inputs.
-struct GraphSig {
-    nodes: Vec<u32>,
-    edges: Vec<(u32, u32)>,
-    origins: Vec<(Prefix, u32)>,
-}
-
-impl GraphSig {
-    fn of(graph: &AsGraph, origins: &BTreeMap<Prefix, Asn>) -> GraphSig {
-        let mut nodes: Vec<u32> = graph.nodes().map(|a| a.0).collect();
-        nodes.sort_unstable();
-        let mut edges: Vec<(u32, u32)> = graph.edges().map(|(a, b)| (a.0, b.0)).collect();
-        edges.sort_unstable();
-        GraphSig {
-            nodes,
-            edges,
-            origins: origins.iter().map(|(&p, &a)| (p, a.0)).collect(),
+            },
         }
-    }
-}
-
-/// Returns why `cfg` invalidates `cache`, if it does (`threads` is
-/// deliberately not compared — results are thread-invariant).
-fn cfg_mismatch(cache: &TrainerCache, cfg: &RefineConfig) -> Option<String> {
-    if cache.max_iterations != cfg.max_iterations {
-        Some(format!(
-            "max_iterations changed ({} -> {})",
-            cache.max_iterations, cfg.max_iterations
-        ))
-    } else if cache.allow_duplication != cfg.allow_duplication {
-        Some("allow_duplication changed".into())
-    } else if cache.ranking != cfg.ranking {
-        Some("ranking attribute changed".into())
-    } else {
-        None
     }
 }
 
@@ -423,7 +364,7 @@ mod tests {
     use crate::observed::ObservedRoute;
     use crate::refine::RefineOp;
     use quasar_bgpsim::aspath::AsPath;
-    use quasar_bgpsim::types::RouterId;
+    use quasar_bgpsim::types::{Asn, RouterId};
 
     /// A small synthetic dataset: a chain-and-spokes topology with enough
     /// prefixes to span multiple refinement domains.

@@ -90,8 +90,8 @@ pub mod prelude {
         evaluate, evaluate_prefix, predict_route, Evaluation, RoutePrediction,
     };
     pub use crate::refine::{
-        refine, refine_checkpointed, resume_refine, CheckpointPolicy, PrefixOutcome, RankingAttr,
-        RefineConfig, RefineError, RefineReport,
+        refine, refine_checkpointed, resume_refine, PrefixOutcome, RankingAttr, RefineConfig,
+        RefineError, RefineReport,
     };
     pub use crate::train::{train, PhaseTimes, TrainConfig, TrainReport};
     pub use crate::whatif::{apply_change, Change, Impact, RoutingDiff, Scenario};

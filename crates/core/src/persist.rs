@@ -9,9 +9,8 @@
 //!   name: readers see either the old content or the new one, never a
 //!   torn mix.
 //! * [`save_artifact`] / [`load_artifact`] — self-describing artifacts
-//!   (trained models, refinement checkpoints) framed by a one-line
-//!   versioned header carrying the artifact kind, the payload length and
-//!   an FNV-1a checksum:
+//!   (trained models) framed by a one-line versioned header carrying the
+//!   artifact kind, the payload length and an FNV-1a checksum:
 //!
 //!   ```text
 //!   QUASAR1 model2 182733 9f0e4c61b2a7d455\n
@@ -22,6 +21,10 @@
 //!   the byte offset of the first problem — a truncated payload, a
 //!   checksum mismatch, a mangled header — instead of a raw serde panic
 //!   or a misleading parse error deep inside the payload.
+//! * [`LogWriter`] / [`read_log`] — the append-only refinement log of a
+//!   checkpoint or trainer-state directory: the same frames, one after
+//!   another, each appended and fsynced as a unit of work finishes. A
+//!   torn last frame is dropped on read; damage before it is an error.
 //!
 //! Models written by earlier versions of `quasar train` are bare JSON
 //! with no header, or frames of the older `model` kind whose policy rules
@@ -32,6 +35,7 @@ use crate::model::AsRoutingModel;
 use std::fmt;
 use std::fs::{self, File};
 use std::io::Write;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Magic token opening every framed artifact (version 1 of the frame).
@@ -46,8 +50,8 @@ pub const KIND_MODEL: &str = "model2";
 /// policy rule an object. [`load_model`] still reads it.
 const KIND_MODEL_V1: &str = "model";
 
-/// Artifact kind string for refinement checkpoints.
-pub const KIND_CHECKPOINT: &str = "refine-checkpoint";
+/// Frame kind of a refinement log's header record (see [`LogWriter`]).
+pub const KIND_CHECKPOINT: &str = "refine-log";
 
 /// FNV-1a 64-bit checksum — the frame's integrity check. Not
 /// cryptographic: it detects corruption (torn writes, bit rot, truncated
@@ -105,7 +109,7 @@ pub enum PersistError {
         actual: u64,
     },
     /// The artifact is a valid frame of the wrong kind (e.g. a
-    /// checkpoint passed to `--model`).
+    /// refinement log passed to `--model`).
     KindMismatch {
         /// The offending file.
         path: PathBuf,
@@ -126,7 +130,8 @@ pub enum PersistError {
         /// The parser's diagnosis.
         detail: String,
     },
-    /// A checkpoint directory holds no loadable checkpoint.
+    /// A checkpoint directory holds no log, or one without a finished
+    /// unit.
     NoCheckpoint {
         /// The directory that was scanned.
         dir: PathBuf,
@@ -304,11 +309,7 @@ pub fn save_artifact(
     kind: &str,
     payload: &[u8],
 ) -> Result<(), PersistError> {
-    let header = format!("{MAGIC} {kind} {} {:016x}\n", payload.len(), fnv1a(payload));
-    let mut bytes = Vec::with_capacity(header.len() + payload.len());
-    bytes.extend_from_slice(header.as_bytes());
-    bytes.extend_from_slice(payload);
-    atomic_write_bytes(path, &bytes)
+    atomic_write_bytes(path, &frame(kind, payload))
 }
 
 /// Reads and verifies a framed artifact of `kind`, returning the payload
@@ -323,26 +324,59 @@ pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usi
 /// [`load_artifact`] accepting any of `kinds`; a mismatch names the first.
 fn load_artifact_of(path: &Path, kinds: &[&str]) -> Result<(Vec<u8>, usize), PersistError> {
     let mut bytes = fs::read(path).map_err(|e| PersistError::io(path, "read", e))?;
-    let magic_prefix = format!("{MAGIC} ");
-    if !bytes.starts_with(magic_prefix.as_bytes()) {
+    if !bytes.starts_with(format!("{MAGIC} ").as_bytes()) {
         return Ok((bytes, 0));
     }
+    let (_, payload) = read_frame(path, &bytes, 0, kinds)?;
+    if payload.end != bytes.len() {
+        return Err(PersistError::Truncated {
+            path: path.to_path_buf(),
+            expected: payload.len(),
+            actual: bytes.len() - payload.start,
+        });
+    }
+    bytes.drain(..payload.start);
+    Ok((bytes, payload.start))
+}
+
+/// The frame of `payload`: the versioned header line, then the payload.
+fn frame(kind: &str, payload: &[u8]) -> Vec<u8> {
+    let header = format!("{MAGIC} {kind} {} {:016x}\n", payload.len(), fnv1a(payload));
+    [header.as_bytes(), payload].concat()
+}
+
+/// Reads the frame that starts at byte `at` of `bytes` (the contents of
+/// `path`): checks that its header line is `QUASAR1 <kind> <len>
+/// <checksum>` with a kind among `kinds`, that the payload is all there
+/// and that it matches the checksum. Returns the kind and where the
+/// payload lies.
+fn read_frame<'b>(
+    path: &Path,
+    bytes: &'b [u8],
+    at: usize,
+    kinds: &[&str],
+) -> Result<(&'b str, Range<usize>), PersistError> {
+    let path = path.to_path_buf();
     let bad = |offset: usize, detail: String| PersistError::BadHeader {
-        path: path.to_path_buf(),
+        path: path.clone(),
         offset,
         detail,
     };
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| bad(bytes.len(), "unterminated header line".into()))?;
-    let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|e| bad(e.valid_up_to(), "header is not UTF-8".into()))?;
+    let newline = at
+        + bytes[at..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .ok_or_else(|| bad(bytes.len(), "unterminated header line".into()))?;
+    let header = std::str::from_utf8(&bytes[at..newline])
+        .map_err(|e| bad(at + e.valid_up_to(), "header is not UTF-8".into()))?;
     let mut fields = header.split(' ');
-    let _magic = fields.next(); // verified by the prefix check
-    let found_kind = fields
+    if fields.next() != Some(MAGIC) {
+        return Err(bad(at, format!("header does not start with `{MAGIC}`")));
+    }
+    let kind_at = at + MAGIC.len() + 1;
+    let kind = fields
         .next()
-        .ok_or_else(|| bad(magic_prefix.len(), "missing artifact kind".into()))?;
+        .ok_or_else(|| bad(kind_at, "missing artifact kind".into()))?;
     let len_field = fields
         .next()
         .ok_or_else(|| bad(newline, "missing payload length".into()))?;
@@ -352,43 +386,42 @@ fn load_artifact_of(path: &Path, kinds: &[&str]) -> Result<(Vec<u8>, usize), Per
     if fields.next().is_some() {
         return Err(bad(newline, "trailing header fields".into()));
     }
-    let expected_len: usize = len_field.parse().map_err(|_| {
+    let len: usize = len_field.parse().map_err(|_| {
         bad(
-            magic_prefix.len() + found_kind.len() + 1,
+            kind_at + kind.len() + 1,
             format!("payload length `{len_field}` is not a number"),
         )
     })?;
-    let expected_sum = u64::from_str_radix(sum_field, 16).map_err(|_| {
+    let expected = u64::from_str_radix(sum_field, 16).map_err(|_| {
         bad(
             newline.saturating_sub(sum_field.len()),
             format!("checksum `{sum_field}` is not 16 hex digits"),
         )
     })?;
-    if !kinds.contains(&found_kind) {
+    if !kinds.contains(&kind) {
         return Err(PersistError::KindMismatch {
-            path: path.to_path_buf(),
+            path,
             expected: kinds.first().copied().unwrap_or_default().to_string(),
-            found: found_kind.to_string(),
+            found: kind.to_string(),
         });
     }
-    let payload = &bytes[newline + 1..];
-    if payload.len() != expected_len {
+    let payload = newline + 1..(newline + 1).saturating_add(len);
+    let Some(body) = bytes.get(payload.clone()) else {
         return Err(PersistError::Truncated {
-            path: path.to_path_buf(),
-            expected: expected_len,
-            actual: payload.len(),
+            path,
+            expected: len,
+            actual: bytes.len() - payload.start,
         });
-    }
-    let actual_sum = fnv1a(payload);
-    if actual_sum != expected_sum {
+    };
+    let actual = fnv1a(body);
+    if actual != expected {
         return Err(PersistError::ChecksumMismatch {
-            path: path.to_path_buf(),
-            expected: expected_sum,
-            actual: actual_sum,
+            path,
+            expected,
+            actual,
         });
     }
-    bytes.drain(..=newline);
-    Ok((bytes, newline + 1))
+    Ok((kind, payload))
 }
 
 /// Serializes `model` and writes it as a framed `model` artifact.
@@ -425,74 +458,140 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<AsRoutingModel, PersistError
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint directories
+// Append-only logs
 // ---------------------------------------------------------------------------
 
-/// The file name of the checkpoint written after `round`.
-pub fn checkpoint_path(dir: &Path, round: u64) -> PathBuf {
-    dir.join(format!("ckpt-r{round:08}.qck"))
+/// The file name of the log in a checkpoint or trainer-state directory.
+pub const LOG_FILE: &str = "refine.qck";
+
+/// The append side of the log in one directory: frames, the first of
+/// kind [`KIND_CHECKPOINT`] (the header), the others unit records. Each
+/// [`append`](Self::append) is fsynced before it returns, so a crash
+/// loses at most the record being written, which [`read_log`] drops as a
+/// torn tail.
+#[derive(Debug)]
+pub struct LogWriter {
+    path: PathBuf,
+    /// Open once the first record landed.
+    file: Option<File>,
+    /// The header frame until the first record lands with it.
+    header: Vec<u8>,
 }
 
-/// Rounds with a checkpoint file in `dir`, descending (newest first).
-pub fn list_checkpoints(dir: &Path) -> Vec<(u64, PathBuf)> {
-    let mut out = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else {
-        return out;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(round) = name
-            .strip_prefix("ckpt-r")
-            .and_then(|s| s.strip_suffix(".qck"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            out.push((round, entry.path()));
-        }
+impl LogWriter {
+    /// Starts a new log in `dir`, creating the directory and deleting the
+    /// log there. The file is written with the first record, so a
+    /// directory without one holds no finished unit.
+    pub fn create(dir: &Path, header: &[u8]) -> Result<Self, PersistError> {
+        fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
+        let path = dir.join(LOG_FILE);
+        // Whatever the removal leaves, the first append truncates.
+        let _ = fs::remove_file(&path);
+        let header = frame(KIND_CHECKPOINT, header);
+        Ok(LogWriter {
+            path,
+            file: None,
+            header,
+        })
     }
-    out.sort_by_key(|&(round, _)| std::cmp::Reverse(round));
-    out
+
+    /// Reopens the log `read` came from for appending, cutting off what
+    /// lies past its intact frames.
+    pub fn reopen(read: &LogRecords) -> Result<Self, PersistError> {
+        let path = read.path.clone();
+        let intact = read.frames.last().map_or(0, |(_, payload)| payload.end);
+        let file = fs::OpenOptions::new().append(true).open(&path);
+        let file = file.and_then(|f| f.set_len(intact as u64).map(|()| f));
+        Ok(LogWriter {
+            file: Some(file.map_err(|e| PersistError::io(&path, "truncate", e))?),
+            path,
+            header: Vec::new(),
+        })
+    }
+
+    /// Appends one record of `kind` and fsyncs it.
+    pub fn append(&mut self, kind: &str, payload: &[u8]) -> Result<(), PersistError> {
+        let path = &self.path;
+        let file = match &mut self.file {
+            Some(file) => file,
+            None => self
+                .file
+                .insert(File::create(path).map_err(|e| PersistError::io(path, "create", e))?),
+        };
+        let bytes = [std::mem::take(&mut self.header), frame(kind, payload)].concat();
+        file.write_all(&bytes)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| PersistError::io(path, "write", e))
+    }
 }
 
-/// Checkpoints kept in a directory: the newest plus one fallback, so a
-/// damaged newest checkpoint still leaves one to resume from.
-const CHECKPOINTS_KEPT: usize = 2;
-
-/// Writes a checkpoint payload for `round` into `dir` (creating it) and
-/// prunes all but the newest two checkpoints.
-pub fn save_checkpoint_payload(dir: &Path, round: u64, payload: &[u8]) -> Result<(), PersistError> {
+/// Writes a whole log into `dir` at once (creating the directory),
+/// atomically replacing the log there: `header`, then `records` as
+/// `(kind, payload)` pairs.
+pub fn save_log<'a>(
+    dir: &Path,
+    header: &[u8],
+    records: impl IntoIterator<Item = (&'a str, Vec<u8>)>,
+) -> Result<(), PersistError> {
     fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, "create dir", e))?;
-    save_artifact(checkpoint_path(dir, round), KIND_CHECKPOINT, payload)?;
-    for (_, path) in list_checkpoints(dir).into_iter().skip(CHECKPOINTS_KEPT) {
-        let _ = fs::remove_file(path);
+    let mut bytes = frame(KIND_CHECKPOINT, header);
+    for (kind, payload) in records {
+        bytes.extend_from_slice(&frame(kind, &payload));
     }
-    Ok(())
+    atomic_write_bytes(dir.join(LOG_FILE), &bytes)
 }
 
-/// Loads the newest checkpoint payload in `dir` that passes the frame
-/// checks, falling back to older checkpoints when the newest is damaged
-/// — the recovery path for a crash that somehow tore a checkpoint (e.g.
-/// one written by a pre-atomic writer or a damaged disk).
-pub fn load_latest_checkpoint_payload(dir: &Path) -> Result<(u64, Vec<u8>), PersistError> {
-    let candidates = list_checkpoints(dir);
-    let mut last_err: Option<PersistError> = None;
-    for (round, path) in candidates {
-        match load_artifact(&path, KIND_CHECKPOINT) {
-            // A headerless file under a checkpoint name is not trusted.
-            Ok((_, 0)) => {
-                last_err = Some(PersistError::BadHeader {
-                    path,
-                    offset: 0,
-                    detail: "checkpoint has no artifact header".into(),
-                });
+/// A log read back by [`read_log`].
+#[derive(Debug)]
+pub struct LogRecords {
+    /// The log file.
+    pub path: PathBuf,
+    /// Its bytes.
+    pub bytes: Vec<u8>,
+    /// Each intact frame's kind and payload range, the header first; a
+    /// torn tail lies past the last.
+    pub frames: Vec<(String, Range<usize>)>,
+}
+
+/// Reads the log in `dir`, whose unit records must be of one of `kinds`.
+/// A torn last record — one whose write was cut short — is dropped; any
+/// other damage is a typed error. (A payload holding a newline could hide
+/// a torn record; log payloads are compact JSON, which holds none.) A
+/// missing log, or one whose header never landed, is
+/// [`PersistError::NoCheckpoint`].
+pub fn read_log(dir: &Path, kinds: &[&str]) -> Result<LogRecords, PersistError> {
+    let path = dir.join(LOG_FILE);
+    let none = || PersistError::NoCheckpoint {
+        dir: dir.to_path_buf(),
+    };
+    let bytes = fs::read(&path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::NotFound => none(),
+        _ => PersistError::io(&path, "read", e),
+    })?;
+    // A torn record is the last: no later header line follows its own.
+    let lines = |at: usize| bytes[at..].iter().filter(|&&b| b == b'\n').count();
+    let mut frames = Vec::new();
+    let mut at = 0;
+    while at < bytes.len() {
+        let kinds = if at == 0 { &[KIND_CHECKPOINT] } else { kinds };
+        match read_frame(&path, &bytes, at, kinds) {
+            Ok((kind, payload)) => {
+                at = payload.end;
+                frames.push((kind.to_string(), payload));
             }
-            Ok((payload, _)) => return Ok((round, payload)),
-            Err(e) => last_err = Some(e),
+            Err(PersistError::BadHeader { .. }) if lines(at) == 0 => break,
+            Err(PersistError::Truncated { .. }) if lines(at) == 1 => break,
+            Err(e) => return Err(e),
         }
     }
-    Err(last_err.unwrap_or(PersistError::NoCheckpoint {
-        dir: dir.to_path_buf(),
-    }))
+    if frames.is_empty() {
+        return Err(none());
+    }
+    Ok(LogRecords {
+        path,
+        bytes,
+        frames,
+    })
 }
 
 #[cfg(test)]
@@ -561,33 +660,81 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_listing_pruning_and_fallback() {
-        let dir = tmp_dir("ckpt");
-        save_checkpoint_payload(&dir, 1, b"one").unwrap();
-        save_checkpoint_payload(&dir, 2, b"two").unwrap();
-        save_checkpoint_payload(&dir, 3, b"three").unwrap();
-        // Round 1 pruned, 2 and 3 kept.
-        let rounds: Vec<u64> = list_checkpoints(&dir).iter().map(|(r, _)| *r).collect();
-        assert_eq!(rounds, vec![3, 2]);
-        let (round, payload) = load_latest_checkpoint_payload(&dir).unwrap();
-        assert_eq!((round, payload.as_slice()), (3, b"three".as_slice()));
-
-        // Damage the newest: loader falls back to round 2.
-        let newest = checkpoint_path(&dir, 3);
-        let mut bytes = fs::read(&newest).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(&newest, &bytes).unwrap();
-        let (round, payload) = load_latest_checkpoint_payload(&dir).unwrap();
-        assert_eq!((round, payload.as_slice()), (2, b"two".as_slice()));
-
-        let empty = tmp_dir("ckpt-empty");
+    fn log_drops_a_torn_tail_and_refuses_damage() {
+        let dir = tmp_dir("log");
         assert!(matches!(
-            load_latest_checkpoint_payload(&empty),
+            read_log(&dir, &["unit"]),
             Err(PersistError::NoCheckpoint { .. })
         ));
+        let mut log = LogWriter::create(&dir, b"head").unwrap();
+        assert!(
+            !dir.join(LOG_FILE).exists(),
+            "the file lands with the first record"
+        );
+        log.append("unit", b"one").unwrap();
+        log.append("unit", b"two").unwrap();
+        let whole = fs::read(dir.join(LOG_FILE)).unwrap();
+        let read = read_log(&dir, &["unit"]).unwrap();
+        let payloads: Vec<&[u8]> = read
+            .frames
+            .iter()
+            .map(|f| &read.bytes[f.1.clone()])
+            .collect();
+        assert_eq!(payloads, [b"head".as_slice(), b"one", b"two"]);
+        assert_eq!(read.frames[2].1.end, whole.len());
+
+        // Every cut inside the last record drops it, and appending after
+        // a reopen replaces the torn bytes.
+        let two_at = read.frames[1].1.end;
+        for cut in two_at + 1..whole.len() {
+            fs::write(dir.join(LOG_FILE), &whole[..cut]).unwrap();
+            let read = read_log(&dir, &["unit"]).unwrap();
+            assert_eq!(
+                (read.frames.len(), read.frames[1].1.end),
+                (2, two_at),
+                "cut {cut}"
+            );
+        }
+        let mut log = LogWriter::reopen(&read_log(&dir, &["unit"]).unwrap()).unwrap();
+        log.append("unit", b"two").unwrap();
+        assert_eq!(fs::read(dir.join(LOG_FILE)).unwrap(), whole);
+
+        // A flipped byte is an error, in the last record too, and so is
+        // a length that runs past the records after it, or a record of a
+        // kind the reader does not know.
+        for at in [two_at - 1, whole.len() - 1] {
+            let mut damaged = whole.clone();
+            damaged[at] ^= 0x01;
+            fs::write(dir.join(LOG_FILE), &damaged).unwrap();
+            let err = read_log(&dir, &["unit"]).unwrap_err();
+            assert!(
+                matches!(err, PersistError::ChecksumMismatch { .. }),
+                "{err}"
+            );
+        }
+        let longer = String::from_utf8(whole.clone())
+            .unwrap()
+            .replacen(" 3 ", " 300 ", 1);
+        fs::write(dir.join(LOG_FILE), longer).unwrap();
+        assert!(matches!(
+            read_log(&dir, &["unit"]),
+            Err(PersistError::Truncated { .. })
+        ));
+        fs::write(dir.join(LOG_FILE), &whole).unwrap();
+        assert!(matches!(
+            read_log(&dir, &["other"]),
+            Err(PersistError::KindMismatch { .. })
+        ));
+
+        // A whole log saved at once reads back the same.
+        save_log(
+            &dir,
+            b"head",
+            [("unit", b"one".to_vec()), ("unit", b"two".to_vec())],
+        )
+        .unwrap();
+        assert_eq!(fs::read(dir.join(LOG_FILE)).unwrap(), whole);
         let _ = fs::remove_dir_all(&dir);
-        let _ = fs::remove_dir_all(&empty);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! copy-on-write [`DomainModel`], and the worker queue that refines the
 //! domains to convergence.
 
-use super::checkpoint::{save_domain_checkpoint, CheckpointPolicy};
+use super::checkpoint::{RefineLog, KIND_DOMAIN};
 use super::fix::{apply_fixes, RefineHost, RefineOp};
 use super::{PrefixJob, PrefixOutcome, RefineConfig, RefineError};
 use crate::model::AsRoutingModel;
@@ -94,16 +94,15 @@ pub(crate) struct DomainDelta {
 /// [`pool`](crate::pool) claim whole domains (no round barrier: a
 /// finished worker immediately takes the next pending domain); with one
 /// effective thread the claims run inline on the caller's stack.
-/// Completed deltas land in `done`, which checkpointing snapshots after
-/// every `policy.every`-th completion when a `checkpoint` policy and
-/// training fingerprint are given.
+/// Completed deltas land in `done`, each logged first when a `log` is
+/// given.
 pub(super) fn run_domains(
     model: &AsRoutingModel,
     cfg: &RefineConfig,
     jobs: &mut [(Prefix, PrefixJob)],
     ranges: &[Range<usize>],
     done: &mut BTreeMap<usize, DomainDelta>,
-    checkpoint: Option<(&CheckpointPolicy, u64)>,
+    mut log: Option<&mut RefineLog>,
 ) -> Result<(), RefineError> {
     // Domains are contiguous and disjoint, so repeated split_at_mut hands
     // each pending domain exclusive access to its job slice.
@@ -123,8 +122,7 @@ pub(super) fn run_domains(
             // Failpoint: the crash site for kill-and-resume tests,
             // evaluated once per domain claim — a panic armed `atN:panic`
             // dies exactly at the N-th work-unit claim, after the previous
-            // completion's checkpoint landed; an armed error aborts the
-            // run.
+            // completion's record landed; an armed error aborts the run.
             #[cfg(feature = "testkit")]
             if quasar_bgpsim::fail::inject("refine.round") {
                 return Err(SimError::Injected {
@@ -137,12 +135,10 @@ pub(super) fn run_domains(
             // Which worker errors first can depend on scheduling; the
             // error itself is still a true fault of the run.
             let delta = delta?;
-            done.insert(delta.id, delta);
-            if let Some(checkpoint) = checkpoint {
-                if (done.len() as u64).is_multiple_of(checkpoint.0.every.max(1)) {
-                    save_domain_checkpoint(model, cfg, ranges.len(), done, checkpoint)?;
-                }
+            if let Some(log) = log.as_mut() {
+                log.append(KIND_DOMAIN, &delta)?;
             }
+            done.insert(delta.id, delta);
             Ok(())
         },
     )

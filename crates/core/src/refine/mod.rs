@@ -35,22 +35,24 @@
 //!   duplicate, then each domain's log is replayed in ascending domain id
 //!   against the complete router set.
 //! * **C — repair** (`repair.rs`). One round loop re-verifies every prefix
-//!   against the merged model, records its rounds as a trace the
-//!   incremental trainer can replay, and checkpoints on round boundaries.
-//! * `checkpoint.rs` writes either phase's state and validates it for
-//!   [`resume_refine`].
+//!   against the merged model and records its rounds as a trace the
+//!   incremental trainer can replay.
+//! * `checkpoint.rs` is the refinement log: one record per finished
+//!   domain and per repair round, appended as the run goes, and read back
+//!   by [`resume_refine`] and the incremental trainer.
 //!
 //! Determinism: every domain starts from the pristine base model and
 //! phases B and C are sequential, in prefix order, so the trained model
 //! is byte-identical at any thread count.
 
-mod checkpoint;
+pub(crate) mod checkpoint;
 mod domains;
 mod fix;
 mod merge;
 mod repair;
 
-pub use checkpoint::{dataset_fingerprint, CheckpointPolicy};
+pub use checkpoint::dataset_fingerprint;
+pub(crate) use checkpoint::LogHeader;
 pub(crate) use domains::{domain_ranges, DomainDelta};
 pub(crate) use repair::RepairTrace;
 
@@ -58,16 +60,17 @@ use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use crate::persist::PersistError;
 use crate::train::{lap, PhaseTimes};
-use checkpoint::Resume;
+use checkpoint::RefineLog;
 use domains::run_domains;
 use merge::{merge_domains, prepare_repair, Lineage};
 use quasar_bgpsim::aspath::AsPath;
 use quasar_bgpsim::error::SimError;
 use quasar_bgpsim::types::{Asn, Prefix, RouterId};
-use repair::run_repair_traced;
+use repair::{reapply_rounds, run_repair_traced};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::path::Path;
 use std::time::Instant;
 
 /// Which attribute the heuristic uses to rank the wanted route at a
@@ -97,7 +100,7 @@ impl RankingAttr {
 }
 
 /// Refinement tunables.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RefineConfig {
     /// Hard cap on iterations per prefix per phase. The paper's bound is a
     /// small multiple of the maximum AS-path length; the default leaves
@@ -339,78 +342,68 @@ pub fn refine(
     match refine_checkpointed(model, training, cfg, None) {
         Ok((report, _)) => Ok(report),
         Err(RefineError::Sim(e)) => Err(e),
-        // Without a checkpoint policy no checkpoint is ever read or
-        // written, so no other error variant can arise.
-        Err(e) => unreachable!("checkpoint error without a checkpoint policy: {e}"),
+        // Without a directory no log is ever read or written, so no
+        // other error variant can arise.
+        Err(e) => unreachable!("log error without a log directory: {e}"),
     }
 }
 
-/// [`refine`] with optional checkpointing: with a [`CheckpointPolicy`],
-/// the full refinement state is snapshotted to `policy.dir` after every
-/// `policy.every`-th work unit (completed domain, then completed repair
-/// round), and an interrupted run can be continued with [`resume_refine`]
-/// — producing a final model byte-identical to the uninterrupted run,
-/// because domain deltas are deterministic and repair snapshots sit
-/// exactly on round boundaries. Returns the report with the wall time of
-/// phases A (job building and domains), B and C.
+/// [`refine`], optionally keeping an append-only log in `dir` (replacing
+/// any log there): one record per finished domain and repair round, from
+/// which [`resume_refine`] continues an interrupted run into the same
+/// bytes. Returns the report with the wall time of phases A (job
+/// building and domains), B and C.
 pub fn refine_checkpointed(
     model: &mut AsRoutingModel,
     training: &Dataset,
     cfg: &RefineConfig,
-    policy: Option<&CheckpointPolicy>,
+    dir: Option<&Path>,
 ) -> Result<(RefineReport, PhaseTimes), RefineError> {
     let clock = Instant::now();
     let mut jobs = build_jobs(model, training);
-    let checkpoint = policy.map(|p| (p, dataset_fingerprint(training)));
-    let refined = run_phases(
-        model,
-        cfg,
-        &mut jobs,
-        BTreeMap::new(),
-        checkpoint,
-        None,
-        clock,
-    )?;
+    let log = dir
+        .map(|dir| RefineLog::create(dir, &LogHeader::new(cfg, training, model, jobs.len())))
+        .transpose()?;
+    let start = Progress::default();
+    let refined = run_phases(model, cfg, &mut jobs, start, log, None, clock)?;
     Ok((refined.report, refined.phases))
 }
 
-/// Continues an interrupted [`refine_checkpointed`] run from the newest
-/// loadable checkpoint in `policy.dir`. The checkpoint must match the
-/// given training set and configuration (`threads` excepted — the model
-/// is byte-identical at any thread count); mismatches are refused with
-/// [`RefineError::CheckpointMismatch`]. Returns the restored-and-finished
-/// model with the full-run report and the wall time of phases A
-/// (restoring the checkpoint and refining the domains it lacks), B and C.
+/// Continues the [`refine_checkpointed`] run logged in `dir` from
+/// `model`, the base model that run was given, into the model and report
+/// it would have produced. A log of another base model, training set or
+/// configuration (`threads` excepted) is refused with
+/// [`RefineError::CheckpointMismatch`] before `model` is touched; one
+/// without a finished unit is [`PersistError::NoCheckpoint`]. Phase A's
+/// wall time includes reading the log, C's re-applying its rounds.
 pub fn resume_refine(
+    model: &mut AsRoutingModel,
     training: &Dataset,
     cfg: &RefineConfig,
-    policy: &CheckpointPolicy,
-) -> Result<(AsRoutingModel, RefineReport, PhaseTimes), RefineError> {
-    let mut clock = Instant::now();
-    let checkpoint::Restored {
-        mut model,
-        mut jobs,
-        fingerprint,
-        resume,
-    } = checkpoint::restore(training, cfg, policy)?;
-    let checkpoint = Some((policy, fingerprint));
-    match resume {
-        Resume::Domains(done) => {
-            let refined = run_phases(&mut model, cfg, &mut jobs, done, checkpoint, None, clock)?;
-            Ok((model, refined.report, refined.phases))
-        }
-        Resume::Repair(round) => {
-            let mut phases = PhaseTimes {
-                domains: lap(&mut clock),
-                ..PhaseTimes::default()
-            };
-            let domains = domain_ranges(jobs.len()).len();
-            let (report, ..) =
-                run_repair_traced(&mut model, cfg, &mut jobs, round, domains, None, checkpoint)?;
-            phases.repair = lap(&mut clock);
-            Ok((model, report, phases))
-        }
+    dir: &Path,
+) -> Result<(RefineReport, PhaseTimes), RefineError> {
+    let clock = Instant::now();
+    let mut logged = checkpoint::read(dir)?;
+    let mut jobs = build_jobs(model, training);
+    let run = LogHeader::new(cfg, training, model, jobs.len());
+    if let Some(reason) = logged.header.mismatch(&run, true) {
+        return Err(RefineError::CheckpointMismatch(reason));
     }
+    let start = Progress {
+        done: std::mem::take(&mut logged.done),
+        rounds: std::mem::take(&mut logged.rounds),
+    };
+    let log = RefineLog::reopen(&logged)?;
+    let refined = run_phases(model, cfg, &mut jobs, start, Some(log), None, clock)?;
+    Ok((refined.report, refined.phases))
+}
+
+/// Where [`run_phases`] starts: the domains already refined and, on
+/// resume, the repair rounds already logged.
+#[derive(Default)]
+pub(crate) struct Progress {
+    pub(crate) done: BTreeMap<usize, DomainDelta>,
+    pub(crate) rounds: RepairTrace,
 }
 
 /// A previous run's repair phase, offered to [`run_phases`] for replay.
@@ -437,25 +430,26 @@ pub(crate) struct Refined {
 }
 
 /// The refinement driver, phases A → B → C. Refines the domains missing
-/// from `done` (phase A, which began at `clock`), merges every domain's
-/// delta into `model` and arms the repair (B), then runs the repair (C).
-/// With a `checkpoint` policy and training fingerprint, both the domain
-/// and the repair phase checkpoint. A `recorded` repair is replayed only
-/// when this run's merge allocated exactly the recorded run's duplicate
-/// set (see [`merge::Lineage`]); otherwise, or once the replay goes stale,
-/// every prefix is repaired live.
+/// from `start` (phase A, which began at `clock`), merges every domain's
+/// delta into `model` and arms the repair (B), then re-applies the rounds
+/// `start` logged and runs the rest of the repair (C). With a `log`, each
+/// finished domain and round is logged. A `recorded` repair is replayed
+/// only when this run's merge allocated exactly the recorded run's
+/// duplicate set (see [`merge::Lineage`]); otherwise, or once the replay
+/// goes stale, every prefix is repaired live.
 pub(crate) fn run_phases(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
     jobs: &mut [(Prefix, PrefixJob)],
-    mut done: BTreeMap<usize, DomainDelta>,
-    checkpoint: Option<(&CheckpointPolicy, u64)>,
+    start: Progress,
+    mut log: Option<RefineLog>,
     recorded: Option<RecordedRepair<'_>>,
     mut clock: Instant,
 ) -> Result<Refined, RefineError> {
+    let Progress { mut done, rounds } = start;
     let mut phases = PhaseTimes::default();
     let ranges = domain_ranges(jobs.len());
-    run_domains(model, cfg, jobs, &ranges, &mut done, checkpoint)?;
+    run_domains(model, cfg, jobs, &ranges, &mut done, log.as_mut())?;
     phases.domains = lap(&mut clock);
 
     let merged = merge_domains(model, cfg, &ranges, &done, jobs);
@@ -472,8 +466,9 @@ pub(crate) fn run_phases(
         .map(|r| (r.live, r.trace));
     phases.merge = lap(&mut clock);
 
+    let round = reapply_rounds(model, cfg, jobs, &rounds)?;
     let (report, trace, replayed) =
-        run_repair_traced(model, cfg, jobs, 0, ranges.len(), replay, checkpoint)?;
+        run_repair_traced(model, cfg, jobs, round, ranges.len(), replay, log.as_mut())?;
     phases.repair = lap(&mut clock);
     Ok(Refined {
         report,

@@ -1,7 +1,7 @@
 //! Phase C — the repair round loop over the merged model, its recorded
 //! trace, and the trace replay the incremental trainer builds on.
 
-use super::checkpoint::{save_repair_checkpoint, CheckpointPolicy};
+use super::checkpoint::{RefineLog, KIND_ROUND};
 use super::fix::{apply_fixes, probe, RefineHost, RefineOp};
 use super::{PrefixJob, RefineConfig, RefineError, RefineReport};
 use crate::model::AsRoutingModel;
@@ -145,6 +145,28 @@ fn apply_recorded_step(
     Ok(())
 }
 
+/// Re-applies the repair rounds a resumed run logged, in order, to the
+/// merged model; returns how many there were.
+pub(super) fn reapply_rounds(
+    model: &mut AsRoutingModel,
+    cfg: &RefineConfig,
+    jobs: &mut [(Prefix, PrefixJob)],
+    rounds: &RepairTrace,
+) -> Result<u64, RefineError> {
+    for (round, steps) in rounds.iter().enumerate() {
+        let mut mirrors = BTreeMap::new();
+        for step in steps {
+            apply_recorded_step(model, cfg, jobs, step, &mut mirrors).map_err(|reason| {
+                RefineError::CheckpointMismatch(format!(
+                    "logged repair round {}: {reason}",
+                    round + 1
+                ))
+            })?;
+        }
+    }
+    Ok(rounds.len() as u64)
+}
+
 /// Phase C — the repair round loop over the merged model. Each round
 /// simulates every live active prefix against the round-start model (fanned
 /// out across workers), then applies fixes sequentially in ascending job
@@ -165,10 +187,9 @@ fn apply_recorded_step(
 /// nothing left to replay (every recorded job's final step is `done`) and
 /// need no checks.
 ///
-/// The loop continues after `round` (0 for a fresh repair, the checkpointed
-/// round on resume). With a `checkpoint` policy and dataset fingerprint, a
-/// repair checkpoint is written after every `policy.every`-th round's fixes
-/// are applied, so every snapshot sits on a round boundary.
+/// The loop continues after `round` (0 for a fresh repair, the last
+/// logged round on resume). With a `log`, every round's steps are logged
+/// once its fixes are applied.
 // `expect` below: `simulate_batch` returns exactly one result per live
 // active job, consumed in the same ascending-job order.
 #[allow(clippy::expect_used)]
@@ -179,7 +200,7 @@ fn run_repair(
     mut round: u64,
     domains_total: usize,
     replay: Option<(&[bool], &RepairTrace)>,
-    checkpoint: Option<(&CheckpointPolicy, u64)>,
+    mut log: Option<&mut RefineLog>,
 ) -> Result<Result<(RefineReport, RepairTrace), &'static str>, RefineError> {
     let threads = cfg.effective_threads();
     let (live, cached) = match replay {
@@ -270,12 +291,10 @@ fn run_repair(
                 steps.push(step);
             }
         }
-        trace.push(steps);
-        if let Some(checkpoint) = checkpoint {
-            if round.is_multiple_of(checkpoint.0.every.max(1)) {
-                save_repair_checkpoint(model, cfg, domains_total, jobs, round, checkpoint)?;
-            }
+        if let Some(log) = log.as_mut() {
+            log.append(KIND_ROUND, &steps)?;
         }
+        trace.push(steps);
     }
     let report = RefineReport {
         prefixes: jobs.iter().map(|(_, j)| j.outcome.clone()).collect(),
@@ -288,7 +307,7 @@ fn run_repair(
 /// Runs the repair phase after `round`. With `replay` set, tries the trace
 /// replay first and, if the trace goes stale mid-flight, restores the
 /// model and jobs from a snapshot and reruns the repair with every job
-/// live; only that all-live run checkpoints. Returns the report, the
+/// live; only that all-live run logs its rounds. Returns the report, the
 /// freshly recorded trace, and whether the replay carried through.
 pub(super) fn run_repair_traced(
     model: &mut AsRoutingModel,
@@ -297,7 +316,7 @@ pub(super) fn run_repair_traced(
     round: u64,
     domains_total: usize,
     replay: Option<(&[bool], &RepairTrace)>,
-    checkpoint: Option<(&CheckpointPolicy, u64)>,
+    log: Option<&mut RefineLog>,
 ) -> Result<(RefineReport, RepairTrace, bool), RefineError> {
     if replay.is_some() {
         let model_snapshot = model.clone();
@@ -313,7 +332,7 @@ pub(super) fn run_repair_traced(
             }
         }
     }
-    match run_repair(model, cfg, jobs, round, domains_total, None, checkpoint)? {
+    match run_repair(model, cfg, jobs, round, domains_total, None, log)? {
         Ok((report, trace)) => Ok((report, trace, false)),
         Err(reason) => unreachable!("stale replay without a trace: {reason}"),
     }

@@ -6,10 +6,9 @@
 use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use crate::persist::PersistError;
-use crate::refine::{
-    refine_checkpointed, resume_refine, CheckpointPolicy, RefineConfig, RefineError, RefineReport,
-};
+use crate::refine::{refine_checkpointed, resume_refine, RefineConfig, RefineError, RefineReport};
 use std::fmt;
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// What to train and how.
@@ -17,9 +16,9 @@ use std::time::{Duration, Instant};
 pub struct TrainConfig {
     /// Refinement tunables.
     pub refine: RefineConfig,
-    /// Checkpoint the refinement state under this policy.
-    pub checkpoint: Option<CheckpointPolicy>,
-    /// Continue from the newest checkpoint; with none there, start fresh.
+    /// Keep the refinement log in this directory.
+    pub checkpoint: Option<PathBuf>,
+    /// Continue from the log there; with none there, start fresh.
     pub resume: bool,
     /// Run the §4.7 generalisation after refinement (the default).
     pub generalize: bool,
@@ -39,8 +38,8 @@ impl Default for TrainConfig {
 /// Wall time per training phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// A: building the prefix jobs and refining the domains (restoring
-    /// them on resume, reusing cached ones when incremental).
+    /// A: building the prefix jobs and refining the domains (reading the
+    /// logged ones back on resume, reusing cached ones when incremental).
     pub domains: Duration,
     /// B: merging the domain op-logs and preparing the repair.
     pub merge: Duration,
@@ -78,7 +77,7 @@ pub struct TrainReport {
     pub refine: RefineReport,
     /// §4.7 defaults installed.
     pub defaults: usize,
-    /// Whether refinement continued from a checkpoint.
+    /// Whether refinement continued from a refinement log.
     pub resumed: bool,
     /// Wall time per phase.
     pub phases: PhaseTimes,
@@ -86,27 +85,28 @@ pub struct TrainReport {
 
 /// Trains a model on `training`, starting from the initial model of
 /// `universe` (pass one dataset twice to train on all of it). The model
-/// is byte-identical at every thread count. A resumed run ignores
-/// `universe`: it continues the checkpointed model, which the interrupted
-/// run built from its own universe, so resuming with the datasets of the
-/// interrupted run gives the model an uninterrupted run would have.
+/// is byte-identical at every thread count. A resumed run continues the
+/// log of an interrupted one from the same initial model, so resuming
+/// with the datasets of the interrupted run gives the model an
+/// uninterrupted run would have; a log written from another universe or
+/// training set is refused.
 pub fn train(
     universe: &Dataset,
     training: &Dataset,
     cfg: &TrainConfig,
 ) -> Result<(AsRoutingModel, TrainReport), RefineError> {
-    if let (Some(policy), true) = (&cfg.checkpoint, cfg.resume) {
-        match resume_refine(training, &cfg.refine, policy) {
-            Ok((model, refine, phases)) => return Ok(finish(model, refine, phases, true, cfg)),
+    let mut model = AsRoutingModel::initial(&universe.as_graph(), &universe.prefixes());
+    let dir = cfg.checkpoint.as_deref();
+    if let (Some(dir), true) = (dir, cfg.resume) {
+        match resume_refine(&mut model, training, &cfg.refine, dir) {
+            Ok((refine, phases)) => return Ok(finish(model, refine, phases, true, cfg)),
             // The expected state on a first run, or after a crash before
-            // the first checkpoint landed: start fresh.
+            // the first record landed: start fresh.
             Err(RefineError::Persist(PersistError::NoCheckpoint { .. })) => {}
             Err(e) => return Err(e),
         }
     }
-    let mut model = AsRoutingModel::initial(&universe.as_graph(), &universe.prefixes());
-    let (refine, phases) =
-        refine_checkpointed(&mut model, training, &cfg.refine, cfg.checkpoint.as_ref())?;
+    let (refine, phases) = refine_checkpointed(&mut model, training, &cfg.refine, dir)?;
     Ok(finish(model, refine, phases, false, cfg))
 }
 
@@ -194,14 +194,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let ds = dataset();
         let cfg = TrainConfig {
-            checkpoint: Some(CheckpointPolicy::new(&dir)),
+            checkpoint: Some(dir.clone()),
             resume: true,
             ..one_thread(true)
         };
         let (fresh, report) = train(&ds, &ds, &cfg).unwrap();
         assert!(!report.resumed);
-        // The run left its checkpoints behind: a second run resumes from
-        // the last one, into the same model.
+        // The run left its log behind: a second run resumes from it, into
+        // the same model.
         let (resumed, report) = train(&ds, &ds, &cfg).unwrap();
         assert!(report.resumed);
         assert_eq!(resumed.to_json().unwrap(), fresh.to_json().unwrap());

@@ -13,7 +13,7 @@
 
 use quasar_bgpsim::fail;
 use quasar_core::prelude::*;
-use quasar_core::refine::{refine_checkpointed, CheckpointPolicy, RefineConfig, RefineError};
+use quasar_core::refine::{refine_checkpointed, RefineConfig, RefineError};
 use quasar_testkit::workload::tiny_trained;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -92,14 +92,10 @@ fn refine_checkpoint_fault_aborts_the_checkpointed_run() {
             threads,
             ..RefineConfig::default()
         };
-        let policy = CheckpointPolicy {
-            dir: dir.clone(),
-            every: 1,
-        };
 
         fail::set("refine.checkpoint", "always:error");
         let mut model = fx.model.clone();
-        let err = refine_checkpointed(&mut model, &fx.training, &cfg, Some(&policy))
+        let err = refine_checkpointed(&mut model, &fx.training, &cfg, Some(&dir))
             .expect_err("an always-failing checkpoint writer must abort the run");
         assert!(
             matches!(err, RefineError::Persist(_)),
@@ -108,7 +104,7 @@ fn refine_checkpoint_fault_aborts_the_checkpointed_run() {
 
         fail::clear_all();
         let mut model = fx.model.clone();
-        refine_checkpointed(&mut model, &fx.training, &cfg, Some(&policy))
+        refine_checkpointed(&mut model, &fx.training, &cfg, Some(&dir))
             .expect("checkpointed run succeeds once the fault is cleared");
         let _ = std::fs::remove_dir_all(&dir);
     }

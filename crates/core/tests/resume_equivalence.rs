@@ -69,10 +69,7 @@ fn config(threads: usize) -> RefineConfig {
 fn kill_then_resume(kill_round: u64, threads: usize, tag: &str) -> String {
     let fx = fixture();
     let cfg = config(threads);
-    let policy = CheckpointPolicy {
-        dir: ckpt_dir(tag),
-        every: 1,
-    };
+    let dir = ckpt_dir(tag);
 
     fail::reset(7);
     fail::set("refine.round", &format!("at{kill_round}:panic"));
@@ -82,24 +79,24 @@ fn kill_then_resume(kill_round: u64, threads: usize, tag: &str) -> String {
     panic::set_hook(Box::new(|_| {}));
     let killed = panic::catch_unwind(AssertUnwindSafe(|| {
         let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
-        refine_checkpointed(&mut model, &fx.training, &cfg, Some(&policy))
+        refine_checkpointed(&mut model, &fx.training, &cfg, Some(&dir))
     }));
     panic::set_hook(prev_hook);
     assert!(killed.is_err(), "the armed panic must abort the run");
     assert_eq!(fail::fired("refine.round"), 1, "kill point must fire once");
     fail::clear_all();
 
-    let (model, report) = match resume_refine(&fx.training, &cfg, &policy) {
-        Ok((model, report, _)) => (model, report),
+    let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
+    let report = match resume_refine(&mut model, &fx.training, &cfg, &dir) {
+        Ok((report, _)) => report,
         // Killed before the first checkpoint landed: the documented
         // recovery is a fresh run (exactly what the CLI's --resume
         // fallback does), which must still reach the same model.
         Err(RefineError::Persist(PersistError::NoCheckpoint { .. })) => {
             assert_eq!(kill_round, 1, "only a unit-1 kill leaves no checkpoint");
-            let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
-            let (report, _) = refine_checkpointed(&mut model, &fx.training, &cfg, Some(&policy))
+            let (report, _) = refine_checkpointed(&mut model, &fx.training, &cfg, Some(&dir))
                 .expect("fresh fallback run");
-            (model, report)
+            report
         }
         Err(e) => panic!("resume failed: {e}"),
     };
@@ -157,8 +154,9 @@ fn resume_matches_uninterrupted_with_parallel_refinement() {
 fn resume_without_checkpoints_is_a_typed_error() {
     let _guard = SERIAL.lock().unwrap();
     let fx = fixture();
-    let policy = CheckpointPolicy::new(ckpt_dir("empty"));
-    let err = resume_refine(&fx.training, &config(1), &policy)
+    let dir = ckpt_dir("empty");
+    let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
+    let err = resume_refine(&mut model, &fx.training, &config(1), &dir)
         .expect_err("an empty checkpoint dir must not resume");
     assert!(
         matches!(err, RefineError::Persist(PersistError::NoCheckpoint { .. })),
@@ -171,16 +169,14 @@ fn resume_refuses_a_mismatched_training_set() {
     let _guard = SERIAL.lock().unwrap();
     let fx = fixture();
     let cfg = config(1);
-    let policy = CheckpointPolicy {
-        dir: ckpt_dir("mismatch"),
-        every: 1,
-    };
+    let dir = ckpt_dir("mismatch");
     // A completed checkpointed run leaves its final-round snapshot behind.
     let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
-    refine_checkpointed(&mut model, &fx.training, &cfg, Some(&policy)).expect("checkpointed run");
+    refine_checkpointed(&mut model, &fx.training, &cfg, Some(&dir)).expect("checkpointed run");
     // Resuming against different training data must be refused loudly —
     // continuing would silently blend two datasets into one model.
-    let err = resume_refine(&fx.full, &cfg, &policy)
+    let mut model = AsRoutingModel::initial(&fx.full.as_graph(), &fx.full.prefixes());
+    let err = resume_refine(&mut model, &fx.full, &cfg, &dir)
         .expect_err("a different dataset must not resume this checkpoint");
     assert!(
         matches!(err, RefineError::CheckpointMismatch(_)),

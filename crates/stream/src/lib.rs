@@ -29,7 +29,7 @@
 //!    set (the incremental-equals-full contract, enforced by the
 //!    differential suite in `quasar-testkit`);
 //! 4. [`pipeline`] — orchestrates the above, persists each epoch with the
-//!    same artifact/checkpoint framing as `quasar train` (crash-safe:
+//!    same artifact framing and refinement log as `quasar train` (crash-safe:
 //!    artifact first, trainer cache second, so a crash between windows
 //!    resumes from a consistent pair), and pushes every epoch into a
 //!    running `quasar-serve` through its validated atomic `reload` path:

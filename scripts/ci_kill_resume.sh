@@ -2,10 +2,10 @@
 # Kill-and-resume durability check, at process level: a `quasar train
 # --checkpoint-dir` run is killed with SIGKILL mid-refinement, resumed
 # with `--resume`, and the final model must be byte-identical to an
-# uninterrupted run's. Two victims: one killed early (a domain-phase
-# checkpoint on disk), one killed once a repair-phase checkpoint exists.
-# The reference trains on one thread without checkpoints and the victims
-# on four threads, so every `cmp` checks thread count, checkpointing and
+# uninterrupted run's. Two victims: one killed early (domain records in
+# its refinement log), one killed once the log holds a repair-round
+# record. The reference trains on one thread without checkpoints and the
+# victims on four threads, so every `cmp` checks thread count, the log and
 # resume together.
 # Run from the repo root after a release build:
 #
@@ -25,35 +25,35 @@ trap '[ -n "$victim_pid" ] && kill -KILL "$victim_pid" 2>/dev/null; rm -rf "$WOR
 echo "# uninterrupted reference run, one thread, no checkpoints"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" --threads 1
 
-# Prints the stage of the newest checkpoint in directory $1 (`Domains`
-# or `Repair`, the tag the framed JSON payload opens its `stage` with),
-# or nothing when there is none.
-newest_stage() {
-    local newest
-    newest=$(ls "$1"/ckpt-*.qck 2>/dev/null | tail -1)
-    [ -n "$newest" ] || return 0
-    head -c 4096 "$newest" | grep -ao '"stage":{"[A-Za-z]*"' | cut -d'"' -f4
+# Counts the records of kind $2 (`domain` or `round`) in the refinement
+# log in directory $1. Each record opens with its frame header line,
+# `QUASAR1 <kind> <len> <checksum>`; a torn last one counts too, and
+# resume drops it.
+records() {
+    local n
+    n=$(grep -ac "QUASAR1 $2 " "$1/refine.qck" 2>/dev/null) || true
+    echo "${n:-0}"
 }
 
-# Resumes the victim whose checkpoints are in directory $1 and checks
-# its model against the reference.
+# Resumes the victim whose log is in directory $1 and checks its model
+# against the reference.
 resume_and_compare() {
-    echo "# resuming from $(ls "$1"/ckpt-*.qck | tail -1), a $(newest_stage "$1")-stage checkpoint"
+    echo "# resuming from a log of $(records "$1" domain) domain and $(records "$1" round) repair-round records"
     "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" --threads 4 \
         --checkpoint-dir "$1" --resume
     cmp "$WORK/ref.model" "$WORK/victim.model"
-    if ls "$1"/ckpt-*.qck >/dev/null 2>&1; then
-        echo "FAIL: checkpoints not cleaned up after success" >&2
+    if [ -e "$1/refine.qck" ]; then
+        echo "FAIL: log not cleaned up after success" >&2
         exit 1
     fi
     rm -f "$WORK/victim.model"
 }
 
 # Victim 1: SIGKILL at increasing grace periods until an attempt dies
-# with a checkpoint on disk. A too-early kill leaves no checkpoint (the
-# --resume fallback covers that path, but it is not what this script
-# proves), so it retries with a longer window; a run that finishes before
-# its kill never takes --resume, so it fails the script.
+# with a domain record logged. A too-early kill leaves none (the --resume
+# fallback covers that path, but it is not what this script proves), so
+# it retries with a longer window; a run that finishes before its kill
+# never takes --resume, so it fails the script.
 outcome=none
 for grace in 0.3 0.6 1.2 2.5 5 10; do
     rm -rf "$WORK/ckpt-early" "$WORK/victim.model"
@@ -64,27 +64,28 @@ for grace in 0.3 0.6 1.2 2.5 5 10; do
         echo "FAIL: run finished within ${grace}s, before it could be killed" >&2
         exit 1
     fi
-    if ls "$WORK/ckpt-early"/ckpt-*.qck >/dev/null 2>&1; then
+    if [ "$(records "$WORK/ckpt-early" domain)" -gt 0 ]; then
         outcome=killed
         break
     fi
-    echo "# died before the first checkpoint landed; retrying"
+    echo "# died before the first domain record landed; retrying"
 done
 if [ "$outcome" = none ]; then
-    echo "FAIL: never killed the run with a checkpoint on disk" >&2
+    echo "FAIL: never killed the run with a domain record logged" >&2
     exit 1
 fi
 resume_and_compare "$WORK/ckpt-early"
 
-# Victim 2: SIGKILL as soon as the newest checkpoint is a repair-phase
-# one. Checkpoints land by atomic rename, so a listed file is complete.
-echo "# repair-phase victim, SIGKILL once a Repair checkpoint exists"
+# Victim 2: SIGKILL as soon as the log holds a repair-round record. The
+# kill may land while the next record is half written; resume drops such
+# a torn tail.
+echo "# repair-phase victim, SIGKILL once a repair-round record is logged"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/victim.model" --threads 4 \
     --checkpoint-dir "$WORK/ckpt-repair" >/dev/null 2>&1 &
 victim_pid=$!
-while [ "$(newest_stage "$WORK/ckpt-repair")" != Repair ]; do
+while [ "$(records "$WORK/ckpt-repair" round)" -eq 0 ]; do
     if ! kill -0 "$victim_pid" 2>/dev/null; then
-        echo "FAIL: run finished before a repair-phase checkpoint appeared" >&2
+        echo "FAIL: run finished before a repair-round record was logged" >&2
         exit 1
     fi
     sleep 0.1

@@ -21,6 +21,7 @@ use quasar::stream::client::ServeClient;
 use quasar::{HeldOut, Scale, Split};
 use std::io::Write;
 use std::net::TcpListener;
+use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
 
@@ -60,9 +61,9 @@ const COMMANDS: &[Command] = &[
         switches: &[], values: &["--out", "--scale", "--seed"] },
     Command { name: "train", form: None, run: cmd_train, operands: Optional,
         synopsis: "train (FILE | --scale tiny|small|medium|large [--seed N]) --out MODEL.json [--threads N] \
-                   [--checkpoint-dir D [--checkpoint-every N] [--resume]]",
+                   [--checkpoint-dir D [--resume]]",
         switches: &["--resume"],
-        values: &["--out", "--scale", "--seed", "--threads", "--checkpoint-dir", "--checkpoint-every"] },
+        values: &["--out", "--scale", "--seed", "--threads", "--checkpoint-dir"] },
     Command { name: "analyze", form: None, run: cmd_analyze, operands: Required,
         synopsis: "analyze FILE", switches: &[], values: &[] },
     Command { name: "predict", form: Some("--model"), run: cmd_predict_model, operands: Zero,
@@ -322,24 +323,21 @@ fn cmd_generate(a: &Args) {
 /// generated at a `--scale` preset, persists the model and prints the
 /// wall time of each phase. `--threads 0` (the default) uses every core;
 /// the model is byte-identical at every thread count. With
-/// `--checkpoint-dir` the refinement state is checkpointed every N rounds
-/// (default 1), and `--resume` continues an interrupted run from the
-/// newest checkpoint into a byte-identical model.
+/// `--checkpoint-dir` refinement keeps a log there, one record per
+/// finished domain and repair round, and `--resume` continues an
+/// interrupted run from it into a byte-identical model.
 fn cmd_train(a: &Args) {
     let out = a.need("--out");
     let checkpoint_dir = a.value("--checkpoint-dir");
-    if (a.has("--resume") || a.has("--checkpoint-every")) && checkpoint_dir.is_none() {
-        usage("--resume and --checkpoint-every require --checkpoint-dir");
+    if a.has("--resume") && checkpoint_dir.is_none() {
+        usage("--resume requires --checkpoint-dir");
     }
     let cfg = TrainConfig {
         refine: RefineConfig {
             threads: a.get("--threads").unwrap_or(0),
             ..RefineConfig::default()
         },
-        checkpoint: checkpoint_dir.map(|d| CheckpointPolicy {
-            dir: d.into(),
-            every: a.get("--checkpoint-every").unwrap_or(1u64).max(1),
-        }),
+        checkpoint: checkpoint_dir.map(PathBuf::from),
         resume: a.has("--resume"),
         generalize: true,
     };
@@ -354,21 +352,19 @@ fn cmd_train(a: &Args) {
         cfg.refine.effective_threads()
     );
     let (model, report) = trained(&dataset, &dataset, &cfg);
-    if let Some(p) = cfg.checkpoint.as_ref().filter(|_| cfg.resume) {
-        let dir = p.dir.display();
+    if let Some(dir) = cfg.checkpoint.as_ref().filter(|_| cfg.resume) {
+        let dir = dir.display();
         if report.resumed {
-            eprintln!("resumed refinement from checkpoints in {dir}");
+            eprintln!("resumed refinement from the log in {dir}");
         } else {
             eprintln!("no checkpoint found in {dir}; starting fresh");
         }
     }
     let bytes = save_model(out, &model).unwrap_or_else(|e| die(format!("cannot write {out}: {e}")));
-    // The final model is durably on disk; the intermediate state has
-    // served its purpose and would only confuse a later --resume.
-    if let Some(p) = &cfg.checkpoint {
-        for (_, ckpt) in quasar::model::persist::list_checkpoints(&p.dir) {
-            std::fs::remove_file(&ckpt).ok();
-        }
+    // The final model is durably on disk; the log has served its
+    // purpose and would only confuse a later --resume.
+    if let Some(dir) = &cfg.checkpoint {
+        std::fs::remove_file(dir.join(quasar::model::persist::LOG_FILE)).ok();
     }
     let stats = model.stats();
     println!(

@@ -1,12 +1,11 @@
 //! Pins the exact bytes of four serialized outputs by FNV-1a and length:
-//! a trained model artifact, a refine checkpoint payload, a pretty-printed
+//! a trained model artifact, a refinement log, a pretty-printed
 //! record that exercises every JSON rendering rule, and the server's
 //! replies to a fixed request script. Any change to the JSON codec that
 //! moves a single byte of a persisted or served document fails here.
 
-use quasar::model::persist::{fnv1a, load_latest_checkpoint_payload};
+use quasar::model::persist::{fnv1a, LOG_FILE};
 use quasar::model::prelude::*;
-use quasar::model::refine::{refine_checkpointed, CheckpointPolicy};
 use quasar::netgen::prelude::*;
 use quasar::serve::server::ServeConfig;
 use quasar::serve::shard::ShardedState;
@@ -21,8 +20,7 @@ fn pin(bytes: &[u8]) -> (u64, usize) {
 }
 
 /// Trains the tiny netgen preset at [`SEED`] on one thread with a
-/// checkpoint after every work unit; returns the model, its dataset and
-/// the newest checkpoint payload.
+/// refinement log; returns the model, its dataset and the log's bytes.
 fn trained() -> (AsRoutingModel, Dataset, Vec<u8>) {
     let net = SyntheticInternet::generate(NetGenConfig::tiny(SEED));
     let dataset = quasar::dataset_from(&net);
@@ -33,14 +31,8 @@ fn trained() -> (AsRoutingModel, Dataset, Vec<u8>) {
         threads: 1,
         ..RefineConfig::default()
     };
-    refine_checkpointed(
-        &mut model,
-        &dataset,
-        &cfg,
-        Some(&CheckpointPolicy::new(&dir)),
-    )
-    .expect("tiny preset trains");
-    let (_, payload) = load_latest_checkpoint_payload(&dir).expect("checkpoint written");
+    refine_checkpointed(&mut model, &dataset, &cfg, Some(&dir)).expect("tiny preset trains");
+    let payload = std::fs::read(dir.join(LOG_FILE)).expect("log written");
     let _ = std::fs::remove_dir_all(&dir);
     (model, dataset, payload)
 }
@@ -214,7 +206,7 @@ fn serialized_outputs_match_pinned_bytes() {
     ];
     let want = [
         ("model artifact", (0x5380_8d1d_ac0c_944a, 237_009)),
-        ("checkpoint payload", (0x05c4_30f7_4b57_065d, 255_691)),
+        ("checkpoint payload", (0xabd7_1ba6_037a_1374, 129_279)),
         ("pretty record", (0x2e44_288e_9f2c_b27a, 1_755)),
         ("reply script", (0x4ad2_35ff_a652_2378, 27_924)),
     ];

@@ -78,6 +78,9 @@ fn integral_floats_beyond_the_integer_range_are_errors() {
     assert!(from_str::<usize>("1e30").is_err());
     assert!(from_str::<i64>("-9.3e18").is_err());
     assert!(from_str::<i64>("9.3e18").is_err());
+    // Integer text beyond the range is refused, not rounded to a float.
+    assert!(from_str::<i64>("-9223372036854775809").is_err());
+    assert!(from_str::<i64>("9223372036854775808").is_err());
     assert_eq!(from_str::<u64>("1e19").unwrap(), 10_000_000_000_000_000_000);
     assert_eq!(
         from_str::<i64>("-9.2e18").unwrap(),

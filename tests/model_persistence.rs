@@ -211,9 +211,6 @@ fn object_rules() -> Vec<PolicyRule> {
             },
             Action::Deny,
         ),
-        // The object form reads any prefix length; a tuple would not read
-        // this one back.
-        med(Prefix { base: 1, len: 33 }, 5),
     ]
 }
 
@@ -265,6 +262,30 @@ fn object_form_rules_round_trip_unchanged() {
         let back: Policy = serde_json::from_str(&json).expect("policy reads back");
         assert_eq!(back.rules(), [rule].as_slice());
     }
+}
+
+/// A prefix `Prefix::new` would refuse (`len` 33) or mask (host bits)
+/// does not load in either rule form.
+#[test]
+fn non_canonical_prefixes_are_typed_json_errors() {
+    let json = fixture_model().to_json().expect("model serializes");
+    let tag = json.find(r#","f","#).expect("a floor tuple");
+    let start = json[..tag].rfind('[').expect("tuple start");
+    let end = tag + json[tag..].find(']').expect("tuple end") + 1;
+    let path = scratch("non-canonical.quasar");
+    let mut bad = vec![r#"[1,24,"m",5]"#.to_string()];
+    for prefix in [Prefix { base: 1, len: 33 }, Prefix { base: 1, len: 24 }] {
+        bad.push(serde_json::to_string(&med(prefix, 5)).expect("rule serializes"));
+    }
+    for bad in bad {
+        let payload = format!("{}{bad}{}", &json[..start], &json[end..]);
+        save_artifact(&path, KIND_MODEL, payload.as_bytes()).expect("frame writes");
+        match load_model(&path) {
+            Err(PersistError::Json { .. }) => {}
+            other => panic!("rule {bad}: expected a Json error, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
