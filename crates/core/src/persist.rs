@@ -26,10 +26,11 @@
 //!   another, each appended and fsynced as a unit of work finishes. A
 //!   torn last frame is dropped on read; damage before it is an error.
 //!
-//! Models written by earlier versions of `quasar train` are bare JSON
-//! with no header, or frames of the older `model` kind whose policy rules
-//! are all objects; [`load_model`] reads both transparently, so old
-//! artifacts keep working.
+//! Every load goes through the frame check, so a file without the
+//! header — such as the bare-JSON models of the earliest `quasar train`
+//! builds — is refused as [`PersistError::BadHeader`] rather than read
+//! unverified. Frames of the older `model` kind, whose policy rules are
+//! all objects, still load through [`load_model`].
 
 use crate::model::AsRoutingModel;
 use std::fmt;
@@ -123,9 +124,9 @@ pub enum PersistError {
     Json {
         /// The offending file.
         path: PathBuf,
-        /// Byte offset where the payload starts (0 for legacy bare-JSON
-        /// files; the parser's own message pinpoints the error within
-        /// the payload).
+        /// Byte offset where the payload starts (0 when serializing
+        /// failed before any bytes were written; the parser's own message
+        /// pinpoints the error within the payload).
         offset: usize,
         /// The parser's diagnosis.
         detail: String,
@@ -313,10 +314,8 @@ pub fn save_artifact(
 }
 
 /// Reads and verifies a framed artifact of `kind`, returning the payload
-/// and the length of the header it followed — 0 for a legacy (headerless)
-/// artifact. Legacy files — anything not starting with the magic — are
-/// returned as-is with no integrity check, which is exactly the guarantee
-/// they were written under.
+/// and the length of the header it followed. A file that does not start
+/// with the header is [`PersistError::BadHeader`].
 pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usize), PersistError> {
     load_artifact_of(path.as_ref(), &[kind])
 }
@@ -324,9 +323,6 @@ pub fn load_artifact(path: impl AsRef<Path>, kind: &str) -> Result<(Vec<u8>, usi
 /// [`load_artifact`] accepting any of `kinds`; a mismatch names the first.
 fn load_artifact_of(path: &Path, kinds: &[&str]) -> Result<(Vec<u8>, usize), PersistError> {
     let mut bytes = fs::read(path).map_err(|e| PersistError::io(path, "read", e))?;
-    if !bytes.starts_with(format!("{MAGIC} ").as_bytes()) {
-        return Ok((bytes, 0));
-    }
     let (_, payload) = read_frame(path, &bytes, 0, kinds)?;
     if payload.end != bytes.len() {
         return Err(PersistError::Truncated {
@@ -362,6 +358,9 @@ fn read_frame<'b>(
         offset,
         detail,
     };
+    if !bytes[at..].starts_with(format!("{MAGIC} ").as_bytes()) {
+        return Err(bad(at, format!("header does not start with `{MAGIC}`")));
+    }
     let newline = at
         + bytes[at..]
             .iter()
@@ -369,10 +368,7 @@ fn read_frame<'b>(
             .ok_or_else(|| bad(bytes.len(), "unterminated header line".into()))?;
     let header = std::str::from_utf8(&bytes[at..newline])
         .map_err(|e| bad(at + e.valid_up_to(), "header is not UTF-8".into()))?;
-    let mut fields = header.split(' ');
-    if fields.next() != Some(MAGIC) {
-        return Err(bad(at, format!("header does not start with `{MAGIC}`")));
-    }
+    let mut fields = header.split(' ').skip(1);
     let kind_at = at + MAGIC.len() + 1;
     let kind = fields
         .next()
@@ -437,9 +433,8 @@ pub fn save_model(path: impl AsRef<Path>, model: &AsRoutingModel) -> Result<usiz
     Ok(json.len())
 }
 
-/// Loads a model written by [`save_model`], a frame of the older `model`
-/// kind, or a legacy bare-JSON model from before the framed format
-/// existed.
+/// Loads a model written by [`save_model`] or a frame of the older
+/// `model` kind.
 /// Frame damage and payload parse failures both come back as typed
 /// [`PersistError`]s, never a panic.
 pub fn load_model(path: impl AsRef<Path>) -> Result<AsRoutingModel, PersistError> {
@@ -606,7 +601,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrip_and_legacy_fallback() {
+    fn artifact_roundtrip_and_headerless_refusal() {
         let dir = tmp_dir("roundtrip");
         let path = dir.join("a.bin");
         save_artifact(&path, "model", b"{\"x\":1}").unwrap();
@@ -616,9 +611,10 @@ mod tests {
 
         let bare = dir.join("bare.json");
         fs::write(&bare, b"{\"x\":2}").unwrap();
-        let (payload, header_len) = load_artifact(&bare, "model").unwrap();
-        assert_eq!(payload, b"{\"x\":2}");
-        assert_eq!(header_len, 0, "a legacy file has no header");
+        match load_artifact(&bare, "model") {
+            Err(PersistError::BadHeader { offset: 0, .. }) => {}
+            other => panic!("a headerless file must be refused, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

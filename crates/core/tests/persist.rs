@@ -1,8 +1,8 @@
-//! Integration tests for the persist layer: framed round-trips, legacy
-//! bare-JSON compatibility, typed corruption errors with byte offsets,
-//! and a fuzz property that no single-byte mutation or truncation of an
-//! artifact can ever panic the loader — every damaged file comes back as
-//! a typed [`PersistError`].
+//! Integration tests for the persist layer: framed round-trips, refusal
+//! of headerless (bare-JSON) files, typed corruption errors with byte
+//! offsets, and a fuzz property that no single-byte mutation or
+//! truncation of an artifact can ever panic the loader — every damaged
+//! file comes back as a typed [`PersistError`].
 
 use proptest::prelude::*;
 use quasar_core::persist::{
@@ -58,18 +58,16 @@ fn framed_model_round_trips() {
 }
 
 #[test]
-fn legacy_bare_json_still_loads() {
+fn legacy_bare_json_is_a_bad_header() {
     let dir = scratch("legacy");
     let path = dir.join("legacy.json");
-    let model = toy_model();
-    let json = model.to_json().expect("model serializes");
+    let json = toy_model().to_json().expect("model serializes");
     std::fs::write(&path, &json).expect("write bare JSON");
 
-    let loaded = load_model(&path).expect("legacy load");
-    assert_eq!(
-        loaded.to_json().expect("loaded serializes"),
-        json,
-        "a pre-persist bare-JSON model must load unchanged"
+    let err = load_model(&path).expect_err("an unframed model must not load unverified");
+    assert!(
+        matches!(err, PersistError::BadHeader { offset: 0, .. }),
+        "want BadHeader at byte 0, got: {err}"
     );
 }
 
@@ -131,14 +129,14 @@ fn kind_mismatch_is_typed() {
 }
 
 #[test]
-fn legacy_garbage_is_a_json_error_not_a_panic() {
+fn headerless_garbage_is_a_bad_header_not_a_panic() {
     let dir = scratch("garbage");
     let path = dir.join("noise.json");
     std::fs::write(&path, b"not json at all").expect("write");
     let err = load_model(&path).expect_err("garbage must not load");
     assert!(
-        matches!(err, PersistError::Json { .. }),
-        "want Json, got: {err}"
+        matches!(err, PersistError::BadHeader { offset: 0, .. }),
+        "want BadHeader, got: {err}"
     );
 }
 
@@ -200,16 +198,20 @@ proptest! {
         prop_assert!(err.to_string().contains("m.model"), "untyped error: {err}");
     }
 
-    /// Arbitrary bytes presented as a legacy (headerless) model must come
-    /// back as a typed JSON error, never a panic.
+    /// Arbitrary bytes presented as a model must come back as a typed
+    /// error, never a panic.
     #[test]
     fn random_legacy_bytes_never_panic(noise in proptest::collection::vec(any::<u8>(), 0..256)) {
         let dir = scratch("fuzz-legacy");
         let path = dir.join("noise.json");
         std::fs::write(&path, &noise).expect("write noise");
         // Framed-looking noise (starting with the magic) may produce any
-        // typed variant; everything else parses as legacy JSON and fails
-        // there. Either way: an error, not a panic.
-        prop_assert!(load_model(&path).is_err());
+        // typed variant; everything else has no header. Either way: an
+        // error, not a panic.
+        match load_model(&path) {
+            Err(PersistError::BadHeader { offset: 0, .. }) => {}
+            Err(_) => prop_assert!(noise.starts_with(b"QUASAR1 ")),
+            Ok(_) => prop_assert!(false, "noise loaded as a model"),
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! QS0002 — atomic-ordering audit.
 //!
-//! The shard state machine (HEALTHY → QUARANTINED → REBUILDING, DESIGN.md
-//! §15) and every other cross-thread handshake must use explicit
+//! Every cross-thread handshake (the serve and chaos-proxy shutdown
+//! flags, the failpoint registry's generation) must use explicit
 //! non-`Relaxed` orderings; `Relaxed` is reserved for monotonic metrics
 //! counters where only the eventual total matters. This rule flags every
 //! atomic operation that passes `Ordering::Relaxed` in library code
@@ -52,9 +52,6 @@ const COUNTER_ALLOWLIST: &[&str] = &[
     "shed",
     "reloads",
     "reload_failures",
-    "quarantines",
-    "rebuilds",
-    "rebuild_failures",
     // steady-state cache
     "hits",
     "misses",

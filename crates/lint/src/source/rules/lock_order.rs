@@ -39,7 +39,7 @@ const RANKS: &[(&str, u32, bool)] = &[
     ("SERIAL", 0, false),
     // The failpoint registry mutex nests directly under a test lock.
     ("REGISTRY", 5, false),
-    // Fleet reload serialization: taken before any epoch or map lock.
+    // Coordinated-swap serialization: taken before any epoch or map lock.
     ("reload_lock", 10, false),
     // Per-shard epochs, acquired by ascending shard index.
     ("epoch", 20, true),

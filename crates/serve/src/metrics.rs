@@ -238,9 +238,6 @@ pub struct ServeMetrics {
     deadline_exceeded: AtomicU64,
     reloads: AtomicU64,
     reload_failures: AtomicU64,
-    quarantines: AtomicU64,
-    rebuilds: AtomicU64,
-    rebuild_failures: AtomicU64,
 }
 
 impl ServeMetrics {
@@ -316,36 +313,6 @@ impl ServeMetrics {
         self.reload_failures.load(Ordering::Relaxed)
     }
 
-    /// Records one shard crossing its panic threshold into quarantine.
-    pub fn shard_quarantined(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Shards quarantined so far.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines.load(Ordering::Relaxed)
-    }
-
-    /// Records one quarantined shard rebuilt and reinstated.
-    pub fn shard_rebuilt(&self) {
-        self.rebuilds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Shard rebuilds completed so far.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds.load(Ordering::Relaxed)
-    }
-
-    /// Records one failed rebuild (the shard stays quarantined).
-    pub fn shard_rebuild_failed(&self) {
-        self.rebuild_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Failed shard rebuilds so far.
-    pub fn rebuild_failures(&self) -> u64 {
-        self.rebuild_failures.load(Ordering::Relaxed)
-    }
-
     /// Requests served of one kind.
     pub fn count(&self, kind: RequestKind) -> u64 {
         self.per_kind[kind.index()].snapshot().count
@@ -376,9 +343,6 @@ impl ServeMetrics {
             stream,
             generation: 0,
             shards: None,
-            quarantines: self.quarantines(),
-            rebuilds: self.rebuilds(),
-            rebuild_failures: self.rebuild_failures(),
         }
     }
 }
@@ -411,18 +375,6 @@ pub struct ShardSnapshot {
     pub overlay_cache: CacheSnapshot,
     /// What-if sessions resident on this shard.
     pub active_sessions: usize,
-    /// Self-healing state of this shard: `"healthy"`, `"quarantined"`
-    /// (panic threshold tripped, slice answering typed `degraded`
-    /// replies), or `"rebuilding"` (a background worker is building its
-    /// replacement epoch). Empty on snapshots from servers predating
-    /// quarantine.
-    #[serde(default)]
-    pub state: String,
-    /// Panics on this shard since it was last (re)instated — the count
-    /// the quarantine threshold is compared against, unlike the
-    /// cumulative `panics_caught`.
-    #[serde(default)]
-    pub strikes: u64,
 }
 
 /// The `metrics` response payload.
@@ -468,15 +420,6 @@ pub struct MetricsSnapshot {
     /// sharding.
     #[serde(default)]
     pub shards: Option<Vec<ShardSnapshot>>,
-    /// Shards quarantined since startup (panic threshold trips).
-    #[serde(default)]
-    pub quarantines: u64,
-    /// Quarantined shards rebuilt and reinstated since startup.
-    #[serde(default)]
-    pub rebuilds: u64,
-    /// Shard rebuilds that failed, leaving the shard quarantined.
-    #[serde(default)]
-    pub rebuild_failures: u64,
 }
 
 impl MetricsSnapshot {

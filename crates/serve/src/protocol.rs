@@ -308,20 +308,15 @@ pub struct StreamReportReply {
     pub windows: u64,
 }
 
-/// Self-healing state of one shard, as reported in a `health` reply.
+/// One shard's row in a `health` reply.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardHealth {
     /// Shard index (0-based, ascending prefix ranges).
     pub shard: usize,
-    /// `"healthy"`, `"quarantined"` or `"rebuilding"`.
-    pub state: String,
     /// Swap generation of this shard's serving epoch.
     pub generation: u64,
     /// Dispatch panics caught on this shard since startup.
     pub panics: u64,
-    /// Panics since the shard was last (re)instated — what the
-    /// quarantine threshold compares against.
-    pub strikes: u64,
 }
 
 /// Streaming-pipeline heartbeat, as reported in a `health` reply of a
@@ -345,44 +340,18 @@ pub struct StreamHealth {
     pub report_age_ms: u64,
 }
 
-/// Answer to a `health` request.
+/// Answer to a `health` request: a liveness and readiness probe.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthReply {
-    /// `"healthy"` when every shard serves its slice; `"degraded"` while
-    /// any shard is quarantined or rebuilding.
-    pub status: String,
-    /// Fleet-wide swap generation.
+    /// Swap generation of the whole fleet.
     pub generation: u64,
     /// Dispatch panics caught since startup.
     pub panics_caught: u64,
-    /// Shards quarantined since startup.
-    pub quarantines: u64,
-    /// Quarantined shards rebuilt and reinstated since startup.
-    pub rebuilds: u64,
-    /// Shard rebuilds that failed, leaving the shard quarantined.
-    pub rebuild_failures: u64,
-    /// Per-shard self-healing state, one entry per shard (a single entry
-    /// on a 1-shard server). `None` only in replies from servers
-    /// predating sharding.
-    #[serde(default)]
-    pub shards: Option<Vec<ShardHealth>>,
+    /// One entry per shard (a single entry on a 1-shard server).
+    pub shards: Vec<ShardHealth>,
     /// Stream heartbeat; `None` until a pipeline reports in.
     #[serde(default)]
     pub stream: Option<StreamHealth>,
-}
-
-/// Typed reply for a request routed to a quarantined or rebuilding
-/// shard: only that slice of the prefix space is degraded, every other
-/// shard keeps answering byte-identically.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DegradedReply {
-    /// The degraded shard.
-    pub shard: usize,
-    /// `"quarantined"` or `"rebuilding"`.
-    pub state: String,
-    /// Suggested client backoff before retrying this slice (the
-    /// background rebuild may have reinstated the shard by then).
-    pub retry_after_ms: u64,
 }
 
 /// Load-shed reply: the pending-connection queue was full, so the server
@@ -436,9 +405,6 @@ pub enum Response {
     Shutdown(ShutdownReply),
     /// Load-shed answer sent when the pending-connection queue is full.
     Overloaded(OverloadedReply),
-    /// The request's slice of the prefix space is quarantined or
-    /// rebuilding; other slices keep serving.
-    Degraded(DegradedReply),
     /// The request blew the per-request compute deadline.
     DeadlineExceeded(DeadlineExceededReply),
     /// Error answer.
@@ -769,7 +735,6 @@ impl Response {
             Response::Health(_) => "health",
             Response::Shutdown(_) => "shutdown",
             Response::Overloaded(_) => "overloaded",
-            Response::Degraded(_) => "degraded",
             Response::DeadlineExceeded(_) => "deadline_exceeded",
             Response::Error(_) => "error",
         }
@@ -792,7 +757,6 @@ impl Serialize for Response {
             Response::Health(r) => r.serialize(s),
             Response::Shutdown(r) => r.serialize(s),
             Response::Overloaded(r) => r.serialize(s),
-            Response::Degraded(r) => r.serialize(s),
             Response::DeadlineExceeded(r) => r.serialize(s),
             Response::Error(r) => r.serialize(s),
         }
@@ -818,7 +782,6 @@ impl<'de> Deserialize<'de> for Response {
             "health" => Ok(Response::Health(HealthReply::deserialize(p)?)),
             "shutdown" => Ok(Response::Shutdown(ShutdownReply::deserialize(p)?)),
             "overloaded" => Ok(Response::Overloaded(OverloadedReply::deserialize(p)?)),
-            "degraded" => Ok(Response::Degraded(DegradedReply::deserialize(p)?)),
             "deadline_exceeded" => Ok(Response::DeadlineExceeded(
                 DeadlineExceededReply::deserialize(p)?,
             )),
@@ -1015,28 +978,20 @@ mod tests {
                 windows: 7,
             }),
             Response::Health(HealthReply {
-                status: "degraded".into(),
                 generation: 4,
                 panics_caught: 9,
-                quarantines: 1,
-                rebuilds: 0,
-                rebuild_failures: 0,
-                shards: Some(vec![
+                shards: vec![
                     ShardHealth {
                         shard: 0,
-                        state: "healthy".into(),
                         generation: 4,
                         panics: 0,
-                        strikes: 0,
                     },
                     ShardHealth {
                         shard: 1,
-                        state: "quarantined".into(),
                         generation: 4,
                         panics: 9,
-                        strikes: 3,
                     },
-                ]),
+                ],
                 stream: Some(StreamHealth {
                     windows: 12,
                     swaps: 10,
@@ -1049,11 +1004,6 @@ mod tests {
             }),
             Response::Shutdown(ShutdownReply { draining: true }),
             Response::Overloaded(OverloadedReply { retry_after_ms: 50 }),
-            Response::Degraded(DegradedReply {
-                shard: 1,
-                state: "quarantined".into(),
-                retry_after_ms: 100,
-            }),
             Response::DeadlineExceeded(DeadlineExceededReply {
                 deadline_ms: 100,
                 elapsed_ms: 161,

@@ -77,10 +77,6 @@ pub struct ServeConfig {
     /// longer are answered with `deadline_exceeded`. `0` disables the
     /// deadline.
     pub deadline_ms: u64,
-    /// Panics on one shard (since its last reinstate) before the shard is
-    /// quarantined and rebuilt in the background. `0` disables quarantine:
-    /// every panic is answered per-request and the shard keeps serving.
-    pub quarantine_threshold: u64,
 }
 
 impl Default for ServeConfig {
@@ -93,7 +89,6 @@ impl Default for ServeConfig {
             max_sessions: 32,
             max_pending: 128,
             deadline_ms: 0,
-            quarantine_threshold: 0,
         }
     }
 }

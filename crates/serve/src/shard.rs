@@ -39,24 +39,17 @@
 //! generation — some shards serving the new model, some the old — is
 //! never observable from outside.
 //!
-//! Self-healing (DESIGN.md §15): each shard tracks its panics since it
-//! was last (re)instated ("strikes") against a configurable threshold.
-//! A shard that trips it is **quarantined** — its slice answers typed
-//! `degraded` replies instead of running dispatch work — and a detached
-//! background worker rebuilds a fresh private epoch from the fleet's
-//! current model, probes it, and reinstates the shard at the fleet
-//! generation. Other shards are never touched: their epochs, caches and
-//! replies stay byte-identical throughout. A failed rebuild leaves the
-//! shard quarantined (a later coordinated reload reinstates the whole
-//! fleet); it never tears the fleet generation, because the rebuild
-//! serializes on the same `reload_lock` as the coordinated swap and
-//! installs at the generation it read under that lock.
+//! Panic containment (DESIGN.md §15): a panic while a shard handles a
+//! request is caught and answered as a typed error naming the shard.
+//! Simulation is deterministic per (model, prefix) and the shard's
+//! epoch and caches are untouched by the unwind, so the shard simply
+//! keeps serving; every other shard's replies stay byte-identical.
 
 use crate::cache::CacheSnapshot;
 use crate::metrics::{RequestKind, ServeMetrics, ShardSnapshot, StreamStatusReport};
 use crate::protocol::{
-    diff_reply, stats_reply, DegradedReply, DiffReply, HealthReply, ReloadReply, Request, Response,
-    ShardHealth, ShutdownReply, StreamReportReply,
+    diff_reply, stats_reply, DiffReply, HealthReply, ReloadReply, Request, Response, ShardHealth,
+    ShutdownReply, StreamReportReply,
 };
 use crate::server::{
     diff_on, explain_on, parse_changes, predict_on, prewarm_epoch, resolve_targets, stream_health,
@@ -66,7 +59,7 @@ use crate::session::scenario_key;
 use quasar_bgpsim::types::Prefix;
 use quasar_core::model::AsRoutingModel;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -123,24 +116,6 @@ impl ShardMap {
     }
 }
 
-/// Self-healing states of one shard (stored in [`Shard::state`]).
-const HEALTHY: u8 = 0;
-const QUARANTINED: u8 = 1;
-const REBUILDING: u8 = 2;
-
-/// Suggested client backoff on a `degraded` reply: long enough for a
-/// toy-model rebuild to finish, short enough that a recovered slice is
-/// retried promptly.
-const DEGRADED_RETRY_MS: u64 = 100;
-
-fn state_name(state: u8) -> &'static str {
-    match state {
-        QUARANTINED => "quarantined",
-        REBUILDING => "rebuilding",
-        _ => "healthy",
-    }
-}
-
 /// One shard: a private epoch slot plus its request tallies. The epoch
 /// lock is only ever contended by requests for this shard's slice and
 /// by the coordinated swap.
@@ -150,12 +125,6 @@ struct Shard {
     errors: AtomicU64,
     panics: AtomicU64,
     deadline_exceeded: AtomicU64,
-    /// Panics since the shard was last (re)instated — the counter the
-    /// quarantine threshold compares against (unlike `panics`, which is
-    /// cumulative for observability).
-    strikes: AtomicU64,
-    /// [`HEALTHY`], [`QUARANTINED`] or [`REBUILDING`].
-    state: AtomicU8,
 }
 
 impl Shard {
@@ -166,17 +135,15 @@ impl Shard {
             errors: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-            strikes: AtomicU64::new(0),
-            state: AtomicU8::new(HEALTHY),
         }
     }
 }
 
-/// The shared core of a sharded server: everything a detached rebuild
-/// worker needs to outlive the request that quarantined a shard. The
-/// dispatcher and the worker both hold it behind an `Arc`, so a rebuild
-/// keeps its footing even while the front end churns.
-struct Fleet {
+/// Everything the workers of [`crate::server::serve`] share: the shard
+/// fleet, the metrics, the last stream report, and the shutdown flag.
+/// Replies are byte-identical at every shard count.
+pub struct ShardedState {
+    config: ServeConfig,
     shards: Vec<Shard>,
     /// The current prefix-to-shard assignment, rebuilt on every
     /// accepted reload (the prefix set may change) and installed while
@@ -186,103 +153,9 @@ struct Fleet {
     /// serves the full model and routing is load placement only.
     map: parking_lot::RwLock<Arc<ShardMap>>,
     metrics: ServeMetrics,
-    /// Serializes coordinated swaps *and* shard rebuilds. Two
-    /// interleaved two-phase swaps would race on the generation number,
-    /// and a rebuild must install at a generation that cannot move
-    /// between reading it and writing the shard's epoch slot.
+    /// Serializes coordinated swaps: two interleaved two-phase swaps
+    /// would race on the generation number.
     reload_lock: parking_lot::Mutex<()>,
-    max_sessions: usize,
-    /// Strikes that quarantine a shard; 0 disables quarantine (panics
-    /// stay per-request typed errors, the pre-self-healing behaviour).
-    quarantine_threshold: u64,
-}
-
-impl Fleet {
-    /// Trips `shard` from healthy into quarantine and spawns its
-    /// background rebuild. Returns false if the shard was already
-    /// quarantined or rebuilding (exactly one worker per incident).
-    fn quarantine(self: &Arc<Self>, shard: usize) -> bool {
-        if self.shards[shard]
-            .state
-            .compare_exchange(HEALTHY, QUARANTINED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        self.metrics.shard_quarantined();
-        let fleet = Arc::clone(self);
-        std::thread::spawn(move || fleet.rebuild(shard));
-        true
-    }
-
-    /// The background rebuild: builds a fresh private epoch from the
-    /// fleet's current model, probes it, and reinstates the shard at
-    /// the fleet generation. On any failure the shard stays
-    /// quarantined, its slice answering typed `degraded` replies, until
-    /// the next coordinated reload reinstates the whole fleet.
-    fn rebuild(&self, shard: usize) {
-        self.shards[shard]
-            .state
-            .store(REBUILDING, Ordering::Release);
-        // Failpoint: `serve.shard.rebuild` — an injected error is the
-        // rebuild-fails-mid-recovery case; an injected delay holds the
-        // shard visibly in `rebuilding` for the health protocol tests.
-        #[cfg(feature = "testkit")]
-        if quasar_bgpsim::fail::inject("serve.shard.rebuild") {
-            self.metrics.shard_rebuild_failed();
-            self.shards[shard]
-                .state
-                .store(QUARANTINED, Ordering::Release);
-            return;
-        }
-        // Under the reload lock no coordinated swap is in flight, so
-        // this shard's own (old) epoch carries the fleet's current model
-        // and generation — the swap always updates every shard at once.
-        let _serialized = self.reload_lock.lock();
-        let (model, generation) = {
-            let current = self.shards[shard].epoch.read();
-            (Arc::clone(&current.model), current.generation)
-        };
-        let candidate = ModelEpoch::shared(model, self.max_sessions, generation);
-        // Probe the first owned prefix through the candidate's fresh
-        // cache — the same one-entry validation a coordinated swap runs
-        // per shard in its phase 1.
-        let map = Arc::clone(&self.map.read());
-        let probe = candidate
-            .model
-            .prefixes()
-            .keys()
-            .copied()
-            .find(|&p| map.shard_of(p) == shard);
-        if let Some(p) = probe {
-            if candidate
-                .base_cache
-                .get_or_simulate(&candidate.model, p)
-                .is_err()
-            {
-                self.metrics.shard_rebuild_failed();
-                self.shards[shard]
-                    .state
-                    .store(QUARANTINED, Ordering::Release);
-                return;
-            }
-        }
-        // Reinstate: fresh epoch at the fleet generation, strikes
-        // cleared, state healthy last so a reader that sees `healthy`
-        // is guaranteed the new epoch.
-        *self.shards[shard].epoch.write() = Arc::new(candidate);
-        self.shards[shard].strikes.store(0, Ordering::Release);
-        self.shards[shard].state.store(HEALTHY, Ordering::Release);
-        self.metrics.shard_rebuilt();
-    }
-}
-
-/// Everything the workers of [`crate::server::serve`] share: the shard
-/// fleet, the metrics, the last stream report, and the shutdown flag.
-/// Replies are byte-identical at every shard count.
-pub struct ShardedState {
-    config: ServeConfig,
-    fleet: Arc<Fleet>,
     /// The latest accepted stream report plus its wall-clock receipt
     /// time, so `health` can report the heartbeat's age (lag).
     stream_report: parking_lot::Mutex<Option<(StreamStatusReport, Instant)>>,
@@ -299,22 +172,18 @@ impl ShardedState {
         let model = Arc::new(model);
         ShardedState {
             config,
-            fleet: Arc::new(Fleet {
-                shards: (0..shards)
-                    .map(|_| {
-                        Shard::new(ModelEpoch::shared(
-                            Arc::clone(&model),
-                            config.max_sessions,
-                            0,
-                        ))
-                    })
-                    .collect(),
-                map: parking_lot::RwLock::new(Arc::new(map)),
-                metrics: ServeMetrics::new(),
-                reload_lock: parking_lot::Mutex::new(()),
-                max_sessions: config.max_sessions,
-                quarantine_threshold: config.quarantine_threshold,
-            }),
+            shards: (0..shards)
+                .map(|_| {
+                    Shard::new(ModelEpoch::shared(
+                        Arc::clone(&model),
+                        config.max_sessions,
+                        0,
+                    ))
+                })
+                .collect(),
+            map: parking_lot::RwLock::new(Arc::new(map)),
+            metrics: ServeMetrics::new(),
+            reload_lock: parking_lot::Mutex::new(()),
             stream_report: parking_lot::Mutex::new(None),
             shutdown: AtomicBool::new(false),
         }
@@ -322,37 +191,19 @@ impl ShardedState {
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.fleet.shards.len()
+        self.shards.len()
     }
 
     /// Pins one shard's current epoch.
     pub fn epoch_of(&self, shard: usize) -> Arc<ModelEpoch> {
-        Arc::clone(&self.fleet.shards[shard].epoch.read())
+        Arc::clone(&self.shards[shard].epoch.read())
     }
 
     /// Pins the current prefix-to-shard map (the guard is dropped
     /// before any epoch lock is taken, so map and epoch locks never
     /// nest).
     pub fn pin_map(&self) -> Arc<ShardMap> {
-        Arc::clone(&self.fleet.map.read())
-    }
-
-    /// Trips one shard into quarantine by hand, exactly as a panic
-    /// threshold crossing would, spawning its background rebuild.
-    /// Returns false if the shard was already quarantined or
-    /// rebuilding. This is the hook recovery drills and the MTTR bench
-    /// use; production quarantine goes through the panic counter.
-    pub fn quarantine_shard(&self, shard: usize) -> bool {
-        if shard >= self.fleet.shards.len() {
-            return false;
-        }
-        self.fleet.quarantine(shard)
-    }
-
-    /// The self-healing state of one shard: `"healthy"`,
-    /// `"quarantined"` or `"rebuilding"`.
-    pub fn shard_state(&self, shard: usize) -> &'static str {
-        state_name(self.fleet.shards[shard].state.load(Ordering::Acquire))
+        Arc::clone(&self.map.read())
     }
 
     /// The shard currently owning `prefix`.
@@ -374,7 +225,7 @@ impl ShardedState {
 
     /// The server metrics.
     pub fn metrics(&self) -> &ServeMetrics {
-        &self.fleet.metrics
+        &self.metrics
     }
 
     /// True once a `shutdown` request has been accepted.
@@ -413,7 +264,7 @@ impl ShardedState {
     /// because the swap publishes all shards under all write locks, the
     /// snapshot is either entirely pre-swap or entirely post-swap.
     fn pin_fleet(&self) -> Vec<Arc<ModelEpoch>> {
-        let guards: Vec<_> = self.fleet.shards.iter().map(|s| s.epoch.read()).collect();
+        let guards: Vec<_> = self.shards.iter().map(|s| s.epoch.read()).collect();
         guards.iter().map(|g| Arc::clone(g)).collect()
     }
 
@@ -430,8 +281,7 @@ impl ShardedState {
         #[cfg(feature = "testkit")]
         if quasar_bgpsim::fail::inject("serve.handle_line") {
             let resp = Response::error("injected fault (failpoint serve.handle_line)");
-            self.fleet
-                .metrics
+            self.metrics
                 .record(RequestKind::Error, start.elapsed().as_micros() as u64);
             return resp;
         }
@@ -448,7 +298,7 @@ impl ShardedState {
                     req.kind()
                 };
                 if matches!(resp, Response::DeadlineExceeded(_)) {
-                    self.fleet.metrics.deadline_exceeded();
+                    self.metrics.deadline_exceeded();
                 }
                 (kind, resp)
             }
@@ -457,8 +307,7 @@ impl ShardedState {
                 Response::error(format!("bad request: {e}")),
             ),
         };
-        self.fleet
-            .metrics
+        self.metrics
             .record(kind, start.elapsed().as_micros() as u64);
         response
     }
@@ -525,24 +374,13 @@ impl ShardedState {
     /// shard's counters. A panic is contained to this one request: it
     /// becomes a typed error naming the shard, the shard's epoch and
     /// caches are untouched (the epoch is immutable; cache slots are
-    /// poison-recovering), and every other shard keeps answering. A
-    /// shard whose strikes crossed the quarantine threshold answers a
-    /// typed `degraded` reply without running the work at all, until
-    /// its background rebuild reinstates it.
+    /// poison-recovering), and every other shard keeps answering.
     fn run_on_shard<F>(&self, id: usize, f: F) -> Response
     where
         F: FnOnce() -> Response,
     {
-        let shard = &self.fleet.shards[id];
+        let shard = &self.shards[id];
         shard.requests.fetch_add(1, Ordering::Relaxed);
-        let state = shard.state.load(Ordering::Acquire);
-        if state != HEALTHY {
-            return Response::Degraded(DegradedReply {
-                shard: id,
-                state: state_name(state).to_string(),
-                retry_after_ms: DEGRADED_RETRY_MS,
-            });
-        }
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             // Failpoint: `serve.shard.panic.<id>` kills exactly this
             // shard's dispatch — the blast-radius the crash-recovery
@@ -554,13 +392,8 @@ impl ShardedState {
         let resp = match outcome {
             Ok(resp) => resp,
             Err(_) => {
-                self.fleet.metrics.panic_caught();
+                self.metrics.panic_caught();
                 shard.panics.fetch_add(1, Ordering::Relaxed);
-                let strikes = shard.strikes.fetch_add(1, Ordering::AcqRel) + 1;
-                let threshold = self.fleet.quarantine_threshold;
-                if threshold > 0 && strikes >= threshold {
-                    self.fleet.quarantine(id);
-                }
                 Response::error(format!(
                     "shard {id} panicked handling this request; its slice failed this \
                      once, other shards keep serving"
@@ -602,7 +435,7 @@ impl ShardedState {
             Ok(t) => t,
             Err(e) => return e,
         };
-        let mut per_shard: Vec<Vec<Prefix>> = vec![Vec::new(); self.fleet.shards.len()];
+        let mut per_shard: Vec<Vec<Prefix>> = vec![Vec::new(); self.shards.len()];
         for p in targets {
             per_shard[map.shard_of(p)].push(p);
         }
@@ -655,7 +488,7 @@ impl ShardedState {
             add_cache(&mut overlay, e.sessions.overlay_snapshot());
             sessions += e.sessions.len();
         }
-        let mut snap = self.fleet.metrics.snapshot(
+        let mut snap = self.metrics.snapshot(
             base,
             overlay,
             sessions,
@@ -663,8 +496,7 @@ impl ShardedState {
         );
         snap.generation = epochs[0].generation;
         snap.shards = Some(
-            self.fleet
-                .shards
+            self.shards
                 .iter()
                 .zip(&epochs)
                 .enumerate()
@@ -684,44 +516,32 @@ impl ShardedState {
                     base_cache: epoch.base_cache.snapshot(),
                     overlay_cache: epoch.sessions.overlay_snapshot(),
                     active_sessions: epoch.sessions.len(),
-                    state: state_name(shard.state.load(Ordering::Acquire)).to_string(),
-                    // sast: relaxed-ok display-only snapshot; quarantine decisions use the AcqRel fetch_add result
-                    strikes: shard.strikes.load(Ordering::Relaxed),
                 })
                 .collect(),
         );
         Response::Metrics(Box::new(snap))
     }
 
-    /// The `health` reply: fleet status, per-shard self-healing state,
-    /// and the stream heartbeat with its age. The fleet is `degraded`
-    /// exactly while any shard is not serving its slice.
+    /// The `health` reply, a liveness and readiness probe: the fleet
+    /// generation, panic counters, one row per shard, and the stream
+    /// heartbeat with its age.
     fn do_health(&self) -> Response {
         let epochs = self.pin_fleet();
-        let shards: Vec<ShardHealth> = self
-            .fleet
+        let shards = self
             .shards
             .iter()
             .zip(&epochs)
             .enumerate()
             .map(|(id, (shard, epoch))| ShardHealth {
                 shard: id,
-                state: state_name(shard.state.load(Ordering::Acquire)).to_string(),
                 generation: epoch.generation,
                 panics: shard.panics.load(Ordering::Relaxed),
-                // sast: relaxed-ok display-only snapshot; quarantine decisions use the AcqRel fetch_add result
-                strikes: shard.strikes.load(Ordering::Relaxed),
             })
             .collect();
-        let degraded = shards.iter().any(|s| s.state != "healthy");
         Response::Health(HealthReply {
-            status: if degraded { "degraded" } else { "healthy" }.to_string(),
             generation: epochs[0].generation,
-            panics_caught: self.fleet.metrics.panics_caught(),
-            quarantines: self.fleet.metrics.quarantines(),
-            rebuilds: self.fleet.metrics.rebuilds(),
-            rebuild_failures: self.fleet.metrics.rebuild_failures(),
-            shards: Some(shards),
+            panics_caught: self.metrics.panics_caught(),
+            shards,
             stream: stream_health(&self.stream_report),
         })
     }
@@ -735,7 +555,7 @@ impl ShardedState {
     /// order; any failure rolls already-swapped shards back before a
     /// single lock is released. All shards swap or none do.
     fn do_reload(&self, path: &str) -> Response {
-        let _serialized = self.fleet.reload_lock.lock();
+        let _serialized = self.reload_lock.lock();
         let model = match validate_off_thread(path) {
             Ok(m) => m,
             Err(msg) => {
@@ -746,9 +566,9 @@ impl ShardedState {
         let prefixes = model.prefixes().len();
         // The candidate's prefix set may differ from the serving one, so
         // the swap carries its own rebalanced map.
-        let map = Arc::new(ShardMap::build(&model, self.fleet.shards.len()));
+        let map = Arc::new(ShardMap::build(&model, self.shards.len()));
         let model = Arc::new(model);
-        let n = self.fleet.shards.len();
+        let n = self.shards.len();
         let generation = self.generation() + 1;
 
         // Phase 1: per-shard candidates, each probed on its own slice.
@@ -785,7 +605,7 @@ impl ShardedState {
         // order readers pin the fleet in, so no deadlock. A mid-loop
         // failure restores shards 0..id before any lock drops; readers
         // can never see a mix of generations.
-        let mut guards: Vec<_> = self.fleet.shards.iter().map(|s| s.epoch.write()).collect();
+        let mut guards: Vec<_> = self.shards.iter().map(|s| s.epoch.write()).collect();
         // The only swap-failure path is the injected one below, so the
         // rollback snapshot is only needed under the testkit feature.
         #[cfg(feature = "testkit")]
@@ -810,17 +630,9 @@ impl ShardedState {
         // still held: a failed swap above returns first, so the old map
         // stays with the old epochs. (Readers never hold the map lock
         // while taking an epoch lock, so this nesting cannot deadlock.)
-        *self.fleet.map.write() = map;
-        // A fleet swap gives every shard a brand-new epoch, so it also
-        // reinstates any quarantined shard: strikes cleared, healthy
-        // again. Published under the write locks, so no reader can see
-        // a healthy shard still holding a pre-swap epoch.
-        for shard in &self.fleet.shards {
-            shard.strikes.store(0, Ordering::Release);
-            shard.state.store(HEALTHY, Ordering::Release);
-        }
+        *self.map.write() = map;
         drop(guards);
-        self.fleet.metrics.reload_ok();
+        self.metrics.reload_ok();
         Response::Reload(ReloadReply {
             swapped: true,
             prefixes,
@@ -830,7 +642,7 @@ impl ShardedState {
     }
 
     fn reject_reload(&self, message: String) -> Response {
-        self.fleet.metrics.reload_failed();
+        self.metrics.reload_failed();
         Response::error(message)
     }
 }
@@ -989,7 +801,7 @@ mod tests {
         let owner = s.owner_of(p3);
         let line = format!(r#"{{"type":"predict","prefix":"{p3}","observer":1}}"#);
         assert!(matches!(s.handle_line(&line), Response::Predict(_)));
-        for (id, shard) in s.fleet.shards.iter().enumerate() {
+        for (id, shard) in s.shards.iter().enumerate() {
             let expected = u64::from(id == owner);
             assert_eq!(shard.requests.load(Ordering::Relaxed), expected);
         }
@@ -1258,19 +1070,6 @@ mod tests {
         assert_eq!(m.stream, Some(newer));
     }
 
-    /// Polls `pred` for up to `timeout`, for tests waiting on the
-    /// detached rebuild worker.
-    fn wait_until(timeout: Duration, mut pred: impl FnMut() -> bool) -> bool {
-        let start = Instant::now();
-        while start.elapsed() < timeout {
-            if pred() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        pred()
-    }
-
     #[test]
     fn health_reports_a_fresh_fleet_as_healthy() {
         for n in [1usize, 2] {
@@ -1278,12 +1077,10 @@ mod tests {
             let Response::Health(h) = s.dispatch(&Request::Health) else {
                 panic!("expected health reply");
             };
-            assert_eq!(h.status, "healthy");
             assert_eq!(h.generation, 0);
             assert_eq!(h.panics_caught, 0);
-            let shards = h.shards.expect("health lists the shard table");
+            let shards = h.shards;
             assert_eq!(shards.len(), n);
-            assert!(shards.iter().all(|sh| sh.state == "healthy"));
             assert!(shards.iter().all(|sh| sh.generation == 0));
             assert!(h.stream.is_none(), "no pipeline has reported in");
             // Push a stream report: health now carries its counters and age.
@@ -1305,55 +1102,6 @@ mod tests {
             assert_eq!(stream.catch_up_swaps, 1);
             assert!(stream.report_age_ms < 60_000);
         }
-    }
-
-    #[test]
-    fn quarantined_shard_is_rebuilt_and_reinstated_in_the_background() {
-        let s = ShardedState::new(model(), ServeConfig::default(), 2);
-        let p3 = Prefix::for_origin(Asn(3));
-        let victim = s.owner_of(p3);
-        let line = format!(r#"{{"type":"predict","prefix":"{p3}","observer":1}}"#);
-        let before = serde_json::to_string(&s.handle_line(&line)).unwrap();
-
-        assert!(s.quarantine_shard(victim), "healthy shard must quarantine");
-        assert_eq!(s.metrics().quarantines(), 1);
-        // The detached worker rebuilds a fresh epoch and reinstates the
-        // shard at the fleet generation.
-        assert!(
-            wait_until(Duration::from_secs(10), || {
-                s.shard_state(victim) == "healthy" && s.metrics().rebuilds() == 1
-            }),
-            "rebuild never reinstated the shard: state={}, rebuilds={}",
-            s.shard_state(victim),
-            s.metrics().rebuilds()
-        );
-        assert_eq!(s.generation(), 0, "a rebuild must not move the generation");
-        assert_eq!(s.metrics().rebuild_failures(), 0);
-        // The reinstated shard answers its slice byte-identically, from
-        // a fresh (cold) private cache.
-        let after = serde_json::to_string(&s.handle_line(&line)).unwrap();
-        assert_eq!(before, after, "reinstated shard diverged");
-        let Response::Health(h) = s.dispatch(&Request::Health) else {
-            panic!("expected health reply");
-        };
-        assert_eq!(h.status, "healthy");
-        assert_eq!(h.rebuilds, 1);
-    }
-
-    #[test]
-    fn quarantine_is_idempotent_while_degraded() {
-        // A shard with no owned prefixes still rebuilds (the probe is
-        // skipped); out-of-range ids are refused.
-        let s = ShardedState::new(model(), ServeConfig::default(), 2);
-        assert!(!s.quarantine_shard(99), "out-of-range shard id");
-        assert!(s.quarantine_shard(0));
-        // Whatever state the shard is in now (quarantined, rebuilding,
-        // or already healthy again), the counters saw exactly one trip
-        // so far.
-        assert_eq!(s.metrics().quarantines(), 1);
-        assert!(wait_until(Duration::from_secs(10), || {
-            s.shard_state(0) == "healthy"
-        }));
     }
 
     #[test]

@@ -53,21 +53,28 @@ fn reload_swaps_in_a_fresh_model() {
 }
 
 #[test]
-fn reload_accepts_a_legacy_bare_json_model() {
+fn reload_rejects_a_legacy_bare_json_model() {
     let dir = scratch("legacy");
     let replacement = tiny_trained(12).model;
     let path = dir.join("legacy.json");
     std::fs::write(&path, replacement.to_json().expect("serializes")).expect("write bare JSON");
 
     let state = ShardedState::new(toy_model(), ServeConfig::default(), 1);
+    let before = stats_of(&state);
     let resp = state.dispatch(&Request::Reload {
         path: path.to_str().unwrap().to_string(),
     });
-    assert!(
-        matches!(resp, Response::Reload(_)),
-        "pre-persist models must remain reloadable: {resp:?}"
-    );
-    assert_eq!(stats_of(&state).0, replacement.prefixes().len());
+    match resp {
+        Response::Error(e) => assert!(
+            e.message.contains("reload rejected; keeping current model")
+                && e.message.contains("corrupt artifact header at byte 0"),
+            "an unframed model must be refused: {}",
+            e.message
+        ),
+        other => panic!("want a rejection, got {other:?}"),
+    }
+    assert_eq!(stats_of(&state), before, "the old model keeps serving");
+    assert_eq!(state.metrics().reload_failures(), 1);
 }
 
 #[test]

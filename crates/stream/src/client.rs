@@ -206,8 +206,9 @@ impl ServeClient {
         }
     }
 
-    /// Probes the server's readiness: fleet status, per-shard states, and
-    /// the last stream heartbeat (this is what `quasar health` prints).
+    /// Probes the server's readiness: fleet generation, panic counters,
+    /// the per-shard table, and the last stream heartbeat (this is what
+    /// `quasar health` prints).
     pub fn health(&self) -> Result<HealthReply, StreamError> {
         match self.request(&Request::Health)? {
             Response::Health(h) => Ok(h),
@@ -382,13 +383,13 @@ mod tests {
     #[test]
     fn health_round_trip() {
         let reply = quasar_serve::protocol::HealthReply {
-            status: "healthy".into(),
             generation: 3,
             panics_caught: 0,
-            quarantines: 0,
-            rebuilds: 0,
-            rebuild_failures: 0,
-            shards: None,
+            shards: vec![quasar_serve::protocol::ShardHealth {
+                shard: 0,
+                generation: 3,
+                panics: 0,
+            }],
             stream: None,
         };
         let addr = canned(Response::Health(reply.clone()), "health");

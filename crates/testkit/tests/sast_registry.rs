@@ -2,7 +2,7 @@
 //! registry: every name the big fault-injection tests arm or clear must
 //! resolve to a real inject site somewhere in the workspace. This is the
 //! same reconciliation `quasar sast` (QS0003) performs over the whole
-//! repo, pinned here to the three suites that drive recovery drills so a
+//! repo, pinned here to the two suites that drive failpoint drills so a
 //! renamed site breaks loudly in the testkit job too.
 
 use quasar_lint::source::collect_workspace;
@@ -33,7 +33,6 @@ fn chaos_suite_failpoint_refs_are_a_subset_of_the_registry() {
     let sites = registry();
     let files = collect_workspace(&workspace_root()).expect("walk workspace");
     let suites = [
-        "crates/testkit/tests/recovery.rs",
         "crates/testkit/tests/streaming_failpoints.rs",
         "crates/testkit/tests/shard_chaos.rs",
     ];

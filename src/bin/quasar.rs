@@ -83,10 +83,10 @@ const COMMANDS: &[Command] = &[
         switches: &["--json"], values: &["--model", "--depeer", "--add-peering", "--filter"] },
     Command { name: "serve", form: None, run: cmd_serve, operands: Required,
         synopsis: "serve MODEL.json [--listen ADDR] [--workers N] [--max-sessions N] [--max-pending N] \
-                   [--deadline-ms MS] [--shards N] [--quarantine-after N] [--prewarm]",
+                   [--deadline-ms MS] [--shards N] [--prewarm]",
         switches: &["--prewarm"],
         values: &["--listen", "--workers", "--max-sessions", "--max-pending", "--deadline-ms",
-                  "--shards", "--quarantine-after"] },
+                  "--shards"] },
     Command { name: "query", form: None, run: cmd_query, operands: AddrAndLines,
         synopsis: "query ADDR JSON [JSON...]", switches: &[], values: &[] },
     Command { name: "health", form: None, run: cmd_health, operands: Required,
@@ -661,10 +661,10 @@ fn cmd_predict_model(a: &Args) {
 /// `--max-pending` bounds the accept queue (excess connections are shed
 /// with an `overloaded` reply), `--deadline-ms` caps per-request compute
 /// time (0 = unlimited), `--shards N` splits the prefixes over N shards
-/// (default 1, 0 = one per core), `--quarantine-after N` quarantines and
-/// rebuilds a shard after N panics (0 = never), and `--prewarm`
-/// simulates every prefix into the shard caches before the listener
-/// starts answering.
+/// (default 1, 0 = one per core), and `--prewarm` simulates every prefix
+/// into the shard caches before the listener starts answering. A panic
+/// while handling a request fails that request alone; its shard keeps
+/// serving.
 fn cmd_serve(a: &Args) {
     let listen = a.value("--listen").unwrap_or("127.0.0.1:0");
     let defaults = ServeConfig::default();
@@ -677,9 +677,6 @@ fn cmd_serve(a: &Args) {
             .get("--max-pending")
             .map_or(defaults.max_pending, |p: usize| p.max(1)),
         deadline_ms: a.get("--deadline-ms").unwrap_or(defaults.deadline_ms),
-        quarantine_threshold: a
-            .get("--quarantine-after")
-            .unwrap_or(defaults.quarantine_threshold),
     };
     // 0 = one shard per core. Replies are byte-identical at every count.
     let shards = match a.get("--shards").unwrap_or(1) {
@@ -774,18 +771,13 @@ fn cmd_stream_stats(a: &Args) {
     }
 }
 
-/// `health`: readiness probe printing the server's health reply (fleet
-/// and per-shard self-healing state, stream heartbeat) as one JSON line.
-/// Exit 0 when healthy, 1 when degraded (a shard is quarantined or
-/// rebuilding), 2 on usage errors, 3 when the server is unreachable.
+/// `health`: liveness and readiness probe printing the server's health
+/// reply (generation, panic counters, per-shard table, stream heartbeat)
+/// as one JSON line. Exit 0 when the server answers, 2 on usage errors,
+/// 3 when the server is unreachable.
 fn cmd_health(a: &Args) {
     match ServeClient::new(a.operands[0].clone()).health() {
-        Ok(health) => {
-            print_json(serde_json::to_string(&health));
-            if health.status != "healthy" {
-                exit(1);
-            }
-        }
+        Ok(health) => print_json(serde_json::to_string(&health)),
         Err(e) => {
             eprintln!("error: {e}");
             exit(3);

@@ -111,13 +111,17 @@ fn older_artifacts_load_and_resave_compact() {
         v1.len()
     );
 
-    // The same payload as bare JSON, from before the frame existed.
+    // The same payload as bare JSON, from before the frame existed, is
+    // refused: every load checks the frame.
     let newline = v1.iter().position(|&b| b == b'\n').expect("header line");
     let bare = scratch("bare.json");
     std::fs::write(&bare, &v1[newline + 1..]).expect("write bare JSON");
-    let loaded = load_model(&bare).expect("bare JSON loads");
+    let refused = load_model(&bare);
     let _ = std::fs::remove_file(&bare);
-    assert_eq!(saved_bytes(&loaded, "resaved-bare.quasar"), fresh);
+    assert!(
+        matches!(refused, Err(PersistError::BadHeader { offset: 0, .. })),
+        "bare JSON must be a bad header: {refused:?}"
+    );
 }
 
 fn pfx(i: u32) -> Prefix {
