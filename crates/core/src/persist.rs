@@ -220,15 +220,21 @@ impl PersistError {
     }
 
     /// A recovery hint suitable for CLI error output, when one applies.
+    /// A file with no `QUASAR1` header at all is not damaged but foreign
+    /// (or a bare-JSON model from before artifacts were framed), so it
+    /// gets its own hint.
     pub fn hint(&self) -> Option<&'static str> {
-        if self.is_corruption() {
-            Some(
+        match self {
+            PersistError::BadHeader { offset: 0, .. } => Some(
+                "the file is not a quasar artifact, or was written before artifacts \
+                 were framed; retrain the model with `quasar train`",
+            ),
+            e if e.is_corruption() => Some(
                 "the artifact is damaged; re-run `quasar train`, or resume an \
                  interrupted training run from its checkpoint directory with \
                  `quasar train ... --checkpoint-dir D --resume`",
-            )
-        } else {
-            None
+            ),
+            _ => None,
         }
     }
 

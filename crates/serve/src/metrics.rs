@@ -32,14 +32,12 @@ pub enum RequestKind {
     /// `stream_report` requests (a streaming pipeline publishing its
     /// per-window progress).
     StreamReport,
-    /// `health` (readiness) requests.
-    Health,
     /// Malformed or failed requests (answered with an error response).
     Error,
 }
 
 impl RequestKind {
-    const ALL: [RequestKind; 10] = [
+    const ALL: [RequestKind; 9] = [
         RequestKind::Predict,
         RequestKind::Diff,
         RequestKind::Explain,
@@ -48,7 +46,6 @@ impl RequestKind {
         RequestKind::Reload,
         RequestKind::Shutdown,
         RequestKind::StreamReport,
-        RequestKind::Health,
         RequestKind::Error,
     ];
 
@@ -63,7 +60,6 @@ impl RequestKind {
             RequestKind::Reload => "reload",
             RequestKind::Shutdown => "shutdown",
             RequestKind::StreamReport => "stream_report",
-            RequestKind::Health => "health",
             RequestKind::Error => "error",
         }
     }
@@ -78,8 +74,7 @@ impl RequestKind {
             RequestKind::Reload => 5,
             RequestKind::Shutdown => 6,
             RequestKind::StreamReport => 7,
-            RequestKind::Health => 8,
-            RequestKind::Error => 9,
+            RequestKind::Error => 8,
         }
     }
 }
@@ -231,7 +226,7 @@ pub struct StreamStatusReport {
 /// All server counters.
 #[derive(Default)]
 pub struct ServeMetrics {
-    per_kind: [LatencyHistogram; 10],
+    per_kind: [LatencyHistogram; 9],
     connections: AtomicU64,
     panics_caught: AtomicU64,
     shed: AtomicU64,
@@ -341,8 +336,9 @@ impl ServeMetrics {
             overlay_cache,
             active_sessions,
             stream,
+            stream_age_ms: None,
             generation: 0,
-            shards: None,
+            shards: Vec::new(),
         }
     }
 }
@@ -382,7 +378,7 @@ pub struct ShardSnapshot {
 pub struct MetricsSnapshot {
     /// Per-request-type latency histograms (`predict`, `diff`, `explain`,
     /// `stats`, `metrics`, `reload`, `shutdown`, `stream_report`,
-    /// `health`, `error`).
+    /// `error`).
     pub requests: Vec<(String, LatencySnapshot)>,
     /// Connections accepted since startup.
     pub connections: u64,
@@ -410,16 +406,18 @@ pub struct MetricsSnapshot {
     /// reported one (absent on servers that never received a report).
     #[serde(default)]
     pub stream: Option<StreamStatusReport>,
+    /// Milliseconds since `stream` was received: the staleness of the
+    /// pipeline's heartbeat, not of the data inside it. `Some` exactly
+    /// when `stream` is.
+    pub stream_age_ms: Option<u64>,
     /// Swap generation of the serving epoch (0 at process start, +1 per
     /// successful reload): the fleet-wide generation — one value across
     /// all shards, by construction of the coordinated swap.
     #[serde(default)]
     pub generation: u64,
     /// Per-shard counters, one entry per shard (a single entry on a
-    /// 1-shard server). `None` only on snapshots from servers predating
-    /// sharding.
-    #[serde(default)]
-    pub shards: Option<Vec<ShardSnapshot>>,
+    /// 1-shard server).
+    pub shards: Vec<ShardSnapshot>,
 }
 
 impl MetricsSnapshot {
@@ -469,12 +467,12 @@ mod tests {
         m.record(RequestKind::Diff, 1_000_000);
         m.connection_opened();
         let s = m.snapshot(CacheSnapshot::default(), CacheSnapshot::default(), 3, None);
-        assert_eq!(s.requests.len(), 10);
+        assert_eq!(s.requests.len(), 9);
         assert_eq!(s.for_kind("predict").unwrap().count, 2);
         assert_eq!(s.for_kind("diff").unwrap().count, 1);
         assert_eq!(s.for_kind("explain").unwrap().count, 0);
         assert_eq!(s.for_kind("stream_report").unwrap().count, 0);
-        assert_eq!(s.for_kind("health").unwrap().count, 0);
+        assert!(s.for_kind("health").is_none());
         assert_eq!(s.connections, 1);
         assert_eq!(s.active_sessions, 3);
         assert!(s.stream.is_none());

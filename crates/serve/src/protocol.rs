@@ -81,9 +81,6 @@ pub enum Request {
         /// The pipeline's cumulative status.
         report: StreamStatusReport,
     },
-    /// Readiness probe: fleet and per-shard self-healing state plus the
-    /// stream heartbeat, cheap enough to poll from scripts.
-    Health,
     /// Graceful shutdown: drain in-flight work, then exit.
     Shutdown,
 }
@@ -99,7 +96,6 @@ impl Request {
             Request::Metrics => RequestKind::Metrics,
             Request::Reload { .. } => RequestKind::Reload,
             Request::StreamReport { .. } => RequestKind::StreamReport,
-            Request::Health => RequestKind::Health,
             Request::Shutdown => RequestKind::Shutdown,
         }
     }
@@ -308,52 +304,6 @@ pub struct StreamReportReply {
     pub windows: u64,
 }
 
-/// One shard's row in a `health` reply.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardHealth {
-    /// Shard index (0-based, ascending prefix ranges).
-    pub shard: usize,
-    /// Swap generation of this shard's serving epoch.
-    pub generation: u64,
-    /// Dispatch panics caught on this shard since startup.
-    pub panics: u64,
-}
-
-/// Streaming-pipeline heartbeat, as reported in a `health` reply of a
-/// server that has received at least one `stream_report`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct StreamHealth {
-    /// Windows the pipeline has processed.
-    pub windows: u64,
-    /// Epochs successfully swapped in.
-    pub swaps: u64,
-    /// Swaps the server rejected.
-    pub swaps_rejected: u64,
-    /// Serve-tier outages the pipeline rode out.
-    pub serve_outages: u64,
-    /// Swaps that healed an outage by pushing the newest epoch.
-    pub catch_up_swaps: u64,
-    /// Whether the update source is exhausted.
-    pub source_done: bool,
-    /// Milliseconds since the report was received — the staleness (lag)
-    /// of this heartbeat, not of the data inside it.
-    pub report_age_ms: u64,
-}
-
-/// Answer to a `health` request: a liveness and readiness probe.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct HealthReply {
-    /// Swap generation of the whole fleet.
-    pub generation: u64,
-    /// Dispatch panics caught since startup.
-    pub panics_caught: u64,
-    /// One entry per shard (a single entry on a 1-shard server).
-    pub shards: Vec<ShardHealth>,
-    /// Stream heartbeat; `None` until a pipeline reports in.
-    #[serde(default)]
-    pub stream: Option<StreamHealth>,
-}
-
 /// Load-shed reply: the pending-connection queue was full, so the server
 /// answered immediately and closed the connection instead of queueing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -399,8 +349,6 @@ pub enum Response {
     Reload(ReloadReply),
     /// Answer to `stream_report`.
     StreamReport(StreamReportReply),
-    /// Answer to `health`.
-    Health(HealthReply),
     /// Answer to `shutdown`.
     Shutdown(ShutdownReply),
     /// Load-shed answer sent when the pending-connection queue is full.
@@ -683,7 +631,6 @@ impl Serialize for Request {
                 s.field("type", "stream_report");
                 s.field("report", report);
             }
-            Request::Health => s.field("type", "health"),
             Request::Shutdown => s.field("type", "shutdown"),
         }
         s.end_map();
@@ -715,7 +662,6 @@ impl<'de> Deserialize<'de> for Request {
             "stream_report" => Ok(Request::StreamReport {
                 report: f.req("report")?,
             }),
-            "health" => Ok(Request::Health),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(Error::msg(format!("unknown request type `{other}`"))),
         }
@@ -732,7 +678,6 @@ impl Response {
             Response::Metrics(_) => "metrics",
             Response::Reload(_) => "reload",
             Response::StreamReport(_) => "stream_report",
-            Response::Health(_) => "health",
             Response::Shutdown(_) => "shutdown",
             Response::Overloaded(_) => "overloaded",
             Response::DeadlineExceeded(_) => "deadline_exceeded",
@@ -754,7 +699,6 @@ impl Serialize for Response {
             Response::Metrics(r) => r.serialize(s),
             Response::Reload(r) => r.serialize(s),
             Response::StreamReport(r) => r.serialize(s),
-            Response::Health(r) => r.serialize(s),
             Response::Shutdown(r) => r.serialize(s),
             Response::Overloaded(r) => r.serialize(s),
             Response::DeadlineExceeded(r) => r.serialize(s),
@@ -779,7 +723,6 @@ impl<'de> Deserialize<'de> for Response {
             )?))),
             "reload" => Ok(Response::Reload(ReloadReply::deserialize(p)?)),
             "stream_report" => Ok(Response::StreamReport(StreamReportReply::deserialize(p)?)),
-            "health" => Ok(Response::Health(HealthReply::deserialize(p)?)),
             "shutdown" => Ok(Response::Shutdown(ShutdownReply::deserialize(p)?)),
             "overloaded" => Ok(Response::Overloaded(OverloadedReply::deserialize(p)?)),
             "deadline_exceeded" => Ok(Response::DeadlineExceeded(
@@ -855,7 +798,6 @@ mod tests {
                     }),
                 },
             },
-            Request::Health,
             Request::Shutdown,
         ];
         for req in reqs {
@@ -891,8 +833,6 @@ mod tests {
                 observed_path: None,
             }
         );
-        let req: Request = serde_json::from_str(r#"{"type":"health"}"#).unwrap();
-        assert_eq!(req, Request::Health);
         let req: Request = serde_json::from_str(
             r#"{"type":"diff","changes":[{"action":"depeer","a":10,"b":101}]}"#,
         )
@@ -976,31 +916,6 @@ mod tests {
             Response::StreamReport(StreamReportReply {
                 accepted: true,
                 windows: 7,
-            }),
-            Response::Health(HealthReply {
-                generation: 4,
-                panics_caught: 9,
-                shards: vec![
-                    ShardHealth {
-                        shard: 0,
-                        generation: 4,
-                        panics: 0,
-                    },
-                    ShardHealth {
-                        shard: 1,
-                        generation: 4,
-                        panics: 9,
-                    },
-                ],
-                stream: Some(StreamHealth {
-                    windows: 12,
-                    swaps: 10,
-                    swaps_rejected: 1,
-                    serve_outages: 1,
-                    catch_up_swaps: 1,
-                    source_done: false,
-                    report_age_ms: 250,
-                }),
             }),
             Response::Shutdown(ShutdownReply { draining: true }),
             Response::Overloaded(OverloadedReply { retry_after_ms: 50 }),

@@ -21,10 +21,10 @@
 //! proves N shards answer byte-identically to one.
 
 use crate::cache::SteadyStateCache;
-use crate::metrics::{RequestKind, StreamStatusReport};
+use crate::metrics::RequestKind;
 use crate::protocol::{
     diff_reply, explain_reply, predict_reply, ChangeSpec, DeadlineExceededReply, OverloadedReply,
-    Response, StreamHealth,
+    Response,
 };
 use crate::session::SessionStore;
 use crate::shard::ShardedState;
@@ -456,22 +456,6 @@ fn shed_connection(mut stream: TcpStream, pending: usize, workers: usize) {
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     let _ = stream.write_all(out.as_bytes());
     let _ = stream.flush();
-}
-
-/// Maps the last pushed stream status (if any) into the `health` reply's
-/// stream section, stamping how stale the report is.
-pub(crate) fn stream_health(
-    report: &parking_lot::Mutex<Option<(StreamStatusReport, Instant)>>,
-) -> Option<StreamHealth> {
-    report.lock().as_ref().map(|(r, at)| StreamHealth {
-        windows: r.windows,
-        swaps: r.swaps,
-        swaps_rejected: r.swaps_rejected,
-        serve_outages: r.serve_outages,
-        catch_up_swaps: r.catch_up_swaps,
-        source_done: r.source_done,
-        report_age_ms: at.elapsed().as_millis() as u64,
-    })
 }
 
 /// One worker: pull connections off the queue until shutdown, then exit.

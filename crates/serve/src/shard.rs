@@ -48,11 +48,11 @@
 use crate::cache::CacheSnapshot;
 use crate::metrics::{RequestKind, ServeMetrics, ShardSnapshot, StreamStatusReport};
 use crate::protocol::{
-    diff_reply, stats_reply, DiffReply, HealthReply, ReloadReply, Request, Response, ShardHealth,
-    ShutdownReply, StreamReportReply,
+    diff_reply, stats_reply, DiffReply, ReloadReply, Request, Response, ShutdownReply,
+    StreamReportReply,
 };
 use crate::server::{
-    diff_on, explain_on, parse_changes, predict_on, prewarm_epoch, resolve_targets, stream_health,
+    diff_on, explain_on, parse_changes, predict_on, prewarm_epoch, resolve_targets,
     validate_off_thread, Deadline, ModelEpoch, ServeConfig,
 };
 use crate::session::scenario_key;
@@ -157,7 +157,7 @@ pub struct ShardedState {
     /// would race on the generation number.
     reload_lock: parking_lot::Mutex<()>,
     /// The latest accepted stream report plus its wall-clock receipt
-    /// time, so `health` can report the heartbeat's age (lag).
+    /// time, so `metrics` can report the heartbeat's age (lag).
     stream_report: parking_lot::Mutex<Option<(StreamStatusReport, Instant)>>,
     shutdown: AtomicBool,
 }
@@ -346,7 +346,6 @@ impl ShardedState {
                     windows,
                 })
             }
-            Request::Health => self.do_health(),
             Request::Shutdown => {
                 self.request_shutdown();
                 Response::Shutdown(ShutdownReply { draining: true })
@@ -475,8 +474,8 @@ impl ShardedState {
     }
 
     /// The `metrics` reply: front-end totals, cache counters summed over
-    /// the fleet snapshot, the fleet generation, and one
-    /// [`ShardSnapshot`] per shard.
+    /// the fleet snapshot, the last stream report with its age, the
+    /// fleet generation, and one [`ShardSnapshot`] per shard.
     fn do_metrics(&self) -> Response {
         let map = self.pin_map();
         let epochs = self.pin_fleet();
@@ -488,62 +487,37 @@ impl ShardedState {
             add_cache(&mut overlay, e.sessions.overlay_snapshot());
             sessions += e.sessions.len();
         }
-        let mut snap = self.metrics.snapshot(
-            base,
-            overlay,
-            sessions,
-            self.stream_report.lock().as_ref().map(|(r, _)| r.clone()),
-        );
+        let (stream, stream_age_ms) = match &*self.stream_report.lock() {
+            Some((r, at)) => (Some(r.clone()), Some(at.elapsed().as_millis() as u64)),
+            None => (None, None),
+        };
+        let mut snap = self.metrics.snapshot(base, overlay, sessions, stream);
+        snap.stream_age_ms = stream_age_ms;
         snap.generation = epochs[0].generation;
-        snap.shards = Some(
-            self.shards
-                .iter()
-                .zip(&epochs)
-                .enumerate()
-                .map(|(id, (shard, epoch))| ShardSnapshot {
-                    shard: id,
-                    prefixes: epoch
-                        .model
-                        .prefixes()
-                        .keys()
-                        .filter(|&&p| map.shard_of(p) == id)
-                        .count(),
-                    requests: shard.requests.load(Ordering::Relaxed),
-                    errors: shard.errors.load(Ordering::Relaxed),
-                    panics_caught: shard.panics.load(Ordering::Relaxed),
-                    deadline_exceeded: shard.deadline_exceeded.load(Ordering::Relaxed),
-                    generation: epoch.generation,
-                    base_cache: epoch.base_cache.snapshot(),
-                    overlay_cache: epoch.sessions.overlay_snapshot(),
-                    active_sessions: epoch.sessions.len(),
-                })
-                .collect(),
-        );
-        Response::Metrics(Box::new(snap))
-    }
-
-    /// The `health` reply, a liveness and readiness probe: the fleet
-    /// generation, panic counters, one row per shard, and the stream
-    /// heartbeat with its age.
-    fn do_health(&self) -> Response {
-        let epochs = self.pin_fleet();
-        let shards = self
+        snap.shards = self
             .shards
             .iter()
             .zip(&epochs)
             .enumerate()
-            .map(|(id, (shard, epoch))| ShardHealth {
+            .map(|(id, (shard, epoch))| ShardSnapshot {
                 shard: id,
+                prefixes: epoch
+                    .model
+                    .prefixes()
+                    .keys()
+                    .filter(|&&p| map.shard_of(p) == id)
+                    .count(),
+                requests: shard.requests.load(Ordering::Relaxed),
+                errors: shard.errors.load(Ordering::Relaxed),
+                panics_caught: shard.panics.load(Ordering::Relaxed),
+                deadline_exceeded: shard.deadline_exceeded.load(Ordering::Relaxed),
                 generation: epoch.generation,
-                panics: shard.panics.load(Ordering::Relaxed),
+                base_cache: epoch.base_cache.snapshot(),
+                overlay_cache: epoch.sessions.overlay_snapshot(),
+                active_sessions: epoch.sessions.len(),
             })
             .collect();
-        Response::Health(HealthReply {
-            generation: epochs[0].generation,
-            panics_caught: self.metrics.panics_caught(),
-            shards,
-            stream: stream_health(&self.stream_report),
-        })
+        Response::Metrics(Box::new(snap))
     }
 
     /// The coordinated two-phase swap. Phase 0 validates the artifact
@@ -823,7 +797,7 @@ mod tests {
             panic!("expected metrics reply");
         };
         assert_eq!(m.generation, 0);
-        let shards = m.shards.expect("sharded metrics must list shards");
+        let shards = &m.shards;
         assert_eq!(shards.len(), 4);
         assert_eq!(shards.iter().map(|s| s.prefixes).sum::<usize>(), 2);
         assert_eq!(shards.iter().map(|s| s.requests).sum::<u64>(), 1);
@@ -1006,9 +980,8 @@ mod tests {
         };
         assert_eq!(m.for_kind("stats").unwrap().count, 1);
         assert_eq!(m.generation, 0);
-        let shards = m.shards.expect("a one-entry shard table");
-        assert_eq!(shards.len(), 1);
-        assert_eq!(shards[0].prefixes, 2);
+        assert_eq!(m.shards.len(), 1);
+        assert_eq!(m.shards[0].prefixes, 2);
         assert!(!s.shutting_down());
         let Response::Shutdown(sd) = s.handle_line(r#"{"type":"shutdown"}"#) else {
             panic!("expected shutdown reply");
@@ -1074,16 +1047,18 @@ mod tests {
     fn health_reports_a_fresh_fleet_as_healthy() {
         for n in [1usize, 2] {
             let s = ShardedState::new(model(), ServeConfig::default(), n);
-            let Response::Health(h) = s.dispatch(&Request::Health) else {
-                panic!("expected health reply");
+            // A fresh fleet: generation 0 everywhere, no panics, and no
+            // stream status until a pipeline reports in.
+            let Response::Metrics(m) = s.dispatch(&Request::Metrics) else {
+                panic!("expected metrics reply");
             };
-            assert_eq!(h.generation, 0);
-            assert_eq!(h.panics_caught, 0);
-            let shards = h.shards;
-            assert_eq!(shards.len(), n);
-            assert!(shards.iter().all(|sh| sh.generation == 0));
-            assert!(h.stream.is_none(), "no pipeline has reported in");
-            // Push a stream report: health now carries its counters and age.
+            assert_eq!(m.generation, 0);
+            assert_eq!(m.panics_caught, 0);
+            assert_eq!(m.shards.len(), n);
+            assert!(m.shards.iter().all(|sh| sh.generation == 0));
+            assert!(m.stream.is_none(), "no pipeline has reported in");
+            assert!(m.stream_age_ms.is_none());
+            // Push a stream report: metrics now carries its counters and age.
             let report = StreamStatusReport {
                 windows: 3,
                 swaps: 2,
@@ -1093,15 +1068,28 @@ mod tests {
             };
             let req = serde_json::to_string(&Request::StreamReport { report }).unwrap();
             assert!(matches!(s.handle_line(&req), Response::StreamReport(_)));
-            let Response::Health(h) = s.handle_line(r#"{"type":"health"}"#) else {
-                panic!("expected health reply");
+            let Response::Metrics(m) = s.handle_line(r#"{"type":"metrics"}"#) else {
+                panic!("expected metrics reply");
             };
-            let stream = h.stream.expect("stream section after a report");
+            let stream = m.stream.expect("stream status after a report");
             assert_eq!(stream.windows, 3);
             assert_eq!(stream.serve_outages, 1);
             assert_eq!(stream.catch_up_swaps, 1);
-            assert!(stream.report_age_ms < 60_000);
+            assert!(m.stream_age_ms.expect("heartbeat age after a report") < 60_000);
         }
+    }
+
+    #[test]
+    fn health_is_an_unknown_request_type() {
+        let s = one_shard();
+        let Response::Error(e) = s.handle_line(r#"{"type": "health"}"#) else {
+            panic!("expected an error reply");
+        };
+        assert!(
+            e.message.contains("unknown request type `health`"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

@@ -126,13 +126,13 @@ fn connection_read_fault_drops_the_peer_and_recovers() {
 
     fail::set("serve.conn.read", "once:error");
     // The injected peer-reset lands after the read; the connection dies
-    // without a reply (an empty line counts — EOF before any response).
-    match ask(addr, r#"{"type":"stats"}"#) {
-        Ok(line) => assert!(
+    // without a reply (an empty line counts — EOF before any response; a
+    // connection error surfaced to the client is also fine).
+    if let Ok(line) = ask(addr, r#"{"type":"stats"}"#) {
+        assert!(
             line.is_empty(),
             "a reset connection must not produce a reply: {line}"
-        ),
-        Err(_) => {} // connection error surfaced to the client: also fine
+        );
     }
 
     fail::clear_all();
@@ -155,12 +155,11 @@ fn connection_write_fault_loses_the_reply_but_not_the_server() {
     let (_state, addr, server) = start_server();
 
     fail::set("serve.conn.write", "once:error");
-    match ask(addr, r#"{"type":"stats"}"#) {
-        Ok(line) => assert!(
+    if let Ok(line) = ask(addr, r#"{"type":"stats"}"#) {
+        assert!(
             line.is_empty(),
             "a vanished-client write fault must not deliver a reply: {line}"
-        ),
-        Err(_) => {}
+        );
     }
 
     fail::clear_all();

@@ -25,7 +25,7 @@
 use crate::StreamError;
 use quasar_core::backoff::{splitmix64, Backoff};
 use quasar_serve::metrics::{MetricsSnapshot, StreamStatusReport};
-use quasar_serve::protocol::{HealthReply, ReloadReply, Request, Response};
+use quasar_serve::protocol::{ReloadReply, Request, Response};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
@@ -191,8 +191,9 @@ impl ServeClient {
         }
     }
 
-    /// Fetches the server's metrics snapshot (which carries the last
-    /// accepted stream status — this is what `quasar stream-stats` prints).
+    /// Fetches the server's metrics snapshot: fleet generation, panic
+    /// counters, the per-shard table, and the last accepted stream status
+    /// with its age (this is what `quasar health` prints).
     pub fn metrics(&self) -> Result<MetricsSnapshot, StreamError> {
         match self.request(&Request::Metrics)? {
             Response::Metrics(m) => Ok(*m),
@@ -202,22 +203,6 @@ impl ServeClient {
             ))),
             other => Err(StreamError::Serve(format!(
                 "unexpected reply to metrics: {other:?}"
-            ))),
-        }
-    }
-
-    /// Probes the server's readiness: fleet generation, panic counters,
-    /// the per-shard table, and the last stream heartbeat (this is what
-    /// `quasar health` prints).
-    pub fn health(&self) -> Result<HealthReply, StreamError> {
-        match self.request(&Request::Health)? {
-            Response::Health(h) => Ok(h),
-            Response::Error(e) => Err(StreamError::Serve(format!(
-                "health request failed: {}",
-                e.message
-            ))),
-            other => Err(StreamError::Serve(format!(
-                "unexpected reply to health: {other:?}"
             ))),
         }
     }
@@ -381,19 +366,25 @@ mod tests {
     }
 
     #[test]
-    fn health_round_trip() {
-        let reply = quasar_serve::protocol::HealthReply {
+    fn metrics_round_trip() {
+        use quasar_serve::metrics::{MetricsSnapshot, ShardSnapshot};
+        let reply = MetricsSnapshot {
             generation: 3,
-            panics_caught: 0,
-            shards: vec![quasar_serve::protocol::ShardHealth {
+            shards: vec![ShardSnapshot {
                 shard: 0,
                 generation: 3,
-                panics: 0,
+                ..ShardSnapshot::default()
             }],
-            stream: None,
+            stream: Some(StreamStatusReport {
+                windows: 2,
+                source_done: true,
+                ..StreamStatusReport::default()
+            }),
+            stream_age_ms: Some(250),
+            ..MetricsSnapshot::default()
         };
-        let addr = canned(Response::Health(reply.clone()), "health");
-        let got = ServeClient::new(addr).health().unwrap();
+        let addr = canned(Response::Metrics(Box::new(reply.clone())), "metrics");
+        let got = ServeClient::new(addr).metrics().unwrap();
         assert_eq!(got, reply);
     }
 

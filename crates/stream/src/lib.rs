@@ -39,8 +39,8 @@
 //!
 //! Per-window metrics (updates parsed, prefixes dirtied, refine wall
 //! time, swap latency) are pushed to the server via the `stream_report`
-//! request — `quasar stream-stats ADDR` reads them back — and summarized
-//! in a final JSON report.
+//! request — the `"stream"` object of `quasar health ADDR` reads them
+//! back — and summarized in a final JSON report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

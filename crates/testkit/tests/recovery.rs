@@ -3,45 +3,25 @@
 //! exactly one outage, keep training and persisting through it, land a
 //! catch-up swap on recovery, and leave the replica serving an epoch
 //! byte-identical to an uninterrupted run (== the offline full
-//! retrain), with `health` over the wire reporting the caught-up
+//! retrain), with `metrics` over the wire reporting the caught-up
 //! generation and the outage history.
 //!
-//! Run with `cargo test -p quasar-testkit --features testkit`.
-
-#![cfg(feature = "testkit")]
+//! The drill arms no failpoint: a graceful shutdown is the outage, so it
+//! runs under a plain `cargo test -p quasar-testkit`.
 
 use quasar_core::persist::load_model;
-use quasar_serve::protocol::{HealthReply, Response};
+use quasar_serve::metrics::MetricsSnapshot;
+use quasar_serve::protocol::Response;
 use quasar_serve::server::{serve, ServeConfig};
 use quasar_serve::shard::ShardedState;
 use quasar_stream::prelude::*;
 use quasar_testkit::diff::{ask, reply_line};
-use quasar_testkit::fail;
 use quasar_testkit::prelude::*;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// The failpoint registry is process-global; every test serializes on
-/// this lock and disarms on exit so arm/fire sequences cannot
-/// interleave.
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-struct Armed<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-fn armed(seed: u64) -> Armed<'static> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    fail::reset(seed);
-    Armed(guard)
-}
-
-impl Drop for Armed<'_> {
-    fn drop(&mut self) {
-        fail::clear_all();
-    }
-}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("quasar-recovery-{tag}-{}", std::process::id()));
@@ -50,12 +30,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The health reply of a live server, over the wire.
-fn health_over_wire(addr: SocketAddr) -> HealthReply {
-    let line = ask(addr, r#"{"type":"health"}"#).expect("health round trip");
+/// The metrics reply of a live server, over the wire.
+fn metrics_over_wire(addr: SocketAddr) -> MetricsSnapshot {
+    let line = ask(addr, r#"{"type":"metrics"}"#).expect("metrics round trip");
     match serde_json::from_str::<Response>(&line) {
-        Ok(Response::Health(h)) => h,
-        other => panic!("want a health reply, got {other:?} from {line}"),
+        Ok(Response::Metrics(m)) => *m,
+        other => panic!("want a metrics reply, got {other:?} from {line}"),
     }
 }
 
@@ -78,7 +58,6 @@ fn rebind(addr: SocketAddr) -> TcpListener {
 
 #[test]
 fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
-    let _armed = armed(51);
     let scenario = transition_scenario(90, 6);
     let dir = scratch("outage");
 
@@ -106,7 +85,7 @@ fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
 
     // Replica #1: a sharded fleet on the before-set model.
     full_retrain_artifact(&dataset_of(&scenario.before), 1, &dir.join("before.quasar"));
-    let before_model = load_model(&dir.join("before.quasar")).expect("before model");
+    let before_model = load_model(dir.join("before.quasar")).expect("before model");
     let state1 = Arc::new(ShardedState::new(
         before_model.clone(),
         ServeConfig::default(),
@@ -134,8 +113,8 @@ fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
     pipeline.process_window(&windows[0]).expect("window 0");
     assert_eq!(pipeline.status().swaps, 1, "first epoch must swap");
     assert_eq!(pipeline.status().serve_outages, 0);
-    let h = health_over_wire(addr);
-    assert_eq!(h.generation, 1);
+    let m = metrics_over_wire(addr);
+    assert_eq!(m.generation, 1);
 
     // Phase 2: the replica dies. Training and persistence continue;
     // the outage is counted once, however many windows it spans.
@@ -188,7 +167,7 @@ fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
         got, want,
         "post-outage epoch must be byte-identical to the offline retrain"
     );
-    let final_model = load_model(&dir.join("model.quasar")).expect("final model");
+    let final_model = load_model(dir.join("model.quasar")).expect("final model");
     let oneshot = ShardedState::new(final_model, ServeConfig::default(), 1);
     for p in scenario.dirty.iter().take(3) {
         let observer = scenario.before[0].observer_as.0;
@@ -201,12 +180,12 @@ fn serve_outage_mid_stream_recovers_with_a_byte_identical_catch_up_swap() {
         );
     }
 
-    // And the wire-visible health tells the whole story: the fleet at
-    // the caught-up generation, with the stream heartbeat carrying the
+    // And the wire-visible metrics tell the whole story: the fleet at
+    // the caught-up generation, with the stream status carrying the
     // outage history.
-    let h = health_over_wire(addr);
-    assert_eq!(h.generation, 1);
-    let stream = h.stream.expect("the pipeline reported after catch-up");
+    let m = metrics_over_wire(addr);
+    assert_eq!(m.generation, 1);
+    let stream = m.stream.expect("the pipeline reported after catch-up");
     assert_eq!(stream.serve_outages, 1);
     assert_eq!(stream.catch_up_swaps, 1);
 

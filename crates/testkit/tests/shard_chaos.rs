@@ -70,9 +70,8 @@ fn fleet_metrics(state: &ShardedState) -> quasar_serve::metrics::MetricsSnapshot
 fn assert_one_generation(state: &ShardedState, generation: u64, context: &str) {
     let m = fleet_metrics(state);
     assert_eq!(m.generation, generation, "{context}: fleet generation");
-    let shards = m.shards.expect("sharded metrics carry the shard table");
-    assert_eq!(shards.len(), state.shards());
-    for s in &shards {
+    assert_eq!(m.shards.len(), state.shards());
+    for s in &m.shards {
         assert_eq!(
             s.generation, generation,
             "{context}: shard {} reports a torn generation (fleet at {generation})",
@@ -197,7 +196,7 @@ fn stream_pipeline_counts_a_refused_fleet_swap_as_rejected() {
 
     // A live *sharded* server on the before-set model.
     full_retrain_artifact(&dataset_of(&scenario.before), 1, &dir.join("before.quasar"));
-    let before_model = load_model(&dir.join("before.quasar")).expect("before model");
+    let before_model = load_model(dir.join("before.quasar")).expect("before model");
     let state = Arc::new(ShardedState::new(before_model, ServeConfig::default(), 2));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -435,8 +434,7 @@ fn shard_panic_mid_soak_poisons_only_the_owning_slice() {
     // shard; every other shard's panic counter is zero.
     let m = fleet_metrics(&state);
     assert!(m.panics_caught > 0, "panics must be caught, not fatal");
-    let shards = m.shards.expect("sharded metrics carry the shard table");
-    for s in &shards {
+    for s in &m.shards {
         if s.shard == victim {
             assert_eq!(s.panics_caught, m.panics_caught, "all panics on the victim");
         } else {

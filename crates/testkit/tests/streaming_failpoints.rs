@@ -140,7 +140,7 @@ fn rejected_reloads_leave_the_old_model_serving() {
 
     // Live server on the before-set model.
     full_retrain_artifact(&dataset_of(&scenario.before), 1, &dir.join("before.quasar"));
-    let before_model = load_model(&dir.join("before.quasar")).expect("before model");
+    let before_model = load_model(dir.join("before.quasar")).expect("before model");
     let state = Arc::new(ShardedState::new(before_model, ServeConfig::default(), 1));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");

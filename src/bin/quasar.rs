@@ -97,8 +97,6 @@ const COMMANDS: &[Command] = &[
         switches: &["--follow"],
         values: &["--updates", "--model", "--serve", "--window-ms", "--max-window", "--idle-ms",
                   "--state", "--threads", "--max-retries"] },
-    Command { name: "stream-stats", form: None, run: cmd_stream_stats, operands: Required,
-        synopsis: "stream-stats ADDR", switches: &[], values: &[] },
     Command { name: "lint", form: None, run: cmd_lint, operands: Required,
         synopsis: "lint MODEL.json [--json] [--deny warn|error]",
         switches: &["--json"], values: &["--deny"] },
@@ -759,25 +757,14 @@ fn cmd_stream(a: &Args) {
     }
 }
 
-/// `stream-stats`: the streaming status a pipeline last pushed to the
-/// server at ADDR, as one JSON line; fails if none arrived yet.
-fn cmd_stream_stats(a: &Args) {
-    let metrics = ServeClient::new(a.operands[0].clone())
-        .metrics()
-        .unwrap_or_else(|e| die(e));
-    match metrics.stream {
-        Some(status) => print_json(serde_json::to_string(&status)),
-        None => die("no streaming pipeline has reported to this server yet"),
-    }
-}
-
-/// `health`: liveness and readiness probe printing the server's health
-/// reply (generation, panic counters, per-shard table, stream heartbeat)
-/// as one JSON line. Exit 0 when the server answers, 2 on usage errors,
-/// 3 when the server is unreachable.
+/// `health`: liveness and readiness probe printing the server's `metrics`
+/// reply (generation, panic counters, per-shard table, and the last
+/// stream report under `"stream"` with its age) as one JSON line. Exit 0
+/// when the server answers, 2 on usage errors, 3 when the server is
+/// unreachable.
 fn cmd_health(a: &Args) {
-    match ServeClient::new(a.operands[0].clone()).health() {
-        Ok(health) => print_json(serde_json::to_string(&health)),
+    match ServeClient::new(a.operands[0].clone()).metrics() {
+        Ok(metrics) => print_json(serde_json::to_string(&metrics)),
         Err(e) => {
             eprintln!("error: {e}");
             exit(3);

@@ -1,12 +1,15 @@
 //! End-to-end CLI test: generate → analyze → train → whatif → stable, all
 //! through the real binary, exchanging real files; plus the strict
-//! argument parser's exit-2 contract, the exit-code contract of `lint`
-//! and `sast`, and the repository's own source audit.
+//! argument parser's exit-2 contract, the exit-code contracts of `lint`,
+//! `sast` and `health`, and the repository's own source audit.
 
 use quasar::model::persist::{load_model, save_model};
+use quasar::serve::metrics::MetricsSnapshot;
 use quasar_testkit::defects::DefectClass;
+use quasar_testkit::workload::toy_model;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
 
 fn quasar() -> Command {
     Command::new(env!("CARGO_BIN_EXE_quasar"))
@@ -350,8 +353,30 @@ fn serve_on_corrupt_model_names_offset_and_hint() {
     assert!(err.contains("hint:"), "{err}");
     let _ = std::fs::remove_file(&flipped);
 
-    // Truncate the framed artifact mid-payload.
+    // The bare JSON payload, as builds before framed artifacts wrote a
+    // model, is refused with a retrain hint: it is not damaged.
+    let bare = tmp("corrupt-bare.json");
     let bytes = std::fs::read(&model).unwrap();
+    let payload = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    std::fs::write(&bare, &bytes[payload..]).unwrap();
+    let out = quasar()
+        .args(["serve", bare.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("at byte 0"), "{err}");
+    assert!(
+        err.contains("quasar train"),
+        "must hint at retraining: {err}"
+    );
+    assert!(
+        !err.contains("damaged"),
+        "a bare model is not damaged: {err}"
+    );
+    let _ = std::fs::remove_file(&bare);
+
+    // Truncate the framed artifact mid-payload.
     std::fs::write(&model, &bytes[..bytes.len() / 3]).unwrap();
 
     let out = quasar()
@@ -368,6 +393,58 @@ fn serve_on_corrupt_model_names_offset_and_hint() {
 
     let _ = std::fs::remove_file(&feeds);
     let _ = std::fs::remove_file(PathBuf::from(format!("{}.updates.mrt", feeds.display())));
+    let _ = std::fs::remove_file(&model);
+}
+
+/// A `quasar serve` child process, killed when dropped so a failing
+/// assertion cannot leak it.
+struct Server(Child);
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn health_exit_codes_follow_the_readiness_contract() {
+    // Nothing listens on the discard port: unreachable is exit 3.
+    let out = run(&["health", "127.0.0.1:9"]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    // `health` prints the `metrics` reply, so the retired stream-status
+    // subcommand is an unknown one (its name is assembled so that a
+    // search for leftovers of it finds only this check).
+    let out = run(&[concat!("stream", "-stats"), "X"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+
+    // A live two-shard server answers with one JSON line.
+    let model = tmp("health.model");
+    save_model(&model, &toy_model()).unwrap();
+    let mut server = Server(
+        quasar()
+            .args(["serve", model.to_str().unwrap(), "--shards", "2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("binary runs"),
+    );
+    let mut addr_line = String::new();
+    BufReader::new(server.0.stdout.take().unwrap())
+        .read_line(&mut addr_line)
+        .unwrap();
+    let addr = addr_line
+        .trim()
+        .strip_prefix("quasar-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected address line: {addr_line:?}"));
+    let out = run(&["health", addr]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(stdout.lines().count(), 1, "{stdout}");
+    assert!(stdout.contains(r#""generation":0"#), "{stdout}");
+    let metrics: MetricsSnapshot = serde_json::from_str(stdout.trim()).unwrap();
+    assert_eq!(metrics.shards.len(), 2, "{stdout}");
+    drop(server);
     let _ = std::fs::remove_file(&model);
 }
 
@@ -579,7 +656,6 @@ fn every_subcommand_rejects_bad_arguments_before_touching_files() {
         &["query", "127.0.0.1:9", r#"{"type":"stats"}"#],
         &["health", "127.0.0.1:9"],
         &["stream", "--updates", f, "--model", f],
-        &["stream-stats", "127.0.0.1:9"],
         &["lint", f],
         &["sast"],
         &["repro", "--exp", "fig2", "--scale", "tiny", "--csv", f],

@@ -233,8 +233,7 @@ fn serve_flow(model: &Path, extra: &[&str], shards: usize) {
     else {
         panic!("expected metrics reply")
     };
-    let table = m.shards.as_ref().expect("metrics carry the shard table");
-    assert_eq!(table.len(), shards, "shard table for {extra:?}");
+    assert_eq!(m.shards.len(), shards, "shard table for {extra:?}");
     assert_eq!(
         m.active_sessions, shards,
         "one what-if scenario resident per shard"
