@@ -26,8 +26,8 @@
 //! * **Hot-potato input**: routes received over iBGP are costed with the
 //!   IGP distance from the receiver to the announcing border router.
 //!
-//! Allocation: a run on a warm [`SimScratch`] allocates only for what its
-//! result hands back and for new paths.
+//! Allocation: a run on a laid-out [`SimScratch`] allocates only for what
+//! its result hands back and for new paths.
 //! * An activation picks its winner over borrowed candidates without
 //!   allocating (`decision::best_of`) and clones the winner only when it
 //!   changed.
@@ -35,11 +35,22 @@
 //!   prepended once and the shared path goes out over every eBGP session
 //!   of the fan-out, since export policies never rewrite the path.
 //! * Import runs the policy chain on the update it already owns.
-//! * The result takes the converged candidates out of the scratch instead
-//!   of cloning them, and records only each router's winner; the full
-//!   decision outcome is computed when first asked for
+//! * A plain run moves the converged candidates out of the scratch into
+//!   its result instead of cloning them, and records only each router's
+//!   winner; the full decision outcome is computed when first asked for
 //!   ([`RouterRib::outcome`]). The scratch is reused only for the
 //!   adjacency it was laid out for (see [`SimScratch`]).
+//!
+//! Warm start: a run through [`Network::simulate_kept`] or
+//! [`Network::resimulate`] leaves its converged per-slot state in the
+//! scratch and clones the candidates (the paths are shared `Arc`s) into
+//! its result. [`Network::resimulate`] then re-converges the same prefix
+//! on the same adjacency after a policy edit: it re-exports over the
+//! directed sessions whose policies changed and runs the same
+//! Gauss-Seidel loop, under the same `engine.simulate` failpoint and
+//! message budget, rebuilding only the RIBs of the routers it activated.
+//! It equals a cold run only where the stable state is unique; the
+//! contract is on [`Network::resimulate`].
 
 use crate::aspath::AsPath;
 use crate::decision::{best_of, decide, DecisionConfig, DecisionOutcome};
@@ -48,6 +59,7 @@ use crate::network::{Network, SessionKind};
 use crate::route::{LearnedVia, Route, DEFAULT_LOCAL_PREF, NO_ADVERTISE, NO_EXPORT};
 use crate::types::{Prefix, RouterId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One propagation event, recorded by [`Network::simulate_traced`].
@@ -91,6 +103,12 @@ pub struct SimStats {
     pub suppressed: u64,
     /// High-water mark of the message queue.
     pub peak_queue: usize,
+    /// Router activations (inbox drains followed by a decision). A warm
+    /// run rebuilds the RIBs of the routers it activated, no others.
+    pub activations: u64,
+    /// Whether the run started from a kept steady state
+    /// ([`Network::resimulate`]) rather than from empty RIBs.
+    pub warm: bool,
 }
 
 /// Final state of one router after convergence.
@@ -172,6 +190,9 @@ pub struct SimulationResult {
     ribs: Vec<RouterRib>,
     /// Run counters.
     pub stats: SimStats,
+    /// The id of the run that produced this result, when a scratch kept
+    /// its converged state for [`Network::resimulate`].
+    run: Option<u64>,
 }
 
 impl SimulationResult {
@@ -200,11 +221,17 @@ impl SimulationResult {
 /// `Network::adj`, compared in O(sessions) per run), not on router and
 /// session counts: two networks of equal counts can wire their sessions
 /// differently, and a slot table sized for one would index out of bounds
-/// in the other. [`Network::simulate_with`] moves the converged candidate
-/// routes out of these buffers into its result, which the next run's
-/// reset would discard anyway. Refinement workers keep one scratch each
-/// across all the prefix simulations they execute — the dominant
-/// allocation saving of the sharded refinement scheduler.
+/// in the other. Refinement workers keep one scratch each across all the
+/// prefix simulations they execute — the dominant allocation saving of the
+/// sharded refinement scheduler.
+///
+/// The scratch also holds state between runs. [`Network::simulate_with`]
+/// moves the converged candidate routes out of the buffers into its
+/// result, leaving nothing to resume from. [`Network::simulate_kept`] and
+/// [`Network::resimulate`] keep the converged per-slot state (Adj-RIB-In,
+/// Adj-RIB-Out, best routes) and record which run it belongs to: the run's
+/// id, prefix and origins. A later [`Network::resimulate`] of that run's
+/// result starts from this state; any other run replaces it.
 #[derive(Debug, Default)]
 pub struct SimScratch {
     /// The adjacency the buffers were laid out for.
@@ -214,7 +241,26 @@ pub struct SimScratch {
     local: Vec<Option<Route>>,
     best: Vec<Option<Route>>,
     dirty: Vec<bool>,
+    /// Routers the current run activated: the only RIBs a warm run
+    /// rebuilds.
+    activated: Vec<bool>,
+    /// The run whose converged state the buffers hold, if any.
+    kept: Option<Kept>,
 }
+
+/// Which run a scratch's converged state belongs to.
+#[derive(Debug)]
+struct Kept {
+    /// The run's id, also stamped on its result.
+    run: u64,
+    prefix: Prefix,
+    /// The origins, sorted and deduplicated.
+    origins: Vec<RouterId>,
+}
+
+/// Source of run ids, unique across every scratch of the process, so a
+/// result handed to another scratch never matches that scratch's state.
+static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
 
 /// The per-session state one router keeps about one peer.
 #[derive(Debug, Default)]
@@ -228,6 +274,25 @@ struct Slot {
     /// This session's slot in the peer's adjacency list, so updates land
     /// in vec-indexed inbox slots without any per-message map lookups.
     peer_slot: usize,
+}
+
+/// A warm start the scratch can serve: the previous result and the
+/// changed sessions as `(dense sender, adjacency slot)` pairs.
+struct Resume {
+    prev: SimulationResult,
+    seeds: Vec<(usize, usize)>,
+}
+
+/// How a run starts and what it leaves behind.
+enum Start<'c> {
+    /// From empty RIBs; `keep` leaves the converged state in the scratch.
+    Cold { keep: bool },
+    /// From the state `prev`'s run left in the scratch, after the policies
+    /// of the `changed` directed sessions were edited.
+    Warm {
+        prev: SimulationResult,
+        changed: &'c [(RouterId, RouterId)],
+    },
 }
 
 impl SimScratch {
@@ -248,6 +313,7 @@ impl SimScratch {
             self.local.fill(None);
             self.best.fill(None);
             self.dirty.fill(false);
+            self.activated.fill(false);
             return;
         }
         let n = net.routers.len();
@@ -260,6 +326,7 @@ impl SimScratch {
         self.local = vec![None; n];
         self.best = vec![None; n];
         self.dirty = vec![false; n];
+        self.activated = vec![false; n];
         // Pair the two slots of every session: the first endpoint seen
         // waits in `seen` until the second one links both.
         let mut seen: Vec<Option<(usize, usize)>> = vec![None; net.sessions.len()];
@@ -273,6 +340,35 @@ impl SimScratch {
                 }
             }
         }
+    }
+
+    /// The warm start of `prev` on `net` from `origins`, if this scratch
+    /// still holds the converged state of `prev`'s run for the same
+    /// prefix, origins and adjacency and every `changed` pair names a
+    /// session of `net`; `None` sends the run cold.
+    fn resume(
+        &self,
+        net: &Network,
+        prev: SimulationResult,
+        origins: &[RouterId],
+        changed: &[(RouterId, RouterId)],
+    ) -> Option<Resume> {
+        let kept = self.kept.as_ref()?;
+        if prev.run != Some(kept.run)
+            || prev.prefix != kept.prefix
+            || kept.origins != origins
+            || self.adj != net.adj
+        {
+            return None;
+        }
+        let mut seeds = Vec::with_capacity(changed.len());
+        for &(from, to) in changed {
+            let sid = net.session_id(from, to).ok()?;
+            let r = *net.index.get(&from)?;
+            let pos = net.adj[r].iter().position(|&(s, _)| s == sid)?;
+            seeds.push((r, pos));
+        }
+        Some(Resume { prev, seeds })
     }
 }
 
@@ -313,7 +409,8 @@ impl Network {
         prefix: Prefix,
         origins: &[RouterId],
     ) -> Result<SimulationResult, SimError> {
-        self.simulate_inner(prefix, origins, false, &mut SimScratch::new())
+        let start = Start::Cold { keep: false };
+        self.simulate_inner(prefix, origins, false, &mut SimScratch::new(), start)
             .map(|(res, _)| res)
     }
 
@@ -326,7 +423,70 @@ impl Network {
         origins: &[RouterId],
         scratch: &mut SimScratch,
     ) -> Result<SimulationResult, SimError> {
-        self.simulate_inner(prefix, origins, false, scratch)
+        let start = Start::Cold { keep: false };
+        self.simulate_inner(prefix, origins, false, scratch, start)
+            .map(|(res, _)| res)
+    }
+
+    /// Like [`Network::simulate_with`], but keeps the converged state in
+    /// `scratch` (the result gets clones of the candidates), so that
+    /// [`Network::resimulate`] can re-converge the prefix from it after a
+    /// policy edit.
+    pub fn simulate_kept(
+        &self,
+        prefix: Prefix,
+        origins: &[RouterId],
+        scratch: &mut SimScratch,
+    ) -> Result<SimulationResult, SimError> {
+        let start = Start::Cold { keep: true };
+        self.simulate_inner(prefix, origins, false, scratch, start)
+            .map(|(res, _)| res)
+    }
+
+    /// Warm start: re-simulates `prev`'s prefix from `origins` after the
+    /// policies of the `changed` directed sessions were edited. A pair
+    /// `(from, to)` covers the export policy at `from` towards `to` and
+    /// the import policy at `to` for routes from `from`.
+    ///
+    /// `prev` must come from [`Network::simulate_kept`] or
+    /// `resimulate` on `scratch`, with no other run on `scratch` since.
+    /// The run starts from the converged state that run left there: each
+    /// changed session's sender re-exports its best route under the new
+    /// policies and the receiver re-imports it (even an unchanged message,
+    /// since the import side may be what changed), then the Gauss-Seidel
+    /// loop runs to steady state under the same `engine.simulate`
+    /// failpoint and message budget as a cold run. Only the routers it
+    /// activates get rebuilt RIBs; every other RIB is `prev`'s. The state
+    /// is kept again for the next re-simulation.
+    ///
+    /// The run goes cold (and [`SimStats::warm`] is false) when `scratch`
+    /// does not hold `prev`'s state, when `origins` or the adjacency
+    /// differ from `prev`'s run, or when a changed pair names no session.
+    ///
+    /// # Contract
+    /// The result equals a cold run's only if
+    /// * `changed` names every directed session whose policies changed
+    ///   since `prev`'s run, and nothing else in the network changed;
+    /// * the prefix has one stable state on this network. It does when
+    ///   every session is eBGP and no policy makes a router prefer a
+    ///   longer AS path over a shorter one, i.e. no local-pref rules: the
+    ///   decision process then ranks path length first, which leaves no
+    ///   dispute wheel (Griffin, Shepherd & Wilfong 2002). On an instance
+    ///   with several stable states (DISAGREE) a warm run can settle on
+    ///   another one than a cold run.
+    ///
+    /// # Errors
+    /// As [`Network::simulate`].
+    pub fn resimulate(
+        &self,
+        prev: SimulationResult,
+        origins: &[RouterId],
+        changed: &[(RouterId, RouterId)],
+        scratch: &mut SimScratch,
+    ) -> Result<SimulationResult, SimError> {
+        let prefix = prev.prefix;
+        let start = Start::Warm { prev, changed };
+        self.simulate_inner(prefix, origins, false, scratch, start)
             .map(|(res, _)| res)
     }
 
@@ -339,7 +499,8 @@ impl Network {
         prefix: Prefix,
         origins: &[RouterId],
     ) -> Result<(SimulationResult, Vec<TraceEvent>), SimError> {
-        self.simulate_inner(prefix, origins, true, &mut SimScratch::new())
+        let start = Start::Cold { keep: false };
+        self.simulate_inner(prefix, origins, true, &mut SimScratch::new(), start)
             .map(|(res, t)| (res, t.unwrap_or_default()))
     }
 
@@ -349,6 +510,7 @@ impl Network {
         origins: &[RouterId],
         traced: bool,
         scratch: &mut SimScratch,
+        start: Start<'_>,
     ) -> Result<(SimulationResult, Option<Vec<TraceEvent>>), SimError> {
         // Failpoint: lets tests fail/delay a simulation at its entry, the
         // spot where real resource exhaustion would surface.
@@ -359,7 +521,22 @@ impl Network {
             });
         }
         let n = self.routers.len();
-        scratch.prepare(self);
+        // Deterministic origination order.
+        let mut sorted_origins: Vec<RouterId> = origins.to_vec();
+        sorted_origins.sort();
+        sorted_origins.dedup();
+        let (keep, resume) = match start {
+            Start::Cold { keep } => (keep, None),
+            Start::Warm { prev, changed } => {
+                (true, scratch.resume(self, prev, &sorted_origins, changed))
+            }
+        };
+        // From here on the buffers no longer hold any finished run's state.
+        scratch.kept = None;
+        match &resume {
+            Some(_) => scratch.activated.fill(false),
+            None => scratch.prepare(self),
+        }
         let mut st = RunState {
             net: self,
             sc: scratch,
@@ -368,14 +545,17 @@ impl Network {
             trace: if traced { Some(Vec::new()) } else { None },
         };
 
-        // Deterministic origination order.
-        let mut sorted_origins: Vec<RouterId> = origins.to_vec();
-        sorted_origins.sort();
-        sorted_origins.dedup();
-        for o in &sorted_origins {
-            let i = *self.index.get(o).ok_or(SimError::UnknownRouter(*o))?;
-            st.sc.local[i] = Some(Route::originate(prefix));
-            st.sc.dirty[i] = true;
+        if let Some(resume) = &resume {
+            st.stats.warm = true;
+            for &(r, pos) in &resume.seeds {
+                st.reexport(r, pos);
+            }
+        } else {
+            for o in &sorted_origins {
+                let i = *self.index.get(o).ok_or(SimError::UnknownRouter(*o))?;
+                st.sc.local[i] = Some(Route::originate(prefix));
+                st.sc.dirty[i] = true;
+            }
         }
 
         let budget = self.effective_budget();
@@ -400,7 +580,18 @@ impl Network {
         }
 
         let trace = st.trace.take();
-        Ok((st.into_result(prefix), trace))
+        let mut res = st.into_result(prefix, keep, resume.map(|r| r.prev));
+        if keep {
+            // sast: relaxed-ok unique-id ticket; only distinctness matters, no memory is published through it
+            let run = NEXT_RUN.fetch_add(1, Ordering::Relaxed);
+            res.run = Some(run);
+            scratch.kept = Some(Kept {
+                run,
+                prefix,
+                origins: sorted_origins,
+            });
+        }
+        Ok((res, trace))
     }
 }
 
@@ -408,6 +599,8 @@ impl RunState<'_, '_> {
     /// Activates dense router `r`: drains its inbox, re-decides, exports.
     fn activate(&mut self, r: usize) {
         self.sc.dirty[r] = false;
+        self.sc.activated[r] = true;
+        self.stats.activations += 1;
         if let Some(t) = &mut self.trace {
             let inbox = self.sc.slots[r]
                 .iter()
@@ -522,13 +715,32 @@ impl RunState<'_, '_> {
             // above only bumped the AS-path refcount).
             slot.sent = msg.clone();
             let peer_slot = slot.peer_slot;
-            let inbox = &mut self.sc.slots[peer][peer_slot].pending;
-            if inbox.replace(msg).is_none() {
-                self.queued += 1;
-            }
-            self.sc.dirty[peer] = true;
-            self.stats.peak_queue = self.stats.peak_queue.max(self.queued);
+            self.enqueue(peer, peer_slot, msg);
         }
+    }
+
+    /// Warm start: re-exports dense router `r`'s best route over its
+    /// adjacency slot `pos`, whose policies changed, and delivers it even
+    /// when it equals what was sent before — the receiver's import policy
+    /// may be the part that changed.
+    fn reexport(&mut self, r: usize, pos: usize) {
+        let (sid, peer) = self.net.adj[r][pos];
+        let msg = self.export_over(r, sid, &mut None);
+        let slot = &mut self.sc.slots[r][pos];
+        slot.sent = msg.clone();
+        let peer_slot = slot.peer_slot;
+        self.enqueue(peer, peer_slot, msg);
+    }
+
+    /// Puts `msg` in `peer`'s inbox slot `peer_slot`, replacing any
+    /// pending update.
+    fn enqueue(&mut self, peer: usize, peer_slot: usize, msg: Option<Route>) {
+        let inbox = &mut self.sc.slots[peer][peer_slot].pending;
+        if inbox.replace(msg).is_none() {
+            self.queued += 1;
+        }
+        self.sc.dirty[peer] = true;
+        self.stats.peak_queue = self.stats.peak_queue.max(self.queued);
     }
 
     /// Builds the update dense router `r` sends over session `sid`
@@ -593,32 +805,58 @@ impl RunState<'_, '_> {
         Some(out)
     }
 
-    /// Moves the converged candidates out of the scratch buffers (the
-    /// next run's `prepare` would reset them anyway) into the result,
-    /// with each router's winner.
-    fn into_result(self, prefix: Prefix) -> SimulationResult {
-        let mut ribs = Vec::with_capacity(self.net.routers.len());
-        for r in 0..self.net.routers.len() {
-            let (local, slots) = (&mut self.sc.local[r], &mut self.sc.slots[r]);
-            let len =
-                usize::from(local.is_some()) + slots.iter().filter(|s| s.rib_in.is_some()).count();
-            let mut candidates = Vec::with_capacity(len);
+    /// Dense router `r`'s converged RIB. Its candidates are cloned when
+    /// the scratch keeps its state, and otherwise moved out (the next
+    /// run's `prepare` would reset them anyway).
+    fn rib(&mut self, r: usize, keep: bool) -> RouterRib {
+        let (local, slots) = (&mut self.sc.local[r], &mut self.sc.slots[r]);
+        let len =
+            usize::from(local.is_some()) + slots.iter().filter(|s| s.rib_in.is_some()).count();
+        let mut candidates = Vec::with_capacity(len);
+        if keep {
+            candidates.extend(local.iter().cloned());
+            candidates.extend(slots.iter().filter_map(|s| s.rib_in.clone()));
+        } else {
             candidates.extend(local.take());
             candidates.extend(slots.iter_mut().filter_map(|s| s.rib_in.take()));
-            let best = best_of(candidates.iter(), &self.net.cfg).map(|(i, _)| i);
-            ribs.push(RouterRib {
-                router: self.net.routers[r],
-                candidates,
-                best,
-                cfg: self.net.cfg,
-                outcome: OnceLock::new(),
-            });
         }
+        let best = best_of(candidates.iter(), &self.net.cfg).map(|(i, _)| i);
+        RouterRib {
+            router: self.net.routers[r],
+            candidates,
+            best,
+            cfg: self.net.cfg,
+            outcome: OnceLock::new(),
+        }
+    }
+
+    /// The converged result, with each router's winner. A warm run patches
+    /// `prev`'s RIBs: only the routers it activated can have changed.
+    fn into_result(
+        mut self,
+        prefix: Prefix,
+        keep: bool,
+        prev: Option<SimulationResult>,
+    ) -> SimulationResult {
+        let n = self.net.routers.len();
+        let ribs = match prev {
+            Some(prev) => {
+                let mut ribs = prev.ribs;
+                for (r, rib) in ribs.iter_mut().enumerate() {
+                    if self.sc.activated[r] {
+                        *rib = self.rib(r, true);
+                    }
+                }
+                ribs
+            }
+            None => (0..n).map(|r| self.rib(r, keep)).collect(),
+        };
         SimulationResult {
             prefix,
             index: Arc::clone(&self.net.index),
             ribs,
             stats: self.stats,
+            run: None,
         }
     }
 }

@@ -241,7 +241,7 @@ impl Network {
         self.session_index.contains_key(&Self::pair_key(a, b))
     }
 
-    fn session_id(&self, a: RouterId, b: RouterId) -> Result<usize, SimError> {
+    pub(crate) fn session_id(&self, a: RouterId, b: RouterId) -> Result<usize, SimError> {
         self.session_index
             .get(&Self::pair_key(a, b))
             .copied()

@@ -165,3 +165,56 @@ fn warm_simulation_allocates_per_best_change_and_router() {
          {best_changes} best changes + {routers} routers + 8"
     );
 }
+
+/// A warm re-simulation after one MED edit allocates for what it
+/// changes, not for the network: per re-policied session one rebuilt
+/// prefix index and one re-exported path, per activation at most one new
+/// path and one rebuilt candidate list, and a few vectors per run.
+#[test]
+fn warm_resimulation_after_a_med_edit_allocates_per_change() {
+    let p = Prefix::for_origin(Asn(1));
+    let mut net = network(p, Prefix::for_origin(Asn(2)));
+    let origins = net.routers_of(Asn(1));
+    let mut scratch = SimScratch::new();
+    let kept = net.simulate_kept(p, &origins, &mut scratch).unwrap();
+
+    // Re-rank at the router with the most peers: its last peer best.
+    let q = (1..=ASES)
+        .map(|a| rid(a, 0))
+        .max_by_key(|&r| net.peers_of(r).len())
+        .unwrap();
+    let peers = net.peers_of(q);
+    let mut changed = Vec::new();
+    for (j, &peer) in peers.iter().enumerate() {
+        let policy = net.import_policy_mut(q, peer).unwrap();
+        policy
+            .remove_rules(|r| r.matcher.prefix == Some(p) && matches!(r.action, Action::SetMed(_)));
+        let med = if j + 1 == peers.len() { 0 } else { 10 };
+        policy.push(PolicyRule::new(RouteMatch::prefix(p), Action::SetMed(med)));
+        changed.push((peer, q));
+    }
+
+    let (warm, calls) = allocations(|| {
+        net.resimulate(kept, &origins, &changed, &mut scratch)
+            .unwrap()
+    });
+    assert!(warm.stats.warm, "the kept state must serve the warm start");
+    let cold = net.simulate(p, &origins).unwrap();
+    for (a, b) in warm.ribs().zip(cold.ribs()) {
+        assert_eq!(a.candidates, b.candidates);
+        assert_eq!(a.best(), b.best());
+    }
+    let routers = net.num_routers() as u64;
+    let activations = warm.stats.activations;
+    assert!(
+        activations < routers,
+        "{activations} activations: the edit should not reach all {routers} routers"
+    );
+    let sessions = changed.len() as u64;
+    let budget = 2 * sessions + 2 * activations + 8;
+    assert!(
+        calls <= budget,
+        "{calls} allocator calls for one warm re-simulation; budget {budget} = \
+         2 * {sessions} re-policied sessions + 2 * {activations} activations + 8"
+    );
+}

@@ -248,3 +248,136 @@ proptest! {
         }
     }
 }
+
+/// A refinement-shaped network: `ases` ASes of one or two quasi-routers
+/// each, never joined to each other, a random eBGP tree over the routers
+/// plus `extra` chords. AS1 originates the prefix.
+fn quasi_router_network(ases: u32, extra: &[(u16, u16)], seed: u64) -> (Network, Vec<RouterId>) {
+    use rand::Rng;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut net = Network::new(DecisionConfig::default());
+    let mut routers = Vec::new();
+    for a in 1..=ases {
+        for i in 0..rng.gen_range(1..=2u16) {
+            let r = RouterId::new(Asn(a), i);
+            net.add_router(r);
+            routers.push(r);
+        }
+    }
+    let link = |net: &mut Network, x: RouterId, y: RouterId| {
+        if x.asn() != y.asn() && !net.has_session(x, y) {
+            net.add_session(x, y, SessionKind::Ebgp).unwrap();
+        }
+    };
+    for i in 1..routers.len() {
+        let j = rng.gen_range(0..i);
+        link(&mut net, routers[i], routers[j]);
+    }
+    for &(a, b) in extra {
+        let (x, y) = (
+            routers[a as usize % routers.len()],
+            routers[b as usize % routers.len()],
+        );
+        link(&mut net, x, y);
+    }
+    (net, routers)
+}
+
+/// Applies one refinement-style policy edit `(kind, a, b)` for `prefix`
+/// and returns the directed sessions it re-policied:
+/// * kind 0 — a MED ranking at router `a` (peers picked by the bits of
+///   `b` get MED 0, the rest 10), on every `peer -> a` import;
+/// * kind 1 — a shorter-path floor of `b % 4` on every `peer -> a`
+///   export (0 removes the floor);
+/// * kind 2 — deleting the shorter-path filters on one `a -> peer`
+///   export.
+fn edit(
+    net: &mut Network,
+    routers: &[RouterId],
+    prefix: Prefix,
+    (kind, a, b): (u8, u16, u16),
+) -> Vec<(RouterId, RouterId)> {
+    let q = routers[a as usize % routers.len()];
+    let peers = net.peers_of(q);
+    let mut changed = Vec::new();
+    match kind {
+        0 => {
+            for (j, &peer) in peers.iter().enumerate() {
+                let policy = net.import_policy_mut(q, peer).unwrap();
+                policy.remove_rules(|r| {
+                    r.matcher.prefix == Some(prefix) && matches!(r.action, Action::SetMed(_))
+                });
+                let med = if (b >> (j % 16)) & 1 == 1 { 0 } else { 10 };
+                policy.push(PolicyRule::new(
+                    RouteMatch::prefix(prefix),
+                    Action::SetMed(med),
+                ));
+                changed.push((peer, q));
+            }
+        }
+        1 => {
+            let floor = usize::from(b % 4);
+            for &peer in &peers {
+                let policy = net.export_policy_mut(peer, q).unwrap();
+                policy.remove_rules(|r| {
+                    r.matcher.prefix == Some(prefix) && r.matcher.path_shorter_than.is_some()
+                });
+                if floor > 0 {
+                    policy.push(PolicyRule::new(
+                        RouteMatch {
+                            prefix: Some(prefix),
+                            path_shorter_than: Some(floor),
+                            ..RouteMatch::any()
+                        },
+                        Action::Deny,
+                    ));
+                }
+                changed.push((peer, q));
+            }
+        }
+        _ => {
+            if let Some(&peer) = peers.get(b as usize % peers.len().max(1)) {
+                let policy = net.export_policy_mut(q, peer).unwrap();
+                policy.remove_rules(|r| {
+                    r.action == Action::Deny && r.matcher.path_shorter_than.is_some()
+                });
+                changed.push((q, peer));
+            }
+        }
+    }
+    changed
+}
+
+proptest! {
+    /// Warm start: after each MED or shorter-path-filter edit, a warm
+    /// re-simulation from the previous steady state equals a cold
+    /// simulation of the edited network in every router's candidates and
+    /// best route.
+    #[test]
+    fn warm_resimulation_equals_cold(
+        ases in 3u32..12,
+        extra in proptest::collection::vec((0u16..64, 0u16..64), 0..24),
+        edits in proptest::collection::vec((0u8..3, 0u16..64, 0u16..64), 1..8),
+        seed in 0u64..200,
+    ) {
+        use quasar_bgpsim::engine::SimScratch;
+        let (mut net, routers) = quasi_router_network(ases, &extra, seed);
+        let prefix = Prefix::for_origin(Asn(1));
+        let origins = net.routers_of(Asn(1));
+        let mut scratch = SimScratch::new();
+        let mut res = net.simulate_kept(prefix, &origins, &mut scratch).unwrap();
+        for &e in &edits {
+            let changed = edit(&mut net, &routers, prefix, e);
+            res = net.resimulate(res, &origins, &changed, &mut scratch).unwrap();
+            prop_assert!(res.stats.warm);
+            let cold = net.simulate(prefix, &origins).unwrap();
+            prop_assert_eq!(res.ribs().count(), cold.ribs().count());
+            for (w, c) in res.ribs().zip(cold.ribs()) {
+                prop_assert_eq!(w.router, c.router);
+                prop_assert_eq!(&w.candidates, &c.candidates);
+                prop_assert_eq!(w.best(), c.best());
+            }
+        }
+    }
+}

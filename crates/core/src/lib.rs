@@ -13,7 +13,8 @@
 //! * [`refine`] — the iterative refinement heuristic that makes the model
 //!   reproduce every training path exactly (§4.4–§4.6);
 //! * [`train()`] — the recipe behind every shipped model: refine, §4.7
-//!   generalisation, audit, timing phases A/B/C ([`train::PhaseTimes`]);
+//!   generalisation, audit, timing phases A/B/C and counting their
+//!   simulations ([`train::PhaseTimes`]);
 //! * [`metrics`] — RIB-In / potential RIB-Out / RIB-Out match levels and
 //!   per-prefix coverage (§4.2);
 //! * [`predict`] — parallel evaluation of predictions on held-out data
@@ -93,6 +94,6 @@ pub mod prelude {
         refine, refine_checkpointed, resume_refine, PrefixOutcome, RankingAttr, RefineConfig,
         RefineError, RefineReport,
     };
-    pub use crate::train::{train, PhaseTimes, TrainConfig, TrainReport};
+    pub use crate::train::{train, PhaseTimes, SimWork, TrainConfig, TrainReport};
     pub use crate::whatif::{apply_change, Change, Impact, RoutingDiff, Scenario};
 }

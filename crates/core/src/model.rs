@@ -173,9 +173,14 @@ impl AsRoutingModel {
     /// at *every* quasi-router of its origin AS, so duplicated origin
     /// routers keep announcing it.
     pub fn simulate(&self, prefix: Prefix) -> Result<SimulationResult, SimError> {
+        self.net.simulate(prefix, &self.origins(prefix))
+    }
+
+    /// Every quasi-router of `prefix`'s origin AS (none for an unknown
+    /// prefix).
+    fn origins(&self, prefix: Prefix) -> Vec<RouterId> {
         let origin = *self.origin_of.get(&prefix).unwrap_or(&Asn::RESERVED);
-        let origins = self.net.routers_of(origin);
-        self.net.simulate(prefix, &origins)
+        self.net.routers_of(origin)
     }
 
     /// Like [`Self::simulate`], but reusing the caller's simulation
@@ -187,9 +192,33 @@ impl AsRoutingModel {
         prefix: Prefix,
         scratch: &mut quasar_bgpsim::engine::SimScratch,
     ) -> Result<SimulationResult, SimError> {
-        let origin = *self.origin_of.get(&prefix).unwrap_or(&Asn::RESERVED);
-        let origins = self.net.routers_of(origin);
-        self.net.simulate_with(prefix, &origins, scratch)
+        self.net
+            .simulate_with(prefix, &self.origins(prefix), scratch)
+    }
+
+    /// Like [`Self::simulate_with`], but keeps the converged state in
+    /// `scratch` for a later [`Self::resimulate`].
+    pub fn simulate_kept(
+        &self,
+        prefix: Prefix,
+        scratch: &mut quasar_bgpsim::engine::SimScratch,
+    ) -> Result<SimulationResult, SimError> {
+        self.net
+            .simulate_kept(prefix, &self.origins(prefix), scratch)
+    }
+
+    /// Warm re-simulation of `prev`'s prefix after the policies of the
+    /// `changed` directed sessions were edited; see
+    /// [`Network::resimulate`](quasar_bgpsim::network::Network::resimulate)
+    /// for when it falls back to a cold run and when it equals one.
+    pub fn resimulate(
+        &self,
+        prev: SimulationResult,
+        changed: &[(RouterId, RouterId)],
+        scratch: &mut quasar_bgpsim::engine::SimScratch,
+    ) -> Result<SimulationResult, SimError> {
+        let origins = self.origins(prev.prefix);
+        self.net.resimulate(prev, &origins, changed, scratch)
     }
 
     /// Duplicates quasi-router `src`: the copy gets a fresh index in the

@@ -449,7 +449,8 @@ pub(crate) fn run_phases(
     let Progress { mut done, rounds } = start;
     let mut phases = PhaseTimes::default();
     let ranges = domain_ranges(jobs.len());
-    run_domains(model, cfg, jobs, &ranges, &mut done, log.as_mut())?;
+    let work = &mut phases.domains_work;
+    run_domains(model, cfg, jobs, &ranges, &mut done, log.as_mut(), work)?;
     phases.domains = lap(&mut clock);
 
     let merged = merge_domains(model, cfg, &ranges, &done, jobs);
@@ -467,8 +468,17 @@ pub(crate) fn run_phases(
     phases.merge = lap(&mut clock);
 
     let round = reapply_rounds(model, cfg, jobs, &rounds)?;
-    let (report, trace, replayed) =
-        run_repair_traced(model, cfg, jobs, round, ranges.len(), replay, log.as_mut())?;
+    let work = &mut phases.repair_work;
+    let (report, trace, replayed) = run_repair_traced(
+        model,
+        cfg,
+        jobs,
+        round,
+        ranges.len(),
+        replay,
+        log.as_mut(),
+        work,
+    )?;
     phases.repair = lap(&mut clock);
     Ok(Refined {
         report,

@@ -5,6 +5,7 @@ use super::checkpoint::{RefineLog, KIND_ROUND};
 use super::fix::{apply_fixes, probe, RefineHost, RefineOp};
 use super::{PrefixJob, RefineConfig, RefineError, RefineReport};
 use crate::model::AsRoutingModel;
+use crate::train::SimWork;
 use quasar_bgpsim::engine::SimulationResult;
 use quasar_bgpsim::error::SimError;
 use quasar_bgpsim::types::{Prefix, RouterId};
@@ -189,10 +190,12 @@ pub(super) fn reapply_rounds(
 ///
 /// The loop continues after `round` (0 for a fresh repair, the last
 /// logged round on resume). With a `log`, every round's steps are logged
-/// once its fixes are applied.
+/// once its fixes are applied. Every converged simulation is counted into
+/// `work`.
 // `expect` below: `simulate_batch` returns exactly one result per live
-// active job, consumed in the same ascending-job order.
-#[allow(clippy::expect_used)]
+// active job, consumed in the same ascending-job order. One argument past
+// clippy's limit: the repair's inputs plus its counter.
+#[allow(clippy::expect_used, clippy::too_many_arguments)]
 fn run_repair(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
@@ -201,6 +204,7 @@ fn run_repair(
     domains_total: usize,
     replay: Option<(&[bool], &RepairTrace)>,
     mut log: Option<&mut RefineLog>,
+    work: &mut SimWork,
 ) -> Result<Result<(RefineReport, RepairTrace), &'static str>, RefineError> {
     let threads = cfg.effective_threads();
     let (live, cached) = match replay {
@@ -234,7 +238,11 @@ fn run_repair(
         }
         let in_replay = round_idx < cached.len();
         let prefixes: Vec<Prefix> = live_active.iter().map(|&i| jobs[i].0).collect();
-        let mut sims = simulate_batch(model, prefixes, threads).into_iter();
+        let sims = simulate_batch(model, prefixes, threads);
+        for sim in sims.iter().flatten() {
+            work.count(&sim.stats);
+        }
+        let mut sims = sims.into_iter();
         let mut steps: Vec<RepairStep> = Vec::with_capacity(live_active.len());
         // The mirror map is shared across the round so a prefix whose
         // simulation predates another prefix's duplication still reuses
@@ -308,7 +316,10 @@ fn run_repair(
 /// replay first and, if the trace goes stale mid-flight, restores the
 /// model and jobs from a snapshot and reruns the repair with every job
 /// live; only that all-live run logs its rounds. Returns the report, the
-/// freshly recorded trace, and whether the replay carried through.
+/// freshly recorded trace, and whether the replay carried through. Both
+/// attempts' simulations are counted into `work`.
+// One argument past clippy's limit: the repair's inputs plus its counter.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn run_repair_traced(
     model: &mut AsRoutingModel,
     cfg: &RefineConfig,
@@ -317,11 +328,12 @@ pub(super) fn run_repair_traced(
     domains_total: usize,
     replay: Option<(&[bool], &RepairTrace)>,
     log: Option<&mut RefineLog>,
+    work: &mut SimWork,
 ) -> Result<(RefineReport, RepairTrace, bool), RefineError> {
     if replay.is_some() {
         let model_snapshot = model.clone();
         let jobs_snapshot = jobs.to_vec();
-        match run_repair(model, cfg, jobs, round, domains_total, replay, None)? {
+        match run_repair(model, cfg, jobs, round, domains_total, replay, None, work)? {
             Ok((report, trace)) => return Ok((report, trace, true)),
             Err(reason) => {
                 // Falling back is correctness-preserving but expensive
@@ -332,7 +344,7 @@ pub(super) fn run_repair_traced(
             }
         }
     }
-    match run_repair(model, cfg, jobs, round, domains_total, None, log)? {
+    match run_repair(model, cfg, jobs, round, domains_total, None, log, work)? {
         Ok((report, trace)) => Ok((report, trace, false)),
         Err(reason) => unreachable!("stale replay without a trace: {reason}"),
     }

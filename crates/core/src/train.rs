@@ -7,6 +7,7 @@ use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
 use crate::persist::PersistError;
 use crate::refine::{refine_checkpointed, resume_refine, RefineConfig, RefineError, RefineReport};
+use quasar_bgpsim::engine::SimStats;
 use std::fmt;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -35,7 +36,61 @@ impl Default for TrainConfig {
     }
 }
 
-/// Wall time per training phase.
+/// Simulation work of one refinement phase: the converged simulations it
+/// ran from empty RIBs (cold) and from the previous steady state of the
+/// same prefix (warm), and the BGP messages each kind delivered. A pure
+/// function of the inputs, the same at every thread count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimWork {
+    /// Simulations started from empty RIBs.
+    pub cold: u64,
+    /// BGP messages the cold simulations delivered.
+    pub cold_messages: u64,
+    /// Re-simulations started from a kept steady state.
+    pub warm: u64,
+    /// BGP messages the warm re-simulations delivered.
+    pub warm_messages: u64,
+}
+
+impl SimWork {
+    /// Counts one converged simulation with run counters `stats`.
+    pub(crate) fn count(&mut self, stats: &SimStats) {
+        if stats.warm {
+            self.warm += 1;
+            self.warm_messages += stats.messages;
+        } else {
+            self.cold += 1;
+            self.cold_messages += stats.messages;
+        }
+    }
+
+    /// Adds `other`'s counts.
+    pub(crate) fn add(&mut self, other: SimWork) {
+        self.cold += other.cold;
+        self.cold_messages += other.cold_messages;
+        self.warm += other.warm;
+        self.warm_messages += other.warm_messages;
+    }
+}
+
+impl fmt::Display for SimWork {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let SimWork {
+            cold,
+            cold_messages,
+            warm,
+            warm_messages,
+        } = self;
+        write!(
+            f,
+            "{cold} cold sims / {cold_messages} msgs + {warm} warm sims / {warm_messages} msgs"
+        )
+    }
+}
+
+/// Wall time per training phase, with the simulation work of the two
+/// phases that simulate. The work counts what this process ran: a resumed
+/// run does not count the logged domains it read back.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// A: building the prefix jobs and refining the domains (reading the
@@ -47,6 +102,10 @@ pub struct PhaseTimes {
     pub repair: Duration,
     /// The §4.7 generalisation (zero when it did not run).
     pub generalize: Duration,
+    /// Phase A's simulations.
+    pub domains_work: SimWork,
+    /// Phase C's simulations.
+    pub repair_work: SimWork,
 }
 
 impl PhaseTimes {
@@ -60,7 +119,9 @@ impl fmt::Display for PhaseTimes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let [a, b, c, g] =
             [self.domains, self.merge, self.repair, self.generalize].map(|d| d.as_secs_f64() * 1e3);
-        let text = format!("A domains {a:.1} ms | B merge {b:.1} ms | C repair {c:.1} ms");
+        let (aw, cw) = (self.domains_work, self.repair_work);
+        let text =
+            format!("A domains {a:.1} ms ({aw}) | B merge {b:.1} ms | C repair {c:.1} ms ({cw})");
         write!(f, "{text} | generalize {g:.1} ms")
     }
 }
@@ -215,11 +276,25 @@ mod tests {
             merge: Duration::from_millis(2),
             repair: Duration::from_millis(3),
             generalize: Duration::ZERO,
+            domains_work: SimWork {
+                cold: 4,
+                cold_messages: 500,
+                warm: 5,
+                warm_messages: 100,
+            },
+            repair_work: SimWork {
+                cold: 7,
+                cold_messages: 80,
+                warm: 0,
+                warm_messages: 0,
+            },
         };
         assert_eq!(phases.refine(), Duration::from_micros(6_500));
         assert_eq!(
             phases.to_string(),
-            "A domains 1.5 ms | B merge 2.0 ms | C repair 3.0 ms | generalize 0.0 ms"
+            "A domains 1.5 ms (4 cold sims / 500 msgs + 5 warm sims / 100 msgs) | \
+             B merge 2.0 ms | C repair 3.0 ms (7 cold sims / 80 msgs + 0 warm sims / 0 msgs) | \
+             generalize 0.0 ms"
         );
     }
 }

@@ -71,3 +71,45 @@ fn zero_threads_means_auto_and_stays_deterministic() {
     assert_eq!(json_auto, json_one, "auto thread count changed the model");
     assert!(RefineConfig::default().effective_threads() >= 1);
 }
+
+/// Phase A and phase C simulation counters of the whole tiny preset at
+/// seed 2 (what `quasar train --scale tiny --seed 2` trains): pinned, so
+/// a change in how much refinement simulates, or in how much of it starts
+/// warm, shows here, and equal at 1 and 4 threads.
+#[test]
+fn simulation_counters_are_pinned_and_thread_count_invariant() {
+    let net = SyntheticInternet::generate(NetGenConfig::tiny(2));
+    let full = dataset_from(&net);
+    let work = |threads| {
+        let cfg = TrainConfig {
+            refine: RefineConfig {
+                threads,
+                ..RefineConfig::default()
+            },
+            ..TrainConfig::default()
+        };
+        let (_, report) = train(&full, &full, &cfg).expect("tiny trains");
+        (report.phases.domains_work, report.phases.repair_work)
+    };
+    let one = work(1);
+    assert_eq!(one, work(4), "counters differ between 1 and 4 threads");
+    let (domains, repair) = one;
+    assert_eq!(
+        domains,
+        SimWork {
+            cold: 116,
+            cold_messages: 19_873,
+            warm: 203,
+            warm_messages: 10_831,
+        }
+    );
+    assert_eq!(
+        repair,
+        SimWork {
+            cold: 106,
+            cold_messages: 22_958,
+            warm: 0,
+            warm_messages: 0,
+        }
+    );
+}

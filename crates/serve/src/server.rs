@@ -35,7 +35,7 @@ use quasar_core::model::AsRoutingModel;
 use quasar_core::whatif::{Change, RoutingDiff};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -444,8 +444,15 @@ pub(crate) fn shed_retry_after_ms(pending: usize, workers: usize) -> u64 {
 }
 
 /// Answers a shed connection with one `overloaded` JSON line and closes
-/// it. Runs on the acceptor thread, so it must never block on the peer:
-/// a short write timeout bounds even a zero-window client.
+/// it. Runs on the acceptor thread, so it must never block on the peer
+/// for long: a short write timeout bounds even a zero-window client, and
+/// the drain below stops at the read timeout.
+///
+/// Dropping a socket with the client's request still unread makes the
+/// kernel answer with a reset, which can overtake the reply and reach
+/// the client first. So the write side is shut down (the client reads
+/// the reply, then EOF) and the request is drained until the client
+/// closes or the read timeout expires, before the socket is dropped.
 fn shed_connection(mut stream: TcpStream, pending: usize, workers: usize) {
     let retry_after_ms = shed_retry_after_ms(pending, workers);
     let reply = Response::Overloaded(OverloadedReply { retry_after_ms });
@@ -456,6 +463,18 @@ fn shed_connection(mut stream: TcpStream, pending: usize, workers: usize) {
     let _ = stream.set_write_timeout(Some(READ_TIMEOUT));
     let _ = stream.write_all(out.as_bytes());
     let _ = stream.flush();
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + READ_TIMEOUT;
+    let mut sink = [0u8; 1024];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
+        }
+    }
 }
 
 /// One worker: pull connections off the queue until shutdown, then exit.

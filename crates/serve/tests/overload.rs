@@ -13,16 +13,24 @@ use quasar_serve::server::{serve, ServeConfig};
 use quasar_serve::shard::ShardedState;
 use quasar_testkit::diff::ask;
 use quasar_testkit::workload::toy_model;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 /// The failpoint registry is process-global; armed tests serialize.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Takes [`SERIAL`], recovering it from a test that panicked while
+/// holding it, so one failure does not fail the tests after it.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn full_queue_sheds_connections_with_typed_reply() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     fail::reset(3);
     // Every dispatched request stalls 150ms, so one slow worker plus a
     // one-slot queue guarantees the burst below overflows the queue.
@@ -97,7 +105,7 @@ fn full_queue_sheds_connections_with_typed_reply() {
 
 #[test]
 fn slow_request_draws_deadline_exceeded() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     fail::reset(5);
     // The injected stall lands after the request clock starts but before
     // dispatch, so a 5ms budget is always blown.
@@ -139,7 +147,7 @@ fn slow_request_draws_deadline_exceeded() {
 
 #[test]
 fn deadline_disabled_by_default() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     fail::reset(6);
     fail::set("serve.handle_line", "always:delay:20");
     // deadline_ms = 0 (the default) means no budget: slow but served.

@@ -6,7 +6,7 @@
 # its refinement log), one killed once the log holds a repair-round
 # record. The reference trains on one thread without checkpoints and the
 # victims on four threads, so every `cmp` checks thread count, the log and
-# resume together.
+# resume together; the reference's own bytes are pinned by hash.
 # Run from the repo root after a release build:
 #
 #   cargo build --release --bin quasar
@@ -24,6 +24,16 @@ trap '[ -n "$victim_pid" ] && kill -KILL "$victim_pid" 2>/dev/null; rm -rf "$WOR
 
 echo "# uninterrupted reference run, one thread, no checkpoints"
 "$BIN" train "$WORK/feeds.mrt" --out "$WORK/ref.model" --threads 1
+
+# The reference itself is pinned by its full SHA-256: a drift that hits
+# the reference and the victims alike would pass every `cmp` below.
+# Re-pin only with a CHANGES.md line that says why the model moved.
+REF_SHA256=16a7d965bfe03d8658057cd3e600872f1c4ef741977750a2e11ae3a44a906c77
+ref_sha256=$(sha256sum "$WORK/ref.model" | cut -d' ' -f1)
+if [ "$ref_sha256" != "$REF_SHA256" ]; then
+    echo "FAIL: reference model SHA-256 $ref_sha256, pinned $REF_SHA256" >&2
+    exit 1
+fi
 
 # Counts the records of kind $2 (`domain` or `round`) in the refinement
 # log in directory $1. Each record opens with its frame header line,

@@ -79,8 +79,9 @@ fn full_cli_workflow() {
         text.lines().any(|l| l.starts_with("phases: A domains ")
             && l.contains(" | B merge ")
             && l.contains(" | C repair ")
-            && l.contains(" | generalize ")),
-        "train must print its phase timings: {text}"
+            && l.contains(" | generalize ")
+            && l.contains(" warm sims / ")),
+        "train must print its phase timings and simulation counts: {text}"
     );
     assert!(model.exists());
 
