@@ -8,7 +8,8 @@
 
 use crate::metrics::{match_level, MatchLevel};
 use crate::model::AsRoutingModel;
-use crate::observed::Dataset;
+use crate::observed::{Dataset, ObservedRoute};
+use quasar_bgpsim::engine::SimulationResult;
 use quasar_bgpsim::types::{Asn, Prefix};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -40,45 +41,71 @@ impl MismatchDiagnostics {
 }
 
 /// Attributes every non-reproduced route of `dataset` to its first failing
-/// AS. One simulation per prefix.
+/// AS. One simulation per prefix, in parallel; the tally does not depend
+/// on the order in which prefixes finish.
 pub fn diagnose(model: &AsRoutingModel, dataset: &Dataset) -> MismatchDiagnostics {
-    let mut out = MismatchDiagnostics::default();
-    let mut by_prefix: BTreeMap<Prefix, Vec<&crate::observed::ObservedRoute>> = BTreeMap::new();
+    let mut by_prefix: BTreeMap<Prefix, Vec<&ObservedRoute>> = BTreeMap::new();
     for r in dataset.routes() {
         by_prefix.entry(r.prefix).or_default().push(r);
     }
-    for (prefix, routes) in by_prefix {
-        let res = match model.prefixes().contains_key(&prefix) {
-            true => model.simulate(prefix).ok(),
-            false => None,
-        };
-        for r in routes {
-            out.routes += 1;
-            let Some(res) = &res else {
-                // Unknown prefix: attribute to the origin AS.
-                if let Some(o) = r.as_path.origin() {
-                    *out.first_failure_at.entry(o).or_default() += 1;
-                }
-                continue;
+    let mut out = MismatchDiagnostics::default();
+    let tallied: Result<(), std::convert::Infallible> = crate::pool::run(
+        crate::pool::all_cores(),
+        by_prefix.into_iter().collect(),
+        |(prefix, routes), scratch| {
+            let res = match model.prefixes().contains_key(&prefix) {
+                true => model.simulate_with(prefix, scratch).ok(),
+                false => None,
             };
-            // Walk suffixes origin-first; the first AS whose suffix is not
-            // RIB-Out matched is the failure point.
-            let mut failed_at: Option<Asn> = None;
-            for n in 1..=r.as_path.len() {
-                let suffix = r.as_path.suffix(n);
-                let Some(asn) = suffix.head() else {
-                    continue; // unreachable: a length-n suffix with n >= 1
-                };
-                let routers = model.quasi_routers_of(asn);
-                if match_level(res, &routers, &suffix) != MatchLevel::RibOut {
-                    failed_at = Some(asn);
-                    break;
-                }
+            diagnose_prefix(model, res.as_ref(), &routes)
+        },
+        |_, part| {
+            out.routes += part.routes;
+            out.matched += part.matched;
+            for (asn, n) in part.first_failure_at {
+                *out.first_failure_at.entry(asn).or_default() += n;
             }
-            match failed_at {
-                Some(asn) => *out.first_failure_at.entry(asn).or_default() += 1,
-                None => out.matched += 1,
+            Ok(())
+        },
+    );
+    let Ok(()) = tallied;
+    out
+}
+
+/// [`diagnose`] for the routes of one prefix, given its simulation (`None`
+/// for a prefix the model does not route).
+fn diagnose_prefix(
+    model: &AsRoutingModel,
+    res: Option<&SimulationResult>,
+    routes: &[&ObservedRoute],
+) -> MismatchDiagnostics {
+    let mut out = MismatchDiagnostics::default();
+    for r in routes {
+        out.routes += 1;
+        let Some(res) = res else {
+            // Unknown prefix: attribute to the origin AS.
+            if let Some(o) = r.as_path.origin() {
+                *out.first_failure_at.entry(o).or_default() += 1;
             }
+            continue;
+        };
+        // Walk suffixes origin-first; the first AS whose suffix is not
+        // RIB-Out matched is the failure point.
+        let mut failed_at: Option<Asn> = None;
+        for n in 1..=r.as_path.len() {
+            let suffix = r.as_path.suffix(n);
+            let Some(asn) = suffix.head() else {
+                continue; // unreachable: a length-n suffix with n >= 1
+            };
+            let routers = model.quasi_routers_of(asn);
+            if match_level(res, &routers, &suffix) != MatchLevel::RibOut {
+                failed_at = Some(asn);
+                break;
+            }
+        }
+        match failed_at {
+            Some(asn) => *out.first_failure_at.entry(asn).or_default() += 1,
+            None => out.matched += 1,
         }
     }
     out

@@ -12,8 +12,8 @@
 //!   `ASN << 16 | index` router-id scheme (§4.1/§4.5);
 //! * [`refine`] — the iterative refinement heuristic that makes the model
 //!   reproduce every training path exactly (§4.4–§4.6);
-//! * [`train()`] — the recipe behind every shipped model: refine, §4.7
-//!   generalisation, audit, timing phases A/B/C and counting their
+//! * [`train()`] — the recipe behind every shipped model: refine and
+//!   §4.7 generalisation, timing phases A/B/C and counting their
 //!   simulations ([`train::PhaseTimes`]);
 //! * [`metrics`] — RIB-In / potential RIB-Out / RIB-Out match levels and
 //!   per-prefix coverage (§4.2);
@@ -58,7 +58,6 @@
 // invariant message, annotated at the use site); unit tests are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod audit;
 pub mod backoff;
 pub mod baseline;
 pub mod diagnostics;

@@ -1,8 +1,17 @@
 //! The one worker pool of the crate: refinement domains, repair-round
-//! simulations and held-out evaluation all fan out through [`run`].
+//! simulations, held-out evaluation and mismatch diagnosis all fan out
+//! through [`run`].
 
 use quasar_bgpsim::engine::SimScratch;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+/// The worker count of the whole-model passes ([`crate::predict::evaluate`],
+/// [`crate::diagnostics::diagnose`]): every available core.
+pub(crate) fn all_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+}
 
 /// Runs `work` over every item on up to `threads` scoped workers. Workers
 /// claim items through one atomic ticket and each reuses one

@@ -146,12 +146,9 @@ pub fn evaluate_prefix(
 /// model simply cannot predict them.
 pub fn evaluate(model: &AsRoutingModel, dataset: &Dataset) -> Evaluation {
     let by_prefix = unique_routes_by_prefix(dataset);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let mut partials: Vec<Evaluation> = vec![Evaluation::default(); by_prefix.len()];
     let scored: Result<(), std::convert::Infallible> = crate::pool::run(
-        threads,
+        crate::pool::all_cores(),
         by_prefix.iter().collect(),
         |(prefix, routes), scratch| {
             let sim = if model.prefixes().contains_key(prefix) {

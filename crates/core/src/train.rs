@@ -1,7 +1,7 @@
 //! The training recipe every shipped model comes from: initial model,
-//! refinement (§4.4–§4.6), the §4.7 generalisation, one audit. The
-//! incremental trainer shares the last two steps. Phase times are never
-//! persisted, so no artifact depends on the clock.
+//! refinement (§4.4–§4.6), the §4.7 generalisation. The incremental
+//! trainer shares the last step. Phase times are never persisted, so no
+//! artifact depends on the clock.
 
 use crate::model::AsRoutingModel;
 use crate::observed::Dataset;
@@ -171,8 +171,8 @@ pub fn train(
     Ok(finish(model, refine, phases, false, cfg))
 }
 
-/// The recipe's last steps, shared with the incremental trainer:
-/// generalise when `cfg` asks, then audit the model returned.
+/// The recipe's last step, shared with the incremental trainer:
+/// generalise when `cfg` asks.
 pub(crate) fn finish(
     mut model: AsRoutingModel,
     refine: RefineReport,
@@ -186,7 +186,6 @@ pub(crate) fn finish(
         defaults = model.generalize_med_preferences();
         phases.generalize = started.elapsed();
     }
-    crate::audit::log_audit("post-train", &model);
     let report = TrainReport {
         refine,
         defaults,

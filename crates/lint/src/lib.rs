@@ -59,7 +59,6 @@
 // invariant message, annotated at the use site); unit tests are exempt.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use quasar_core::audit::AuditSummary;
 use quasar_core::model::AsRoutingModel;
 use serde::{Serialize, Serializer};
 use std::collections::{BTreeMap, BTreeSet};
@@ -354,12 +353,12 @@ impl Report {
     }
 
     /// Warn-level findings.
-    pub(crate) fn warnings(&self) -> usize {
+    pub fn warnings(&self) -> usize {
         self.count(Severity::Warn)
     }
 
     /// Info-level findings.
-    pub(crate) fn infos(&self) -> usize {
+    pub fn infos(&self) -> usize {
         self.count(Severity::Info)
     }
 
@@ -511,29 +510,6 @@ pub fn audit(model: &AsRoutingModel) -> Report {
     report.diagnostics.sort_by_key(|d| (d.rule, d.severity));
     report.elapsed_micros = started.elapsed().as_micros() as u64;
     report
-}
-
-/// Adapter with the [`quasar_core::audit::Auditor`] signature, so the
-/// binary can register the analyzer as the post-training audit hook.
-pub fn core_auditor(model: &AsRoutingModel) -> AuditSummary {
-    let report = audit(model);
-    AuditSummary {
-        errors: report.errors(),
-        warnings: report.warnings(),
-        infos: report.infos(),
-        rendered: report
-            .diagnostics
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n"),
-    }
-}
-
-/// Installs [`core_auditor`] as the process-wide model auditor (first
-/// installation wins; safe to call repeatedly).
-pub fn install() {
-    quasar_core::audit::install_auditor(core_auditor);
 }
 
 #[cfg(test)]

@@ -7,8 +7,8 @@
 //! - QS0005: `process::exit` in library code — libraries return errors;
 //!   only `src/bin` frontends may terminate the process.
 //! - QS0006: `println!` in library *crates* (`crates/*/src`) — stdout
-//!   belongs to the binaries; audit hooks use `eprintln!`. The root
-//!   `src/` facade keeps the historical exemption.
+//!   belongs to the binaries; library diagnostics go to stderr with
+//!   `eprintln!`. The root `src/` facade keeps the historical exemption.
 //! - QS0007: the `unsafe` keyword in library code — every library crate
 //!   carries `#![forbid(unsafe_code)]`; this holds even if an attribute
 //!   is dropped. (The bench counting allocator lives under `src/bin` and

@@ -15,15 +15,16 @@
 //! 2. retrain through [`IncrementalTrainer`], which reuses cached domain
 //!    deltas for untouched domains and finishes the model with the
 //!    library's training recipe ([`quasar_core::train()`]: §4.7
-//!    generalisation, then the audit), so the epoch is byte-identical to a
-//!    from-scratch `quasar train` of the same path set;
+//!    generalisation), so the epoch is byte-identical to a from-scratch
+//!    `quasar train` of the same path set;
 //! 3. persist the epoch with [`persist::save_model`]; the trainer cache
 //!    is saved **after** the artifact, so a crash between the two leaves
 //!    a servable artifact and a cache that merely redoes one window's
 //!    work on resume;
-//! 4. push the epoch into `quasar-serve` via the validated atomic reload:
-//!    a rejection is recorded and the old model keeps serving — the
-//!    pipeline never stops because one epoch failed validation.
+//! 4. push the epoch into `quasar-serve` via the validated atomic reload,
+//!    whose static audit is the one audit an epoch gets: a rejection is
+//!    recorded and the old model keeps serving — the pipeline never stops
+//!    because one epoch failed validation.
 //!
 //! ## Riding out a serve outage
 //!

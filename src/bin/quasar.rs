@@ -197,9 +197,6 @@ impl Args {
 }
 
 fn main() {
-    // Register the static analyzer with the core audit hook so every
-    // training run logs its post-training audit summary to stderr.
-    quasar::lint::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&args);
     (args.row.run)(&args)
@@ -350,6 +347,22 @@ fn cmd_train(a: &Args) {
         cfg.refine.effective_threads()
     );
     let (model, report) = trained(&dataset, &dataset, &cfg);
+    // The one command that writes a trained artifact audits it: `clean`,
+    // or the tally, then one line per finding.
+    let audit = quasar::lint::audit(&model);
+    let tally = match audit.diagnostics.is_empty() {
+        true => "clean".to_string(),
+        false => format!(
+            "{} error(s), {} warning(s), {} info(s)",
+            audit.errors(),
+            audit.warnings(),
+            audit.infos()
+        ),
+    };
+    eprintln!("audit [post-train]: {tally}");
+    for d in &audit.diagnostics {
+        eprintln!("audit [post-train]:   {d}");
+    }
     if let Some(dir) = cfg.checkpoint.as_ref().filter(|_| cfg.resume) {
         let dir = dir.display();
         if report.resumed {

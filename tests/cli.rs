@@ -1,7 +1,8 @@
 //! End-to-end CLI test: generate → analyze → train → whatif → stable, all
 //! through the real binary, exchanging real files; plus the strict
 //! argument parser's exit-2 contract, the exit-code contracts of `lint`,
-//! `sast` and `health`, and the repository's own source audit.
+//! `sast` and `health`, the post-train audit of `train`, and the
+//! repository's own source audit.
 
 use quasar::model::persist::{load_model, save_model};
 use quasar::serve::metrics::MetricsSnapshot;
@@ -487,6 +488,46 @@ fn repro_exits_1_when_a_csv_file_cannot_be_written() {
     assert!(stderr.contains("error: cannot write"), "{stderr}");
     assert!(stderr.contains("fig2.csv"), "{stderr}");
     let _ = std::fs::remove_file(&not_a_dir);
+}
+
+/// `quasar train` audits the artifact it writes exactly once, fresh or
+/// resumed; the training recipe itself audits nothing, so `repro`'s
+/// trainings log no audit.
+#[test]
+fn train_audits_what_it_writes_and_repro_does_not() {
+    let audit_lines = |out: &std::process::Output| -> Vec<String> {
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .filter(|l| l.starts_with("audit ["))
+            .map(str::to_owned)
+            .collect()
+    };
+    let model = tmp("audit.model");
+    let ckpt = tmp("audit-ckpt");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let path = model.to_str().unwrap();
+    let fresh = run(&["train", "--scale", "tiny", "--out", path]);
+    assert!(fresh.status.success(), "{fresh:?}");
+    assert_eq!(audit_lines(&fresh), ["audit [post-train]: clean"]);
+    let dir = ckpt.to_str().unwrap();
+    let resumed = run(&[
+        "train",
+        "--scale",
+        "tiny",
+        "--out",
+        path,
+        "--checkpoint-dir",
+        dir,
+        "--resume",
+    ]);
+    assert!(resumed.status.success(), "{resumed:?}");
+    assert_eq!(audit_lines(&resumed), ["audit [post-train]: clean"]);
+
+    let repro = run(&["repro", "--exp", "train", "--scale", "tiny"]);
+    assert!(repro.status.success(), "{repro:?}");
+    assert_eq!(audit_lines(&repro), Vec::<String>::new());
+    let _ = std::fs::remove_file(&model);
+    let _ = std::fs::remove_dir_all(&ckpt);
 }
 
 /// The parts of a `lint`/`sast --json` report these tests read.
