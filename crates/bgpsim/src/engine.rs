@@ -62,37 +62,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// One propagation event, recorded by [`Network::simulate_traced`].
-/// Routes are summarized by their AS-path to keep traces readable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A router drained its inbox and re-ran the decision process.
-    Activate {
-        /// The activated router.
-        router: RouterId,
-        /// Updates consumed from the inbox.
-        inbox: usize,
-    },
-    /// A router's best route changed.
-    BestChanged {
-        /// The router.
-        router: RouterId,
-        /// Previous best AS-path (`None` = no route).
-        old: Option<AsPath>,
-        /// New best AS-path.
-        new: Option<AsPath>,
-    },
-    /// An update was placed in a peer's inbox.
-    Sent {
-        /// Announcing router.
-        from: RouterId,
-        /// Receiving router.
-        to: RouterId,
-        /// Announced AS-path (`None` = withdraw).
-        path: Option<AsPath>,
-    },
-}
-
 /// Counters describing one simulation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimStats {
@@ -106,6 +75,9 @@ pub struct SimStats {
     /// Router activations (inbox drains followed by a decision). A warm
     /// run rebuilds the RIBs of the routers it activated, no others.
     pub activations: u64,
+    /// Activations whose decision changed the router's best route; each
+    /// builds at most one new path.
+    pub best_changes: u64,
     /// Whether the run started from a kept steady state
     /// ([`Network::resimulate`]) rather than from empty RIBs.
     pub warm: bool,
@@ -383,8 +355,6 @@ struct RunState<'n, 's> {
     /// Total pending updates across all inboxes (peak tracking).
     queued: usize,
     stats: SimStats,
-    /// Event sink when tracing.
-    trace: Option<Vec<TraceEvent>>,
 }
 
 impl Network {
@@ -410,8 +380,7 @@ impl Network {
         origins: &[RouterId],
     ) -> Result<SimulationResult, SimError> {
         let start = Start::Cold { keep: false };
-        self.simulate_inner(prefix, origins, false, &mut SimScratch::new(), start)
-            .map(|(res, _)| res)
+        self.simulate_inner(prefix, origins, &mut SimScratch::new(), start)
     }
 
     /// Like [`Network::simulate`], but reusing the caller's [`SimScratch`]
@@ -424,8 +393,7 @@ impl Network {
         scratch: &mut SimScratch,
     ) -> Result<SimulationResult, SimError> {
         let start = Start::Cold { keep: false };
-        self.simulate_inner(prefix, origins, false, scratch, start)
-            .map(|(res, _)| res)
+        self.simulate_inner(prefix, origins, scratch, start)
     }
 
     /// Like [`Network::simulate_with`], but keeps the converged state in
@@ -439,8 +407,7 @@ impl Network {
         scratch: &mut SimScratch,
     ) -> Result<SimulationResult, SimError> {
         let start = Start::Cold { keep: true };
-        self.simulate_inner(prefix, origins, false, scratch, start)
-            .map(|(res, _)| res)
+        self.simulate_inner(prefix, origins, scratch, start)
     }
 
     /// Warm start: re-simulates `prev`'s prefix from `origins` after the
@@ -486,32 +453,16 @@ impl Network {
     ) -> Result<SimulationResult, SimError> {
         let prefix = prev.prefix;
         let start = Start::Warm { prev, changed };
-        self.simulate_inner(prefix, origins, false, scratch, start)
-            .map(|(res, _)| res)
-    }
-
-    /// Like [`Network::simulate`], additionally recording every router
-    /// activation, best-route change, and sent update — a readable account
-    /// of how the prefix propagated. Traces grow with convergence work;
-    /// intended for debugging and teaching, not bulk runs.
-    pub fn simulate_traced(
-        &self,
-        prefix: Prefix,
-        origins: &[RouterId],
-    ) -> Result<(SimulationResult, Vec<TraceEvent>), SimError> {
-        let start = Start::Cold { keep: false };
-        self.simulate_inner(prefix, origins, true, &mut SimScratch::new(), start)
-            .map(|(res, t)| (res, t.unwrap_or_default()))
+        self.simulate_inner(prefix, origins, scratch, start)
     }
 
     fn simulate_inner(
         &self,
         prefix: Prefix,
         origins: &[RouterId],
-        traced: bool,
         scratch: &mut SimScratch,
         start: Start<'_>,
-    ) -> Result<(SimulationResult, Option<Vec<TraceEvent>>), SimError> {
+    ) -> Result<SimulationResult, SimError> {
         // Failpoint: lets tests fail/delay a simulation at its entry, the
         // spot where real resource exhaustion would surface.
         #[cfg(feature = "testkit")]
@@ -542,7 +493,6 @@ impl Network {
             sc: scratch,
             queued: 0,
             stats: SimStats::default(),
-            trace: if traced { Some(Vec::new()) } else { None },
         };
 
         if let Some(resume) = &resume {
@@ -579,7 +529,6 @@ impl Network {
             }
         }
 
-        let trace = st.trace.take();
         let mut res = st.into_result(prefix, keep, resume.map(|r| r.prev));
         if keep {
             // sast: relaxed-ok unique-id ticket; only distinctness matters, no memory is published through it
@@ -591,7 +540,7 @@ impl Network {
                 origins: sorted_origins,
             });
         }
-        Ok((res, trace))
+        Ok(res)
     }
 }
 
@@ -601,16 +550,6 @@ impl RunState<'_, '_> {
         self.sc.dirty[r] = false;
         self.sc.activated[r] = true;
         self.stats.activations += 1;
-        if let Some(t) = &mut self.trace {
-            let inbox = self.sc.slots[r]
-                .iter()
-                .filter(|s| s.pending.is_some())
-                .count();
-            t.push(TraceEvent::Activate {
-                router: self.net.routers[r],
-                inbox,
-            });
-        }
         // Drain the inbox slots in place (adjacency = peer-sorted order).
         for slot in 0..self.sc.slots[r].len() {
             let Some(update) = self.sc.slots[r][slot].pending.take() else {
@@ -683,13 +622,7 @@ impl RunState<'_, '_> {
             }
             nb.cloned()
         };
-        if let Some(t) = &mut self.trace {
-            t.push(TraceEvent::BestChanged {
-                router: net.routers[r],
-                old: self.sc.best[r].as_ref().map(|b| b.as_path.clone()),
-                new: new_best.as_ref().map(|b| b.as_path.clone()),
-            });
-        }
+        self.stats.best_changes += 1;
         self.sc.best[r] = new_best;
 
         // Fan out over sessions in deterministic (peer-sorted) order. The
@@ -703,16 +636,8 @@ impl RunState<'_, '_> {
                 self.stats.suppressed += 1;
                 continue;
             }
-            if let Some(t) = &mut self.trace {
-                t.push(TraceEvent::Sent {
-                    from: net.routers[r],
-                    to: net.routers[peer],
-                    path: msg.as_ref().map(|m| m.as_path.clone()),
-                });
-            }
             // The message is recorded once per copy that must live on: the
-            // Adj-RIB-Out bookkeeping and the peer's inbox slot (the trace
-            // above only bumped the AS-path refcount).
+            // Adj-RIB-Out bookkeeping and the peer's inbox slot.
             slot.sent = msg.clone();
             let peer_slot = slot.peer_slot;
             self.enqueue(peer, peer_slot, msg);
@@ -1254,28 +1179,28 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_propagation_story() {
+    fn stats_count_activations_and_best_changes_along_line() {
         let net = line();
         let p = Prefix::for_origin(Asn(3));
-        let (res, trace) = net.simulate_traced(p, &[rid(3, 0)]).unwrap();
-        // Same converged result as the untraced run.
-        let plain = net.simulate(p, &[rid(3, 0)]).unwrap();
-        assert_eq!(res.best_route(rid(1, 0)), plain.best_route(rid(1, 0)));
-        // The story contains the origin's best change and sends down the
-        // line.
-        assert!(trace.iter().any(|e| matches!(
-            e,
-            TraceEvent::BestChanged { router, new: Some(p), .. }
-                if *router == rid(3, 0) && p.is_empty()
-        )));
-        assert!(trace.iter().any(|e| matches!(
-            e,
-            TraceEvent::Sent { from, to, path: Some(p) }
-                if *from == rid(2, 0) && *to == rid(1, 0) && p.to_string() == "2 3"
-        )));
-        assert!(trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Activate { router, .. } if *router == rid(1, 0))));
+        let res = net.simulate(p, &[rid(3, 0)]).unwrap();
+        // Routers sweep in order r1, r2, r3. r3 originates (best change,
+        // announces "3" to r2); r2 learns "3" (best change, announces
+        // "2 3" to r1, split horizon suppresses the echo to r3); r1 learns
+        // "2 3" (best change, nothing to send back).
+        assert_eq!(res.stats.best_changes, 3);
+        assert_eq!(res.stats.activations, 3);
+        assert_eq!(res.stats.messages, 2);
+        assert_eq!(res.stats.suppressed, 2);
+
+        // Originated at both ends: r1 announces "1" to r2, r2 takes it and
+        // sends "2 1" on to r3, r3 keeps its local route and announces
+        // "3" to r2. r2's second activation ties "1" against "3" and keeps
+        // the lower router id's route: an activation with no best change.
+        let res = net.simulate(p, &[rid(1, 0), rid(3, 0)]).unwrap();
+        assert_eq!(res.stats.best_changes, 3);
+        assert_eq!(res.stats.activations, 4);
+        assert_eq!(res.stats.messages, 3);
+        assert_eq!(res.stats.suppressed, 1);
     }
 
     #[test]

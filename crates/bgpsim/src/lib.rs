@@ -51,8 +51,9 @@
 //!   match" metric).
 //! * [`igp`] — Dijkstra shortest paths for hot-potato costing.
 //! * [`network`] — routers + sessions + policies.
-//! * [`engine`] — the per-prefix propagation loop and converged
-//!   [`engine::SimulationResult`].
+//! * [`engine`] — the per-prefix propagation loop, the converged
+//!   [`engine::SimulationResult`] and its run counters
+//!   ([`engine::SimStats`]: messages, activations, best-route changes).
 //!
 //! ## Example
 //! ```
@@ -95,7 +96,7 @@ pub mod types;
 pub mod prelude {
     pub use crate::aspath::{AsPath, AsPathPattern};
     pub use crate::decision::{decide, DecisionConfig, DecisionOutcome, MedMode, Step};
-    pub use crate::engine::{RouterRib, SimStats, SimulationResult, TraceEvent};
+    pub use crate::engine::{RouterRib, SimStats, SimulationResult};
     pub use crate::error::SimError;
     pub use crate::igp::{IgpCosts, IgpTopology};
     pub use crate::network::{

@@ -130,11 +130,6 @@ impl Network {
         }
     }
 
-    /// The decision configuration in force.
-    pub fn decision_config(&self) -> &DecisionConfig {
-        &self.cfg
-    }
-
     /// Adds a quasi-router (idempotent) and returns its id back for
     /// chaining convenience.
     pub fn add_router(&mut self, id: RouterId) -> RouterId {
@@ -144,11 +139,6 @@ impl Network {
             self.adj.push(Vec::new());
         }
         id
-    }
-
-    /// True if `id` is a router of this network.
-    pub fn has_router(&self, id: RouterId) -> bool {
-        self.index.contains_key(&id)
     }
 
     /// Number of routers.

@@ -9,10 +9,10 @@
 //! - a few vectors per run (sorted origins, the RIB list).
 //!
 //! Policy chains build their prefix index on their first evaluation, which
-//! the warm-up run pays. The bound is `BestChanged` events + routers + a
-//! small constant. The allocator below counts only the calls made by the
-//! thread that switched counting on, so concurrently running tests cannot
-//! disturb the figure.
+//! the warm-up run pays. The bound is the run's best-route changes
+//! (`SimStats::best_changes`) plus routers plus a small constant. The
+//! allocator below counts only the calls made by the thread that switched
+//! counting on, so concurrently running tests cannot disturb the figure.
 
 use quasar_bgpsim::engine::SimScratch;
 use quasar_bgpsim::prelude::*;
@@ -143,20 +143,18 @@ fn warm_simulation_allocates_per_best_change_and_router() {
     let p = Prefix::for_origin(Asn(1));
     let net = network(p, Prefix::for_origin(Asn(2)));
     let origins = net.routers_of(Asn(1));
-    let (traced, trace) = net.simulate_traced(p, &origins).unwrap();
-    let best_changes = trace
-        .iter()
-        .filter(|e| matches!(e, TraceEvent::BestChanged { .. }))
-        .count() as u64;
+    let cold = net.simulate(p, &origins).unwrap();
 
     let mut scratch = SimScratch::new();
     net.simulate_with(p, &origins, &mut scratch).unwrap();
     let (warm, calls) = allocations(|| net.simulate_with(p, &origins, &mut scratch).unwrap());
 
-    for (a, b) in warm.ribs().zip(traced.ribs()) {
+    for (a, b) in warm.ribs().zip(cold.ribs()) {
         assert_eq!(a.candidates, b.candidates);
         assert_eq!(a.outcome(), b.outcome());
     }
+    let best_changes = warm.stats.best_changes;
+    assert_eq!(best_changes, cold.stats.best_changes);
     let routers = net.num_routers() as u64;
     let budget = best_changes + routers + 8;
     assert!(

@@ -6,7 +6,9 @@ use quasar_bgpsim::engine::SimScratch;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// The worker count of the whole-model passes ([`crate::predict::evaluate`],
-/// [`crate::diagnostics::diagnose`]): every available core.
+/// [`crate::diagnostics::diagnose`]) and of refinement at `threads == 0`
+/// ([`crate::refine::RefineConfig::effective_threads`]): every available
+/// core.
 pub(crate) fn all_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

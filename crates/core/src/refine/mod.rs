@@ -134,15 +134,13 @@ impl Default for RefineConfig {
 }
 
 impl RefineConfig {
-    /// The effective worker-thread count (resolves `threads == 0` to the
-    /// number of available cores).
+    /// The effective worker-thread count (resolves `threads == 0` to
+    /// every available core, as the whole-model passes do).
     pub fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            crate::pool::all_cores()
         }
     }
 }

@@ -172,7 +172,6 @@ pub fn apply_change(model: &mut AsRoutingModel, change: &Change) {
 pub struct Scenario {
     base: AsRoutingModel,
     edited: AsRoutingModel,
-    changes: Vec<Change>,
 }
 
 impl Scenario {
@@ -181,25 +180,13 @@ impl Scenario {
         Scenario {
             base: base.clone(),
             edited: base.clone(),
-            changes: Vec::new(),
         }
     }
 
     /// Applies a change to the scenario copy. Returns `self` for chaining.
     pub fn apply(mut self, change: Change) -> Self {
         apply_change(&mut self.edited, &change);
-        self.changes.push(change);
         self
-    }
-
-    /// The changes applied so far.
-    pub fn changes(&self) -> &[Change] {
-        &self.changes
-    }
-
-    /// The edited model (e.g. to persist the scenario).
-    pub fn edited_model(&self) -> &AsRoutingModel {
-        &self.edited
     }
 
     /// Simulates base and scenario for every model prefix and reports the

@@ -19,7 +19,10 @@
 //!    `quasar-bgpsim` and records only what a route collector would see at
 //!    sampled observation points;
 //! 5. [`mrt_io`] writes/reads those feeds in RouteViews' MRT TABLE_DUMP_V2
-//!    format, keeping the pipeline drop-in compatible with real data.
+//!    format, keeping the pipeline drop-in compatible with real data;
+//! 6. [`updates`] and [`perturb`] give the streaming pipeline its ground
+//!    truth: BGP4MP update streams, and a seeded after set of
+//!    graph-preserving path shifts rendered as a before→after archive.
 //!
 //! The model under test (`quasar-core`) consumes the feeds only — never the
 //! ground truth — so its predictions are evaluated exactly as in the paper.

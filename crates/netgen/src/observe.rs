@@ -154,14 +154,6 @@ impl SyntheticInternet {
         v.dedup();
         v
     }
-
-    /// All observed AS-paths (no prefix/point context).
-    pub fn observed_paths(&self) -> Vec<AsPath> {
-        self.observations
-            .iter()
-            .map(|o| o.as_path.clone())
-            .collect()
-    }
 }
 
 /// Samples observation ASes with a core bias, then 1..3 feed routers in

@@ -7,24 +7,20 @@
 //! Internet:
 //!
 //! * [`perturb_observations`] derives an "after" observation set from a
-//!   "before" set by applying a seeded mix of the routing events the
-//!   paper's data contains — path shifts (a feed switches to an
-//!   alternative route after a link flap), prefix re-homings (a prefix
-//!   moves to a different origin AS), and new announcements;
+//!   "before" set by applying seeded **graph-preserving path shifts**: a
+//!   feed switches to an alternative route for one prefix (the observable
+//!   effect of a link flap upstream), and the shift is kept only if it
+//!   neither adds nor removes an AS-graph edge. Every prefix keeps its
+//!   origin;
 //! * [`transition_stream`] renders the before→after difference as a valid
 //!   MRT archive: the before-RIB as a TABLE_DUMP_V2 dump plus one BGP4MP
 //!   UPDATE per changed `(feed, prefix)` route, timestamp-ordered, both
 //!   built by the shared writers in [`crate::mrt_io`].
 //!
 //! Replaying the stream through [`crate::updates::reconstruct_stable`]
-//! (or the live pipeline) recovers exactly the after set.
-//!
-//! Perturbations can be restricted to **graph-preserving** ones: path
-//! shifts that neither add nor remove any AS-graph edge and keep every
-//! prefix's origin. Those exercise the incremental trainer's fast path
-//! (only the touched prefixes retrain); re-homings and new announcements
-//! deliberately change the origin map and exercise its full-retrain
-//! fallback.
+//! (or the live pipeline) recovers exactly the after set. Because the AS
+//! graph and the origin map stay the same, the perturbed set exercises the
+//! incremental trainer's fast path: only the shifted prefixes retrain.
 
 use crate::mrt_io::{update_record, write_rib_dump};
 use crate::observe::{ObservationPoint, RouteObservation};
@@ -37,44 +33,21 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// How many of each routing event to attempt (each is best-effort: an
-/// event that would violate the configured invariants is skipped).
+/// How many path shifts to attempt. Each is best-effort: a shift that
+/// would add or remove an AS-graph edge, or finds no donor path, is
+/// skipped.
 #[derive(Debug, Clone, Copy)]
 pub struct PerturbationConfig {
     /// Feeds that switch to an alternative path for one prefix.
     pub path_shifts: usize,
-    /// Prefixes that move to a different origin AS.
-    pub rehomings: usize,
-    /// Brand-new prefixes announced by existing origins.
-    pub new_prefixes: usize,
-    /// Restrict to events that provably keep the AS graph and the
-    /// prefix→origin map unchanged (the incremental trainer's fast
-    /// path). Forces `rehomings` and `new_prefixes` to zero.
-    pub graph_preserving: bool,
-}
-
-impl Default for PerturbationConfig {
-    fn default() -> Self {
-        PerturbationConfig {
-            path_shifts: 8,
-            rehomings: 2,
-            new_prefixes: 2,
-            graph_preserving: false,
-        }
-    }
 }
 
 impl PerturbationConfig {
-    /// A config applying only graph-preserving path shifts — the after
-    /// set has the same AS graph and origins, so the incremental trainer
-    /// retrains nothing but the shifted prefixes.
+    /// A config applying up to `path_shifts` graph-preserving path
+    /// shifts — the after set has the same AS graph and origins, so the
+    /// incremental trainer retrains nothing but the shifted prefixes.
     pub fn graph_preserving(path_shifts: usize) -> Self {
-        PerturbationConfig {
-            path_shifts,
-            rehomings: 0,
-            new_prefixes: 0,
-            graph_preserving: true,
-        }
+        PerturbationConfig { path_shifts }
     }
 }
 
@@ -86,10 +59,6 @@ pub struct Perturbation {
     pub after: Vec<RouteObservation>,
     /// Applied path shifts: `(feed, prefix)` routes now on a new path.
     pub shifted: Vec<(u32, Prefix)>,
-    /// Applied re-homings: `(prefix, old origin, new origin)`.
-    pub rehomed: Vec<(Prefix, Asn, Asn)>,
-    /// Newly announced prefixes with their origin.
-    pub added: Vec<(Prefix, Asn)>,
     /// Every prefix whose observed routes differ from before, ascending.
     pub dirty_prefixes: Vec<Prefix>,
 }
@@ -114,11 +83,11 @@ fn edge_counts(obs: &BTreeMap<(u32, Prefix), AsPath>) -> BTreeMap<(Asn, Asn), us
     counts
 }
 
-/// Applies a seeded mix of routing events to `before` and returns the
-/// perturbed set plus ground truth about what changed. Deterministic in
-/// `seed`. Events that would violate the config's invariants (or find no
-/// viable candidate) are skipped, so the returned ground truth — not the
-/// requested counts — is authoritative.
+/// Applies seeded graph-preserving path shifts to `before` and returns
+/// the perturbed set plus ground truth about what changed. Deterministic
+/// in `seed`. Shifts that would change the AS graph (or find no viable
+/// donor) are skipped, so the returned ground truth — not the requested
+/// count — is authoritative.
 pub fn perturb_observations(
     points: &[ObservationPoint],
     before: &[RouteObservation],
@@ -159,27 +128,22 @@ fn perturb_at(
         .map(|o| ((o.point, o.prefix), o.as_path.clone()))
         .collect();
     let mut counts = edge_counts(&state);
-    let prefix_list: Vec<Prefix> = {
-        let set: BTreeSet<Prefix> = state.keys().map(|(_, p)| *p).collect();
-        set.into_iter().collect()
-    };
+    let prefixes: BTreeSet<Prefix> = state.keys().map(|(_, p)| *p).collect();
     let eligible: BTreeSet<Prefix> = match block {
-        Some((start, len)) => prefix_list.iter().skip(start).take(len).copied().collect(),
-        None => prefix_list.iter().copied().collect(),
+        Some((start, len)) => prefixes.into_iter().skip(start).take(len).collect(),
+        None => prefixes,
     };
 
     let mut shifted: Vec<(u32, Prefix)> = Vec::new();
     let mut dirty: BTreeSet<Prefix> = BTreeSet::new();
 
-    // --- Path shifts -----------------------------------------------------
     // A feed abandons its current path for `prefix` and re-learns the
     // route over a different first hop — the observable effect of a link
     // flap or a policy change upstream. The new path is spliced from
     // another feed's path for the same prefix (so it ends at the same
     // origin), re-headed with this feed's observer AS; it is only applied
-    // if the splice edge already exists in the graph, and — in
-    // graph-preserving mode — if dropping the old path leaves every one
-    // of its edges covered elsewhere.
+    // if the splice edge already exists in the graph and dropping the old
+    // path leaves every one of its edges covered elsewhere.
     let mut shift_candidates: Vec<(u32, Prefix)> = state
         .keys()
         .filter(|(_, p)| eligible.contains(p))
@@ -218,20 +182,15 @@ fn perturb_at(
             if candidate == old || candidate.has_loop() {
                 return None;
             }
-            if cfg.graph_preserving {
-                // Dropping `old` must not remove any graph edge: every
-                // edge needs a second user or coverage by the candidate.
-                let candidate_edges: BTreeSet<(Asn, Asn)> =
-                    candidate.edges().map(|(a, b)| edge_key(a, b)).collect();
-                let safe = old.edges().all(|(a, b)| {
-                    let k = edge_key(a, b);
-                    counts.get(&k).copied().unwrap_or(0) >= 2 || candidate_edges.contains(&k)
-                });
-                if !safe {
-                    return None;
-                }
-            }
-            Some(candidate)
+            // Dropping `old` must not remove any graph edge: every edge
+            // needs a second user or coverage by the candidate.
+            let candidate_edges: BTreeSet<(Asn, Asn)> =
+                candidate.edges().map(|(a, b)| edge_key(a, b)).collect();
+            let safe = old.edges().all(|(a, b)| {
+                let k = edge_key(a, b);
+                counts.get(&k).copied().unwrap_or(0) >= 2 || candidate_edges.contains(&k)
+            });
+            safe.then_some(candidate)
         }) else {
             continue;
         };
@@ -248,90 +207,6 @@ fn perturb_at(
         dirty.insert(prefix);
     }
 
-    // --- Prefix re-homings ----------------------------------------------
-    // `prefix` moves from its origin to a donor origin: every feed that
-    // reaches the donor's home prefix now reaches `prefix` over the same
-    // path, and feeds that cannot reach the donor withdraw it.
-    let mut rehomed: Vec<(Prefix, Asn, Asn)> = Vec::new();
-    if !cfg.graph_preserving && cfg.rehomings > 0 {
-        let origin_of: BTreeMap<Prefix, Asn> = state
-            .iter()
-            .filter_map(|((_, p), path)| path.origin().map(|o| (*p, o)))
-            .collect();
-        let mut candidates: Vec<Prefix> = prefix_list
-            .iter()
-            .filter(|p| eligible.contains(p) && !dirty.contains(p))
-            .copied()
-            .collect();
-        candidates.shuffle(&mut rng);
-        for prefix in candidates {
-            if rehomed.len() >= cfg.rehomings {
-                break;
-            }
-            let Some(&old_origin) = origin_of.get(&prefix) else {
-                continue;
-            };
-            // Donor: a different prefix with a different origin.
-            let Some((&donor_prefix, &new_origin)) = origin_of
-                .iter()
-                .find(|(dp, o)| **dp != prefix && **o != old_origin && !dirty.contains(dp))
-            else {
-                continue;
-            };
-            let donor_routes: Vec<(u32, AsPath)> = state
-                .iter()
-                .filter(|((_, p), _)| *p == donor_prefix)
-                .map(|((f, _), path)| (*f, path.clone()))
-                .collect();
-            if donor_routes.is_empty() {
-                continue;
-            }
-            state.retain(|(_, p), _| *p != prefix);
-            for (feed, path) in donor_routes {
-                state.insert((feed, prefix), path);
-            }
-            rehomed.push((prefix, old_origin, new_origin));
-            dirty.insert(prefix);
-        }
-    }
-
-    // --- New announcements ----------------------------------------------
-    // An existing origin announces an additional prefix, visible over the
-    // same paths as its home prefix.
-    let mut added: Vec<(Prefix, Asn)> = Vec::new();
-    if !cfg.graph_preserving && cfg.new_prefixes > 0 {
-        let taken: BTreeSet<Prefix> = state.keys().map(|(_, p)| *p).collect();
-        let mut origins: Vec<(Prefix, Asn)> = {
-            let set: BTreeSet<(Prefix, Asn)> = state
-                .iter()
-                .filter_map(|((_, p), path)| path.origin().map(|o| (*p, o)))
-                .collect();
-            set.into_iter().collect()
-        };
-        origins.shuffle(&mut rng);
-        for (home, origin) in origins {
-            if added.len() >= cfg.new_prefixes {
-                break;
-            }
-            let Some(new_prefix) = (0u8..64).find_map(|n| {
-                let p = Prefix::for_origin_nth(origin, n);
-                (!taken.contains(&p) && !added.iter().any(|(a, _)| *a == p)).then_some(p)
-            }) else {
-                continue;
-            };
-            let home_routes: Vec<(u32, AsPath)> = state
-                .iter()
-                .filter(|((_, p), _)| *p == home)
-                .map(|((f, _), path)| (*f, path.clone()))
-                .collect();
-            for (feed, path) in home_routes {
-                state.insert((feed, new_prefix), path);
-            }
-            added.push((new_prefix, origin));
-            dirty.insert(new_prefix);
-        }
-    }
-
     let after: Vec<RouteObservation> = state
         .into_iter()
         .map(|((point, prefix), as_path)| RouteObservation {
@@ -344,8 +219,6 @@ fn perturb_at(
     Perturbation {
         after,
         shifted,
-        rehomed,
-        added,
         dirty_prefixes: dirty.into_iter().collect(),
     }
 }
@@ -453,7 +326,14 @@ mod tests {
         let cfg = PerturbationConfig::graph_preserving(6);
         let p = perturb_observations(&net.observation_points, &net.observations, &cfg, 7);
         assert!(!p.shifted.is_empty(), "no shift candidates found at all");
-        assert!(p.rehomed.is_empty() && p.added.is_empty());
+        let keys = |obs: &[RouteObservation]| -> Vec<(u32, Prefix)> {
+            obs.iter().map(|o| (o.point, o.prefix)).collect()
+        };
+        assert_eq!(
+            keys(&net.observations).into_iter().collect::<BTreeSet<_>>(),
+            keys(&p.after).into_iter().collect::<BTreeSet<_>>(),
+            "a shift neither withdraws nor adds a route"
+        );
         let (e0, o0) = graph_and_origins(&net.observations);
         let (e1, o1) = graph_and_origins(&p.after);
         assert_eq!(e0, e1, "AS graph must be unchanged");
@@ -470,54 +350,65 @@ mod tests {
     }
 
     #[test]
-    fn full_perturbation_changes_what_it_claims() {
-        let net = SyntheticInternet::generate(NetGenConfig::tiny(42));
-        let cfg = PerturbationConfig::default();
-        let p = perturb_observations(&net.observation_points, &net.observations, &cfg, 8);
-        assert!(!p.dirty_prefixes.is_empty());
-        let before_prefixes: BTreeSet<Prefix> = net.observations.iter().map(|o| o.prefix).collect();
-        for (added, _) in &p.added {
-            assert!(!before_prefixes.contains(added));
-            assert!(p.after.iter().any(|o| o.prefix == *added));
-        }
-        for (prefix, old, new) in &p.rehomed {
-            assert_ne!(old, new);
-            for o in p.after.iter().filter(|o| o.prefix == *prefix) {
-                assert_eq!(o.as_path.origin(), Some(*new));
-            }
-        }
-        // Untouched prefixes are bit-identical.
-        let dirty: BTreeSet<Prefix> = p.dirty_prefixes.iter().copied().collect();
-        let clean_before: Vec<_> = net
-            .observations
-            .iter()
-            .filter(|o| !dirty.contains(&o.prefix))
-            .cloned()
-            .collect();
-        let clean_after: Vec<_> = p
-            .after
-            .iter()
-            .filter(|o| !dirty.contains(&o.prefix))
-            .cloned()
-            .collect();
-        assert_eq!(sorted_keys(&clean_before), sorted_keys(&clean_after));
-    }
-
-    #[test]
     fn transition_stream_replays_to_the_after_set() {
         let net = SyntheticInternet::generate(NetGenConfig::tiny(43));
-        let pcfg = PerturbationConfig::default();
-        let p = perturb_observations(&net.observation_points, &net.observations, &pcfg, 9);
+        // A hand-built after set over the (feed, prefix)-ordered routes:
+        // every 7th route is withdrawn, every 5th moves to the path its
+        // feed has for the previous prefix, and one new prefix appears.
+        let by_route: BTreeMap<(u32, Prefix), &RouteObservation> = net
+            .observations
+            .iter()
+            .map(|o| ((o.point, o.prefix), o))
+            .collect();
+        let routes: Vec<&RouteObservation> = by_route.into_values().collect();
+        let mut after: Vec<RouteObservation> = Vec::new();
+        let (mut withdrawn, mut changed) = (0usize, 0usize);
+        for (i, o) in routes.iter().enumerate() {
+            if i % 7 == 3 {
+                withdrawn += 1;
+                continue;
+            }
+            let mut o = (*o).clone();
+            if let Some(prev) = routes[..i]
+                .last()
+                .filter(|prev| i % 5 == 1 && prev.point == o.point && prev.as_path != o.as_path)
+            {
+                o.as_path = prev.as_path.clone();
+                changed += 1;
+            }
+            after.push(o);
+        }
+        let fresh = Prefix::new(0xC633_6400, 24);
+        assert!(routes.iter().all(|o| o.prefix != fresh));
+        after.push(RouteObservation {
+            prefix: fresh,
+            ..routes[0].clone()
+        });
+        assert!(withdrawn > 0 && changed > 0);
+
         let ucfg = UpdateStreamConfig::default();
         let recs = transition_stream(
             &net.observation_points,
             &net.observations,
-            &p.after,
+            &after,
             &ucfg,
             10,
         );
         let (_, obs) = reconstruct_stable(&recs, ucfg.snapshot_time, ucfg.stability_window);
-        assert_eq!(sorted_keys(&obs), sorted_keys(&p.after));
+        assert_eq!(sorted_keys(&obs), sorted_keys(&after));
+        // One withdrawal per vanished route, one announcement per changed
+        // or new one.
+        let (mut withdrawals, mut announcements) = (0, 0);
+        for r in &recs {
+            if let MrtBody::Bgp4mp(m) = &r.body {
+                if let BgpMessage::Update(u) = &m.message {
+                    withdrawals += u.withdrawn.len();
+                    announcements += u.announced.len();
+                }
+            }
+        }
+        assert_eq!(withdrawals, withdrawn);
+        assert_eq!(announcements, changed + 1);
     }
 
     #[test]
@@ -540,26 +431,6 @@ mod tests {
         let bytes = w.finish().unwrap();
         let back = MrtReader::new(&bytes[..]).read_all().unwrap();
         assert_eq!(back, recs);
-        // The stream must contain real withdrawals whenever a route
-        // vanished (re-homings withdraw from non-donor feeds).
-        let after_keys: BTreeSet<(u32, Prefix)> =
-            p.after.iter().map(|o| (o.point, o.prefix)).collect();
-        let vanished = net
-            .observations
-            .iter()
-            .any(|o| !after_keys.contains(&(o.point, o.prefix)));
-        if vanished {
-            let has_withdraw = recs.iter().any(|r| {
-                matches!(
-                    &r.body,
-                    MrtBody::Bgp4mp(m) if matches!(
-                        &m.message,
-                        BgpMessage::Update(u) if !u.withdrawn.is_empty()
-                    )
-                )
-            });
-            assert!(has_withdraw);
-        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::cache::{CachedSim, SteadyStateCache};
 use parking_lot::RwLock;
 use quasar_bgpsim::types::Prefix;
 use quasar_core::model::AsRoutingModel;
+use quasar_core::persist::fnv1a;
 use quasar_core::whatif::{apply_change, Change};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -21,19 +22,13 @@ use std::sync::Arc;
 /// is a different scenario (and can produce a different model).
 pub fn scenario_key(changes: &[Change]) -> u64 {
     let json = serde_json::to_string(changes).unwrap_or_default();
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in json.as_bytes() {
-        hash ^= *b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv1a(json.as_bytes())
 }
 
 /// One what-if scenario resident in the server: the edited model and the
 /// overlay cache of its converged per-prefix steady states.
 pub struct Session {
     key: u64,
-    changes: Vec<Change>,
     edited: AsRoutingModel,
     cache: SteadyStateCache,
 }
@@ -41,14 +36,13 @@ pub struct Session {
 impl Session {
     /// Builds a session by applying `changes`, in order, to a copy of
     /// `base`.
-    pub fn new(base: &AsRoutingModel, changes: Vec<Change>) -> Self {
+    pub fn new(base: &AsRoutingModel, changes: &[Change]) -> Self {
         let mut edited = base.clone();
-        for c in &changes {
+        for c in changes {
             apply_change(&mut edited, c);
         }
         Session {
-            key: scenario_key(&changes),
-            changes,
+            key: scenario_key(changes),
             edited,
             cache: SteadyStateCache::new(),
         }
@@ -57,21 +51,6 @@ impl Session {
     /// The scenario key.
     pub fn key(&self) -> u64 {
         self.key
-    }
-
-    /// The changes this session applied.
-    pub fn changes(&self) -> &[Change] {
-        &self.changes
-    }
-
-    /// The edited model.
-    pub fn edited(&self) -> &AsRoutingModel {
-        &self.edited
-    }
-
-    /// The session's overlay cache counters.
-    pub fn cache(&self) -> &SteadyStateCache {
-        &self.cache
     }
 
     /// Simulates `prefix` under the scenario, memoized in the overlay
@@ -114,7 +93,7 @@ impl SessionStore {
         }
         // Build outside the write lock: cloning + editing the model is the
         // expensive part and must not serialize unrelated sessions.
-        let fresh = Arc::new(Session::new(base, changes.to_vec()));
+        let fresh = Arc::new(Session::new(base, changes));
         let mut inner = self.inner.write();
         if let Some(s) = inner.map.get(&key) {
             return s.clone(); // another thread won the race
@@ -185,7 +164,7 @@ mod tests {
         let p = Prefix::for_origin(Asn(3));
         let before = base_cache.get_or_simulate(&base, p).unwrap();
 
-        let session = Session::new(&base, vec![Change::Depeer(Asn(2), Asn(3))]);
+        let session = Session::new(&base, &[Change::Depeer(Asn(2), Asn(3))]);
         let after = session.simulate(p).unwrap();
 
         // The scenario changed AS1's route, but the base cache still

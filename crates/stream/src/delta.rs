@@ -78,15 +78,6 @@ impl PathState {
         self.state.is_empty()
     }
 
-    /// Distinct prefixes currently observed.
-    pub fn prefix_count(&self) -> usize {
-        self.state
-            .keys()
-            .map(|(_, p)| *p)
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
     fn apply_update(&mut self, m: &Bgp4mpMessage, applied: &mut AppliedWindow) {
         let Some(&point) = self.peer_by_ip.get(&m.peer_ip) else {
             return;
